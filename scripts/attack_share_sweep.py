@@ -1,10 +1,12 @@
 """Sweep the adversary's hash-power share and measure reorg damage.
 
-For each share in the grid, runs a block-withholding attacker against four
-equal honest publishers across a set of seeds, then counts reorganizations
-observed by honest nodes at or beyond --deep. The resulting CSV shows how
-attack success scales with hash power: a small minority produces shallow,
-rare reorgs while a majority rewrites the chain at will.
+For each share in the grid, runs a majority_reorg attacker against four
+equal honest publishers across a set of seeds: it mines a secret branch from
+--secret-depth blocks below its tip and releases it once it is longer than
+the honest chain. The script then counts reorganizations observed by honest
+nodes at or beyond --deep. The resulting CSV shows how attack success scales
+with hash power: a small minority produces shallow, rare reorgs while a
+majority rewrites the chain at will.
 """
 
 from __future__ import annotations

@@ -193,7 +193,9 @@ class ChainState:
         )
 
 
-def _is_stake_model(params: ChainParams) -> bool:
+def is_stake_model(params: ChainParams) -> bool:
+    """True for the proof-of-stake models, where stake is locked and selects
+    the publisher."""
     from . import consensus
 
     return isinstance(params.consensus, (consensus.PosChainParams, consensus.PosCoinAgeParams))
@@ -216,17 +218,13 @@ def _walk_transactions(
     parse, calls must target a known contract and execute with gas = fee x
     GAS_PER_FEE_UNIT (failed executions keep the fee but revert writes).
     """
-    allow_locked = not _is_stake_model(params)
+    allow_locked = not is_stake_model(params)
     for index, tx in enumerate(txs):
         if coinbase_expected and (tx.kind == TxKind.COINBASE) != (index == 0):
             return _invalid("Coinbase", f"transaction {index}")
         v = validate_transaction(tx, state.utxo, allow_locked)
         if not v:
             return _invalid(v.reason, f"transaction {index}: {v.detail}".strip())
-        fee = 0
-        if tx.kind != TxKind.COINBASE:
-            fee = sum(state.utxo.get(i.outpoint).output.amount for i in tx.inputs)
-            fee -= tx.output_value
         if tx.kind == TxKind.CONTRACT_DEPLOY:
             try:
                 contracts.parse_bytecode(tx.payload)
@@ -242,12 +240,7 @@ def _walk_transactions(
                 call_words = contracts.parse_call_payload(tx.payload)
             except ValueError as exc:
                 return _invalid("BadCallData", f"transaction {index}: {exc}")
-        tx_id = tx.tx_id
-        for inp in tx.inputs:
-            state.utxo.spend(inp.outpoint, height)
-        for i, out in enumerate(tx.outputs):
-            locked = tx.kind == TxKind.STAKE and i == 0
-            state.utxo.add((tx_id, i), out, locked, height)
+        fee = state.utxo.apply(tx, height)
         if tx.kind == TxKind.COINBASE:
             state.issued += tx.output_value
         else:
@@ -267,25 +260,10 @@ def _block_fees(txs: tuple[Transaction, ...], utxo: UtxoSet) -> int | None:
     """Total fees if every input resolves against the evolving view, else None
     (the sequential walk will report the actual failure)."""
     view = utxo.copy()
-    fees = 0
-    for tx in txs:
-        if tx.kind != TxKind.COINBASE:
-            value_in = 0
-            for inp in tx.inputs:
-                entry = view.get(inp.outpoint)
-                if entry is None or not entry.live:
-                    return None
-                value_in += entry.output.amount
-            fees += value_in - tx.output_value
-        tx_id = tx.tx_id
-        try:
-            for inp in tx.inputs:
-                view.spend(inp.outpoint, 0)
-            for i, out in enumerate(tx.outputs):
-                view.add((tx_id, i), out, False, 0)
-        except ValueError:
-            return None
-    return fees
+    try:
+        return sum(view.apply(tx, 0) for tx in txs)
+    except (KeyError, ValueError):
+        return None
 
 
 def validate_and_apply(
@@ -325,11 +303,13 @@ def validate_and_apply(
                 pow_params = replace(
                     pow_params, target=consensus.pow_retarget(window, pow_params)
                 )
+    stakes = (
+        consensus.stake_view(parent_state.utxo, header.height, parent_state.stake_resets)
+        if is_stake_model(params)
+        else ()
+    )
     ctx = consensus.ProofContext(
-        target=pow_params.target if pow_params is not None else 0,
-        stake_entries=consensus.stake_view(
-            parent_state.utxo, header.height, parent_state.stake_resets
-        ),
+        target=pow_params.target if pow_params is not None else 0, stake_entries=stakes
     )
     ok, reason = consensus.verify_header_proof(params.consensus, header, ctx)
     if not ok:
@@ -350,7 +330,7 @@ def validate_and_apply(
     v = _walk_transactions(block.transactions, state, header.height, params, True)
     if not v:
         return None, v
-    _apply_stake_resets(block, state, parent_state, params, header.height)
+    _apply_stake_resets(block, state, stakes, params, header.height)
     return state, VALID
 
 
@@ -365,8 +345,10 @@ def _retarget_window(
 
 
 def _apply_stake_resets(
-    block: Block, state: ChainState, parent_state: ChainState, params: ChainParams, height: int
+    block: Block, state: ChainState, stakes: Iterable, params: ChainParams, height: int
 ) -> None:
+    """Coin-age: restart the age of the winner's mature stake, judged on the
+    parent state's stake view."""
     from . import consensus
 
     if not isinstance(params.consensus, consensus.PosCoinAgeParams):
@@ -375,21 +357,19 @@ def _apply_stake_resets(
     if winner is None:
         return
     threshold = params.consensus.age_threshold
-    view = consensus.stake_view(parent_state.utxo, height, parent_state.stake_resets)
-    for entry in view:
+    for entry in stakes:
         if entry.address == winner and entry.age >= threshold:
             state.stake_resets[entry.outpoint] = height
 
 
-def validate_block(
-    block: Block,
-    parent_header: BlockHeader,
-    parent_state: ChainState,
-    params: ChainParams,
-    header_at: Callable[[int], BlockHeader | None] = lambda _h: None,
-) -> Validity:
-    _, v = validate_and_apply(block, parent_header, parent_state, params, header_at)
-    return v
+def _genesis_state(genesis: Block, params: ChainParams) -> tuple[ChainState, Validity]:
+    """State after the genesis block's transactions, on an empty UTXO set."""
+    from . import consensus
+
+    state = ChainState(UtxoSet())
+    if isinstance(params.consensus, consensus.PowParams):
+        state.pow_params = params.consensus
+    return state, _walk_transactions(genesis.transactions, state, 0, params, True)
 
 
 # ---------------------------------------------------------------------------
@@ -425,24 +405,18 @@ class ChainStore:
         genesis: Block | None = None,
         mempool: Mempool | None = None,
     ):
-        from . import consensus
-
         self.params = params
         self.mempool = mempool if mempool is not None else Mempool()
         self.policy: Callable[[Block], Validity] | None = None
         genesis = genesis if genesis is not None else make_genesis(params)
         if genesis.header.height != 0 or genesis.header.prev_header_hash != GENESIS_PREV_HASH:
             raise ValueError("genesis must have height 0 and a zero previous hash")
-        state = ChainState(UtxoSet())
-        if isinstance(params.consensus, consensus.PowParams):
-            state.pow_params = params.consensus
-        v = _walk_transactions(genesis.transactions, state, 0, params, True)
+        state, v = _genesis_state(genesis, params)
         if not v:
             raise ValueError(f"invalid genesis: {v.reason} {v.detail}".strip())
         self.genesis_hash = header_hash(genesis.header)
         self.blocks: dict[bytes, Block] = {self.genesis_hash: genesis}
         self.states: dict[bytes, ChainState] = {self.genesis_hash: state}
-        self.children: dict[bytes, list[bytes]] = {}
         self.order: list[bytes] = [self.genesis_hash]
         self.tip_hash = self.genesis_hash
         self.checkpoints: dict[int, bytes] = {}
@@ -533,7 +507,6 @@ class ChainStore:
 
         self.blocks[h] = block
         self.states[h] = state
-        self.children.setdefault(parent_hash, []).append(h)
         self.order.append(h)
 
         if block.header.height <= self.tip_height:
@@ -543,7 +516,7 @@ class ChainStore:
             for t in block.transactions:
                 self._adopted_tx_heights[t.tx_id] = block.header.height
             self.mempool.remove_confirmed(block.transactions)
-            self.mempool.drop_conflicting(state.utxo, not _is_stake_model(self.params))
+            self.mempool.drop_conflicting(state.utxo, not is_stake_model(self.params))
             return AppendResult(EXTENDED)
         return self._reorganize(h)
 
@@ -563,7 +536,7 @@ class ChainStore:
             height = self.blocks[h].header.height
             for t in self.blocks[h].transactions:
                 self._adopted_tx_heights[t.tx_id] = height
-        allow_locked = not _is_stake_model(self.params)
+        allow_locked = not is_stake_model(self.params)
         utxo = self.tip_state().utxo
         confirmed = {t.tx_id for b in adopted for t in b.transactions}
         for b in adopted:
@@ -604,7 +577,6 @@ class ChainStore:
         parent_hash = block.header.prev_header_hash
         self.blocks[h] = block
         self.order.append(h)
-        self.children.setdefault(parent_hash, []).append(h)
         parent = self.blocks.get(parent_hash)
         parent_state = self.states.get(parent_hash)
         if parent is not None and parent_state is not None:
@@ -665,8 +637,6 @@ class ChainStore:
 def verify_blocks(params: ChainParams, blocks: Iterable[Block]) -> VerifyResult:
     """Replay a block sequence from scratch: genesis structure, every link,
     Merkle root, consensus proof, and transaction against rebuilt state."""
-    from . import consensus
-
     index: dict[bytes, Block] = {}
     states: dict[bytes, ChainState] = {}
     for block in blocks:
@@ -680,10 +650,7 @@ def verify_blocks(params: ChainParams, blocks: Iterable[Block]) -> VerifyResult:
                 return VerifyResult(False, 0, "DataHash")
             if header.size != len(block.data_bytes()):
                 return VerifyResult(False, 0, "Size")
-            state = ChainState(UtxoSet())
-            if isinstance(params.consensus, consensus.PowParams):
-                state.pow_params = params.consensus
-            v = _walk_transactions(block.transactions, state, 0, params, True)
+            state, v = _genesis_state(block, params)
             if not v:
                 return VerifyResult(False, 0, v.reason)
         else:

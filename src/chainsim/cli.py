@@ -41,9 +41,17 @@ from .crypto import (
     save_keystore,
     solve_string_puzzle,
 )
-from .ledger import Mempool, TxBuildError, TxKind, UtxoSet, balance, build_transaction
+from .ledger import (
+    Mempool,
+    TxBuildError,
+    TxKind,
+    UtxoSet,
+    balance,
+    build_transaction,
+    spendable_outpoint,
+)
 from .netsim import run_scenario, summary_row, write_reports
-from .scenario import ScenarioError, load_scenario
+from .scenario import MAX_SEED, ScenarioError, load_scenario
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -305,6 +313,8 @@ def cmd_sim(args) -> int:
     if args.seed is not None:
         from dataclasses import replace
 
+        if not 0 <= args.seed <= MAX_SEED:
+            raise CliError(EXIT_CONFIG, f"--seed must be between 0 and {MAX_SEED}")
         config = replace(config, seed=args.seed)
     result = run_scenario(config)
     write_reports(result, args.out)
@@ -348,21 +358,15 @@ def _pick_key(args, records: list[KeystoreRecord]):
     return keypair_generate(record.seed)
 
 
-def _fund_outpoint(store: ChainStore, address: Address, needed: int):
+def _funding(store: ChainStore, address: Address, needed: int):
+    """The tip's UTXO set and the outpoint that pays for a local transaction."""
     utxo = store.tip_state().utxo
-    options = [
-        (outpoint, entry)
-        for outpoint, entry in utxo.live_entries()
-        if not entry.locked
-        and entry.output.recipient == address
-        and entry.output.amount >= needed
-    ]
-    if not options:
+    outpoint = spendable_outpoint(utxo, address, needed)
+    if outpoint is None:
         raise CliError(
             EXIT_NOT_FOUND, f"no spendable output of at least {needed} for {address.hex()}"
         )
-    options.sort(key=lambda oe: oe[0])
-    return options[0][0], utxo
+    return outpoint, utxo
 
 
 def _append_local_block(args, store: ChainStore, txs) -> Block:
@@ -383,7 +387,9 @@ def _append_local_block(args, store: ChainStore, txs) -> Block:
             raise CliError(EXIT_VERIFY, "failed to produce a consensus proof")
     result = store.append_block(block)
     if result.status == "Rejected":
-        raise CliError(EXIT_VERIFY, f"block rejected: {result.reason} {result.detail}")
+        raise CliError(
+            EXIT_VERIFY, f"block rejected: {result.reason} {result.validity.detail}".strip()
+        )
     _persist_store(args, store)
     return block
 
@@ -401,7 +407,7 @@ def cmd_deploy(args) -> int:
     store = _load_store(args)
     keypair = _pick_key(args, _load_records(args))
     sender = derive_address(keypair.public_key)
-    outpoint, utxo = _fund_outpoint(store, sender, args.fee)
+    outpoint, utxo = _funding(store, sender, args.fee)
     try:
         tx = build_transaction(
             [outpoint], [], args.fee, [keypair], utxo, kind=TxKind.CONTRACT_DEPLOY, payload=code
@@ -426,7 +432,7 @@ def cmd_call(args) -> int:
         raise CliError(EXIT_NOT_FOUND, f"unknown contract {contract.hex()}")
     keypair = _pick_key(args, _load_records(args))
     sender = derive_address(keypair.public_key)
-    outpoint, utxo = _fund_outpoint(store, sender, args.fee)
+    outpoint, utxo = _funding(store, sender, args.fee)
     words = [w & contracts.WORD_MASK for w in args.words]
     payload = contracts.encode_call_payload(words)
     try:

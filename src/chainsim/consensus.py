@@ -73,7 +73,6 @@ class PosCoinAgeParams:
 @dataclass(frozen=True)
 class RoundRobinParams:
     publishers: tuple[Address, ...]
-    timeout: int = 10
 
     def __post_init__(self):
         if not self.publishers:

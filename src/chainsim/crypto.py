@@ -30,23 +30,14 @@ ADDRESS_SIZE = 1 + ADDRESS_PAYLOAD_SIZE + ADDRESS_CHECKSUM_SIZE
 USER_ADDRESS_VERSION = 0x00
 CONTRACT_ADDRESS_VERSION = 0x01
 
-# The hash algorithm is a named parameter so a future rule change could swap
-# it out; only SHA-256 is wired in.
-HASH_ALGORITHMS = {"sha256": hashlib.sha256}
-DEFAULT_HASH = "sha256"
-
 
 class KeystoreError(Exception):
     pass
 
 
-def sha256(data: bytes, algorithm: str = DEFAULT_HASH) -> bytes:
+def sha256(data: bytes) -> bytes:
     """FIPS 180-4 digest of ``data`` (32 bytes)."""
-    try:
-        ctor = HASH_ALGORITHMS[algorithm]
-    except KeyError:
-        raise ValueError(f"unknown hash algorithm: {algorithm!r}") from None
-    return ctor(data).digest()
+    return hashlib.sha256(data).digest()
 
 
 def sha256_hex(data: bytes) -> str:

@@ -2,9 +2,10 @@
 
 Amounts are integers in a smallest indivisible unit.  A transaction's fee is
 the surplus of resolved input value over output value; the block publisher
-claims fees through its coinbase.  The UTXO set keeps spent entries around
-(with a spent_height marker) so reverting a block is the exact inverse of
-applying it.
+claims fees through its coinbase.  UtxoSet.apply is the one place a
+transaction's inputs are spent and its outputs added: the chain store, the
+block verifier, block-fee pre-computation, mempool selection and the
+simulator's genesis builder all go through it.
 """
 
 from __future__ import annotations
@@ -157,8 +158,10 @@ class UtxoEntry:
 
 
 class UtxoSet:
-    """Map from outpoint to entry; spending marks, never deletes, so the
-    history needed to revert a block is always present."""
+    """Map from outpoint to entry.  Spending marks an entry with its
+    spent_height and keeps it, so validation can tell a spent input
+    (SpentInput) from one that never existed (UnknownInput), and digest()
+    covers spent entries as well as live ones."""
 
     def __init__(self, entries: dict[Outpoint, UtxoEntry] | None = None):
         self._entries: dict[Outpoint, UtxoEntry] = dict(entries or {})
@@ -174,17 +177,27 @@ class UtxoSet:
             raise ValueError("outpoint already present")
         self._entries[outpoint] = UtxoEntry(output, locked, height)
 
-    def spend(self, outpoint: Outpoint, height: int) -> None:
+    def spend(self, outpoint: Outpoint, height: int) -> int:
+        """Mark a live entry spent and return its amount."""
         entry = self._entries[outpoint]
         if not entry.live:
             raise ValueError("outpoint already spent")
         self._entries[outpoint] = replace(entry, spent_height=height)
+        return entry.output.amount
 
-    def unspend(self, outpoint: Outpoint) -> None:
-        self._entries[outpoint] = replace(self._entries[outpoint], spent_height=None)
+    def apply(self, tx: Transaction, height: int) -> int:
+        """Spend every input and add every output of tx at height (output 0
+        of a STAKE is locked); return the fee, 0 for a coinbase.
 
-    def remove(self, outpoint: Outpoint) -> None:
-        del self._entries[outpoint]
+        Checks no rule: validate_transaction does that.  Raises KeyError for
+        an unknown input and ValueError for a spent input or an output that is
+        already present, possibly after changing part of the set.
+        """
+        value_in = sum(self.spend(inp.outpoint, height) for inp in tx.inputs)
+        tx_id = tx.tx_id
+        for i, out in enumerate(tx.outputs):
+            self.add((tx_id, i), out, tx.kind == TxKind.STAKE and i == 0, height)
+        return 0 if tx.kind == TxKind.COINBASE else value_in - tx.output_value
 
     def live_entries(self) -> Iterable[tuple[Outpoint, UtxoEntry]]:
         return ((op, e) for op, e in self._entries.items() if e.live)
@@ -366,55 +379,23 @@ def make_coinbase(recipients: list[tuple[Address, int]], height: int) -> Transac
     return Transaction(TxKind.COINBASE, (), outputs, struct.pack(">Q", height))
 
 
-# ---------------------------------------------------------------------------
-# Block-level application
-# ---------------------------------------------------------------------------
-
-
-class BlockApplyError(Exception):
-    def __init__(self, index: int, validity: Validity):
-        self.index = index
-        self.validity = validity
-        super().__init__(f"transaction {index}: {validity.reason} {validity.detail}".strip())
-
-
-def apply_transactions(
-    txs: Iterable[Transaction],
-    utxo: UtxoSet,
-    height: int,
-    allow_locked: bool = False,
-) -> UtxoSet:
-    """Apply a block's transactions in order; atomic, the input set is
-    untouched on failure.  Later transactions may spend earlier ones' outputs."""
-    new = utxo.copy()
-    for index, tx in enumerate(txs):
-        v = validate_transaction(tx, new, allow_locked)
-        if not v:
-            raise BlockApplyError(index, v)
-        tx_id = tx.tx_id
-        for inp in tx.inputs:
-            new.spend(inp.outpoint, height)
-        for i, out in enumerate(tx.outputs):
-            locked = tx.kind == TxKind.STAKE and i == 0
-            new.add((tx_id, i), out, locked, height)
-    return new
-
-
-def revert_transactions(txs: Iterable[Transaction], utxo: UtxoSet) -> UtxoSet:
-    """Exact inverse of apply_transactions for the most recently applied block."""
-    new = utxo.copy()
-    for tx in reversed(list(txs)):
-        tx_id = tx.tx_id
-        for i in range(len(tx.outputs)):
-            new.remove((tx_id, i))
-        for inp in tx.inputs:
-            new.unspend(inp.outpoint)
-    return new
-
-
 class Balance(NamedTuple):
     unlocked: int
     locked_stake: int
+
+
+def spendable_outpoint(utxo: UtxoSet, address: Address, needed: int) -> Outpoint | None:
+    """The lowest live, unlocked outpoint paying address at least needed."""
+    return min(
+        (
+            outpoint
+            for outpoint, entry in utxo.live_entries()
+            if not entry.locked
+            and entry.output.recipient == address
+            and entry.output.amount >= needed
+        ),
+        default=None,
+    )
 
 
 def balance(address: Address, utxo: UtxoSet) -> Balance:
@@ -522,11 +503,7 @@ class Mempool:
                 continue
             if not validate_transaction(tx, view, allow_locked):
                 continue
-            tx_id = tx.tx_id
-            for inp in tx.inputs:
-                view.spend(inp.outpoint, 0)
-            for i, out in enumerate(tx.outputs):
-                view.add((tx_id, i), out, tx.kind == TxKind.STAKE and i == 0, 0)
+            view.apply(tx, 0)
             picked.append(tx)
             budget -= size
         return picked

@@ -25,6 +25,7 @@ from .chain import (
     REJECTED,
     REORGANIZED,
     header_hash,
+    is_stake_model,
     make_genesis,
 )
 from .crypto import HashStream, KeyPair, derive_address, keypair_generate, sha256
@@ -37,6 +38,7 @@ from .ledger import (
     Validity,
     build_transaction,
     make_coinbase,
+    spendable_outpoint,
 )
 from .merkle import merkle_proof, verify_proof
 
@@ -134,7 +136,6 @@ class Metrics:
     hash_attempts: dict[str, float] = field(default_factory=dict)
     agreement_series: list[tuple[int, float]] = field(default_factory=list)
     fork_split: bool = False
-    tip_history: dict[str, list[tuple[int, str]]] = field(default_factory=dict)
 
     @property
     def max_reorg_depth(self) -> int:
@@ -287,9 +288,7 @@ class Simulation:
         self.genesis = genesis
         self.nodes: dict[str, SimNode] = {}
         for spec in config.nodes:
-            node = SimNode(spec, keys[spec.name], self.params, genesis)
-            self.nodes[spec.name] = node
-            self.metrics.tip_history[spec.name] = [(0, node.tip_hash().hex())]
+            self.nodes[spec.name] = SimNode(spec, keys[spec.name], self.params, genesis)
         self.order = [spec.name for spec in config.nodes]
         self.publishers = [n for n in self.order if self.nodes[n].role == PUBLISHING]
         self.full_nodes = [n for n in self.order if self.nodes[n].role != LIGHTWEIGHT]
@@ -593,8 +592,7 @@ class Simulation:
 
     def _mempool_selection(self, node: SimNode, parent: bytes, budget: int) -> list[Transaction]:
         state = node.store.states[parent]
-        allow_locked = not isinstance(self.model, (cons.PosChainParams, cons.PosCoinAgeParams))
-        txs = node.store.mempool.take(budget, state.utxo, allow_locked)
+        txs = node.store.mempool.take(budget, state.utxo, not is_stake_model(self.params))
         if (
             self.adversary
             and self.adversary.kind == CENSORSHIP
@@ -789,7 +787,6 @@ class Simulation:
             self.metrics.reorg_events.append((self.now, node.name, depth))
             self._emit(f"t={self.now} reorg node={node.name} depth={depth}")
         if result.status != NEW_SIDE_BRANCH:
-            self.metrics.tip_history[node.name].append((self.now, node.store.tip_hash.hex()))
             if (
                 isinstance(self.model, cons.PowParams)
                 and node.hash_rate > 0
@@ -837,8 +834,7 @@ class Simulation:
         if tx_id in node.tx_relayed:
             return
         node.tx_relayed.add(tx_id)
-        allow_locked = not isinstance(self.model, (cons.PosChainParams, cons.PosCoinAgeParams))
-        node.store.mempool.add(tx, node.store.tip_state().utxo, allow_locked)
+        node.store.mempool.add(tx, node.store.tip_state().utxo, not is_stake_model(self.params))
         for peer_name in self.peers_of(node.name, self.now):
             peer = self.nodes[peer_name]
             if peer.role == LIGHTWEIGHT:
@@ -881,18 +877,6 @@ class Simulation:
             self._generate_payment(wl)
         self._push(self.now + wl.tx_interval, _RANK_WORKLOAD, b"", "workload", ())
 
-    def _spendable_outpoint(self, node: SimNode, view_node: SimNode, needed: int):
-        utxo = view_node.store.tip_state().utxo
-        options = [
-            (outpoint, entry)
-            for outpoint, entry in utxo.live_entries()
-            if not entry.locked
-            and entry.output.recipient == node.address
-            and entry.output.amount >= needed
-        ]
-        options.sort(key=lambda oe: oe[0])
-        return (options[0][0], utxo) if options else (None, utxo)
-
     def _generate_payment(self, wl: WorkloadSpec) -> None:
         candidates = [wl.submit_via] if wl.submit_via else list(self.order)
         needed = wl.tx_amount + wl.tx_fee
@@ -904,7 +888,8 @@ class Simulation:
             view = node if node.store else self._first_full_peer(node)
             if view is None:
                 continue
-            outpoint, utxo = self._spendable_outpoint(node, view, needed)
+            utxo = view.store.tip_state().utxo
+            outpoint = spendable_outpoint(utxo, node.address, needed)
             if outpoint is not None:
                 viable.append((name, outpoint, utxo))
         if not viable:
@@ -1005,8 +990,7 @@ def build_genesis(config: SimConfig, keys: dict[str, KeyPair] | None = None) -> 
     params = replace(config.chain, genesis_allocation=tuple(allocation))
     coinbase = make_coinbase(allocation, 0)
     view = UtxoSet()
-    for i, out in enumerate(coinbase.outputs):
-        view.add((coinbase.tx_id, i), out, False, 0)
+    view.apply(coinbase, 0)
     stake_txs = []
     for i, (spec, addr, total) in enumerate(funded):
         if spec.stake <= 0:

@@ -37,6 +37,7 @@ ROLES = (FULL, PUBLISHING, LIGHTWEIGHT)
 FORK_KINDS = (SOFT, HARD)
 ADVERSARY_KINDS = (MAJORITY_REORG, WITHHOLDING, CENSORSHIP)
 MODELS = ("pow", "pos_chain", "pos_coinage", "round_robin", "poa", "poet")
+MAX_SEED = 2**64 - 1  # seeds are packed as unsigned 64-bit integers
 
 _TOP_KEYS = {
     "seed",
@@ -126,6 +127,9 @@ def parse_scenario(raw: dict) -> SimConfig:
             c.fail(key, "unknown key")
 
     seed = c.require(raw, "", "seed", int)
+    if seed is not None and not 0 <= seed <= MAX_SEED:
+        c.fail("seed", f"must be between 0 and {MAX_SEED}")
+        seed = None
     duration = c.require(raw, "", "duration", int)
     if duration is not None and duration <= 0:
         c.fail("duration", "must be positive")
@@ -399,13 +403,16 @@ def _parse_consensus(c: _Checker, raw, nodes: list[NodeSpec], seed) -> object:
         if bits is not None and not 8 <= bits <= 255:
             c.fail("consensus.target_bits", "must be between 8 and 255")
             bits = 250
+        for key, value in (("retarget_interval", interval), ("target_spacing", spacing)):
+            if value is not None and value < 1:
+                c.fail(f"consensus.{key}", "must be at least 1")
         total = math.fsum(spec.hash_share for spec in publishers)
         if publishers and abs(total - 1.0) > 1e-9:
             c.fail("nodes", f"publishing hash_share values must sum to 1, got {total}")
         params = cons.PowParams(
             target=1 << (bits or 250),
-            retarget_interval=interval or 16,
-            target_spacing=spacing or 10,
+            retarget_interval=interval if interval is not None else 16,
+            target_spacing=spacing if spacing is not None else 10,
             simulated=True,
         )
     elif model in ("pos_chain", "pos_coinage"):
@@ -423,14 +430,11 @@ def _parse_consensus(c: _Checker, raw, nodes: list[NodeSpec], seed) -> object:
                 weight_cap=cap or cons.PosCoinAgeParams().weight_cap,
             )
     elif model == "round_robin":
-        known |= {"timeout"}
-        timeout = c.optional(raw, "consensus", "timeout", int, 10)
         if not publishers:
             c.fail("nodes", "round_robin needs publishing nodes")
             return None
         params = cons.RoundRobinParams(
-            publishers=tuple(pub_addrs[spec.name] for spec in publishers),
-            timeout=timeout or 10,
+            publishers=tuple(pub_addrs[spec.name] for spec in publishers)
         )
     elif model == "poa":
         known |= {"reputations", "r_max"}
@@ -454,12 +458,14 @@ def _parse_consensus(c: _Checker, raw, nodes: list[NodeSpec], seed) -> object:
     elif model == "poet":
         known |= {"mean_wait"}
         mean_wait = c.optional(raw, "consensus", "mean_wait", float, 10.0)
+        if mean_wait is not None and mean_wait <= 0:
+            c.fail("consensus.mean_wait", "must be positive")
         if not publishers:
             c.fail("nodes", "poet needs publishing nodes")
             return None
         params = cons.PoetParams(
             publishers=tuple(pub_addrs[spec.name] for spec in publishers),
-            mean_wait=mean_wait or 10.0,
+            mean_wait=mean_wait if mean_wait is not None else 10.0,
             seed=seed or 0,
         )
 

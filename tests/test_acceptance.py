@@ -159,7 +159,7 @@ def test_criterion_05_stake_42_58_selection_share(capsys):
 def _signed_payment_chain(length: int):
     """A chain where every byte matters: each block carries one signed
     payment, and headers are covered by the publisher's consensus tag."""
-    rr = cons.RoundRobinParams(publishers=(B_ADDR,), timeout=10)
+    rr = cons.RoundRobinParams(publishers=(B_ADDR,))
     params = ChainParams(genesis_allocation=((A_ADDR, 1_000),), consensus=rr)
     store = ChainStore(params, mempool=Mempool())
     blocks = [store.tip]

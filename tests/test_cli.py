@@ -2,6 +2,7 @@
 on stderr, and the documented exit codes (0 ok, 1 not found, 2 verification
 failure, 3 I/O or corruption, 4 configuration error)."""
 
+import argparse
 import importlib
 import os
 import re
@@ -15,10 +16,10 @@ import pytest
 from pathlib import Path
 
 from chainsim.chain import Block, deserialize_block
-from chainsim.cli import main
+from chainsim.cli import EXIT_VERIFY, CliError, _append_local_block, _load_store, main
 from chainsim.contracts import derive_contract_address
 from chainsim.crypto import derive_address, keypair_generate, sha256
-from chainsim.ledger import Transaction, TxOutput
+from chainsim.ledger import Transaction, TxOutput, Validity
 
 REPO = Path(__file__).resolve().parent.parent
 SEED_HEX = "11" * 32
@@ -298,6 +299,19 @@ def test_call_with_starved_fee_runs_out_of_gas(capsys, tmp_path, data_dir):
     assert out == "status=Ok output=1 gas_used=12\n"
 
 
+def test_rejected_local_block_exits_verify_with_reason(capsys, tmp_path, data_dir):
+    init_funded_chain(capsys, tmp_path, data_dir)
+    chain_bytes = (data_dir / "chain.dat").read_bytes()
+    args = argparse.Namespace(data_dir=str(data_dir), key=None, verbose=False)
+    store = _load_store(args)
+    store.policy = lambda block: Validity(False, "Policy", "every block refused")
+    with pytest.raises(CliError) as err:
+        _append_local_block(args, store, [])
+    assert err.value.code == EXIT_VERIFY == 2
+    assert err.value.message == "block rejected: Policy every block refused"
+    assert (data_dir / "chain.dat").read_bytes() == chain_bytes
+
+
 def test_call_unknown_contract_not_found(capsys, tmp_path, data_dir):
     address = init_funded_chain(capsys, tmp_path, data_dir)
     ghost = derive_contract_address(
@@ -418,6 +432,26 @@ def test_sim_is_repeatable_and_seed_overridable(capsys, tmp_path):
     )
     assert other.startswith("seed=9 ")
     assert other != first
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sim_seed_override_out_of_range_is_config_error(capsys, tmp_path, seed):
+    code, out, err = run_cli(
+        capsys, "sim", REPO / "scenarios" / "round_robin.cfg", "--out", tmp_path / "r",
+        "--seed", seed,
+    )
+    assert code == 4 and out == ""
+    assert err == "error: --seed must be between 0 and 18446744073709551615\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_sim_scenario_seed_out_of_range_is_config_error(capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("seed: -1\nduration: 50\nnodes:\n  - {name: a, role: publishing, hash_share: 1.0}\nconsensus: {model: pow}\n")
+    code, _, err = run_cli(capsys, "sim", bad, "--out", tmp_path / "r")
+    assert code == 4
+    assert "seed: must be between 0 and 18446744073709551615" in err
+    assert "Traceback" not in err
 
 
 def test_sim_reports_every_scenario_problem(capsys, tmp_path):

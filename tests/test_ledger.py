@@ -2,10 +2,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainsim.chain import (
+    Block,
+    BlockHeader,
+    ChainParams,
+    ChainStore,
+    EXTENDED,
+    REJECTED,
+    block_data_bytes,
+    header_hash,
+    transactions_merkle_root,
+)
 from chainsim.crypto import Address, HashStream, derive_address, keypair_generate, sign
 from chainsim.ledger import (
     Balance,
-    BlockApplyError,
     Mempool,
     Transaction,
     TxBuildError,
@@ -13,12 +23,11 @@ from chainsim.ledger import (
     TxKind,
     TxOutput,
     UtxoSet,
-    apply_transactions,
     balance,
     build_transaction,
     deserialize_transaction,
     make_coinbase,
-    revert_transactions,
+    spendable_outpoint,
     transaction_fee,
     validate_transaction,
 )
@@ -34,8 +43,17 @@ C_ADDR = derive_address(CAROL.public_key)
 def funded_utxo(*grants: tuple[Address, int]) -> tuple[UtxoSet, Transaction]:
     """Coinbase-funded starting set; returns (utxo, funding tx)."""
     coinbase = make_coinbase(list(grants), 0)
-    utxo = apply_transactions([coinbase], UtxoSet(), 0)
+    utxo = UtxoSet()
+    utxo.apply(coinbase, 0)
     return utxo, coinbase
+
+
+def applied(txs, utxo: UtxoSet, height: int) -> UtxoSet:
+    """A copy of utxo with txs applied in order; utxo itself is untouched."""
+    new = utxo.copy()
+    for tx in txs:
+        new.apply(tx, height)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +115,7 @@ def test_unknown_input():
 def test_spent_input():
     utxo, fund = funded_utxo((A_ADDR, 5))
     tx = build_transaction([(fund.tx_id, 0)], [(B_ADDR, 5)], 0, [ALICE], utxo)
-    after = apply_transactions([tx], utxo, 1)
+    after = applied([tx], utxo, 1)
     again = build_transaction([(fund.tx_id, 0)], [(C_ADDR, 5)], 0, [ALICE], utxo)
     assert validate_transaction(again, after).reason == "SpentInput"
 
@@ -182,7 +200,7 @@ def test_locked_input_blocks_stake_spend():
     stake = build_transaction(
         [(fund.tx_id, 0)], [(A_ADDR, 5)], 0, [ALICE], utxo, kind=TxKind.STAKE
     )
-    staked = apply_transactions([stake], utxo, 1)
+    staked = applied([stake], utxo, 1)
     spend = build_transaction([(stake.tx_id, 0)], [(B_ADDR, 5)], 0, [ALICE], staked,
                               kind=TxKind.TRANSFER)
     assert validate_transaction(spend, staked).reason == "LockedInput"
@@ -190,70 +208,104 @@ def test_locked_input_blocks_stake_spend():
 
 
 # ---------------------------------------------------------------------------
-# apply / revert
+# apply
 # ---------------------------------------------------------------------------
 
 
-def test_apply_then_revert_restores_utxo():
+def test_apply_spends_inputs_adds_outputs_and_returns_fee():
     utxo, fund = funded_utxo((A_ADDR, 5), (B_ADDR, 7))
     tx = build_transaction([(fund.tx_id, 0)], [(B_ADDR, 3)], 1, [ALICE], utxo)
-    after = apply_transactions([tx], utxo, 1)
-    assert after != utxo
-    assert revert_transactions([tx], after) == utxo
+    after = utxo.copy()
+    assert after.apply(tx, 1) == 1
+    assert after.get((fund.tx_id, 0)).spent_height == 1
+    assert after.get((fund.tx_id, 1)).live
+    assert [after.get((tx.tx_id, i)).output for i in range(2)] == list(tx.outputs)
+    assert not any(after.get((tx.tx_id, i)).locked for i in range(2))
+    assert after.get((tx.tx_id, 0)).created_height == 1
+    assert utxo.get((fund.tx_id, 0)).live and utxo.get((tx.tx_id, 0)) is None
+
+
+def test_apply_locks_stake_output_zero_and_charges_coinbase_nothing():
+    utxo, fund = funded_utxo((A_ADDR, 8))
+    stake = build_transaction(
+        [(fund.tx_id, 0)], [(A_ADDR, 5)], 1, [ALICE], utxo, kind=TxKind.STAKE
+    )
+    assert utxo.apply(stake, 1) == 1
+    assert utxo.get((stake.tx_id, 0)).locked and not utxo.get((stake.tx_id, 1)).locked
+    assert utxo.apply(make_coinbase([(C_ADDR, 51)], 2), 2) == 0
+
+
+def test_apply_raises_on_unresolvable_input():
+    utxo, fund = funded_utxo((A_ADDR, 5))
+    ghost = Transaction(
+        TxKind.TRANSFER, (TxInput(b"\x11" * 32, 0, ALICE.public_key, b""),), (), b""
+    )
+    with pytest.raises(KeyError):
+        utxo.copy().apply(ghost, 1)
+    tx = build_transaction([(fund.tx_id, 0)], [(B_ADDR, 5)], 0, [ALICE], utxo)
+    after = applied([tx], utxo, 1)
+    again = build_transaction([(fund.tx_id, 0)], [(C_ADDR, 5)], 0, [ALICE], utxo)
+    with pytest.raises(ValueError):
+        after.apply(again, 2)
+
+
+def _unproven_block(store: ChainStore, txs) -> Block:
+    """A block on the tip carrying a subsidy-only coinbase and then txs."""
+    parent = store.tip.header
+    height = parent.height + 1
+    coinbase = make_coinbase([(C_ADDR, store.params.block_subsidy)], height)
+    all_txs = (coinbase,) + tuple(txs)
+    header = BlockHeader(
+        height=height,
+        prev_header_hash=header_hash(parent),
+        data_hash=transactions_merkle_root(all_txs),
+        timestamp=height,
+        size=len(block_data_bytes(all_txs)),
+        nonce=0,
+    )
+    return Block(header, all_txs)
 
 
 def test_internal_double_spend_fails_atomically():
-    utxo, fund = funded_utxo((A_ADDR, 5))
+    store = ChainStore(ChainParams(genesis_allocation=((A_ADDR, 5),)), mempool=Mempool())
+    genesis_hash = store.tip_hash
+    utxo = store.tip_state().utxo
+    fund = store.tip.transactions[0]
     t1 = build_transaction([(fund.tx_id, 0)], [(B_ADDR, 5)], 0, [ALICE], utxo)
     t2 = build_transaction([(fund.tx_id, 0)], [(C_ADDR, 5)], 0, [ALICE], utxo)
     before = utxo.copy()
-    with pytest.raises(BlockApplyError) as err:
-        apply_transactions([t1, t2], utxo, 1)
-    assert err.value.index == 1
-    assert err.value.validity.reason == "SpentInput"
-    assert utxo == before
+    result = store.append_block(_unproven_block(store, [t1, t2]))
+    assert result.status == REJECTED
+    assert result.reason == "SpentInput"
+    assert result.validity.detail.startswith("transaction 2:")
+    assert store.tip_hash == genesis_hash and len(store.states) == 1
+    assert store.tip_state().utxo == before
 
 
 def test_chained_spend_within_one_block():
     utxo, fund = funded_utxo((A_ADDR, 5))
     t1 = build_transaction([(fund.tx_id, 0)], [(B_ADDR, 5)], 0, [ALICE], utxo)
-    mid = apply_transactions([t1], utxo, 1)
+    mid = applied([t1], utxo, 1)
     t2 = build_transaction([(t1.tx_id, 0)], [(C_ADDR, 5)], 0, [BOB], mid)
-    after = apply_transactions([t1, t2], utxo, 1)
+    after = applied([t1, t2], utxo, 1)
     assert balance(C_ADDR, after) == Balance(5, 0)
-
-
-def test_three_blocks_lifo_revert_returns_to_genesis_state():
-    utxo, fund = funded_utxo((A_ADDR, 30))
-    states = [utxo]
-    blocks = []
-    spend_from = (fund.tx_id, 0)
-    holder, key = A_ADDR, ALICE
-    for height, (payee, payee_key) in enumerate(
-        [(B_ADDR, BOB), (C_ADDR, CAROL), (A_ADDR, ALICE)], start=1
-    ):
-        amount = states[-1].get(spend_from).output.amount
-        tx = build_transaction([spend_from], [(payee, amount)], 0, [key], states[-1])
-        blocks.append([tx])
-        states.append(apply_transactions([tx], states[-1], height))
-        spend_from = (tx.tx_id, 0)
-        holder, key = payee, payee_key
-    current = states[-1]
-    for txs, prior in zip(reversed(blocks), reversed(states[:-1])):
-        current = revert_transactions(txs, current)
-        assert current == prior
-    assert current == utxo
 
 
 @settings(max_examples=50)
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=6),
        st.integers(min_value=0, max_value=2**32 - 1))
-def test_apply_revert_inverse_property(splits, seed):
-    """Random single-block spend patterns: revert(apply(x)) == x."""
+def test_apply_over_a_block_equals_store_post_state(splits, seed):
+    """Random single-block spend patterns: applying the block's transactions
+    to the parent's UTXO set gives the store's post-state, parent unchanged."""
     rng = HashStream(seed, "ledger-prop")
-    utxo, fund = funded_utxo((A_ADDR, 40), (B_ADDR, 40))
+    store = ChainStore(
+        ChainParams(genesis_allocation=((A_ADDR, 40), (B_ADDR, 40))), mempool=Mempool()
+    )
+    parent = store.tip_state().utxo
+    before = parent.copy()
+    fund = store.tip.transactions[0]
     txs = []
-    view = utxo.copy()
+    view = parent.copy()
     sources = [((fund.tx_id, 0), ALICE), ((fund.tx_id, 1), BOB)]
     for n in splits:
         if not sources:
@@ -263,21 +315,22 @@ def test_apply_revert_inverse_property(splits, seed):
         payee = [A_ADDR, B_ADDR, C_ADDR][rng.randrange(3)]
         pay = min(n, amount)
         tx = build_transaction([outpoint], [(payee, pay)], 0, [key], view)
-        view = apply_transactions([tx], view, 1)
+        view.apply(tx, 1)
         txs.append(tx)
-    applied = apply_transactions(txs, utxo, 1)
-    assert applied == view
-    assert revert_transactions(txs, applied) == utxo
+    block = store.make_candidate(C_ADDR, txs, timestamp=1)
+    assert store.append_block(block).status == EXTENDED
+    assert applied(block.transactions, parent, 1) == store.tip_state().utxo
+    assert parent == before
 
 
 def test_conservation_across_blocks():
     utxo, fund = funded_utxo((A_ADDR, 50))
     tx = build_transaction([(fund.tx_id, 0)], [(B_ADDR, 20)], 3, [ALICE], utxo)
-    after = apply_transactions([tx], utxo, 1)
+    after = applied([tx], utxo, 1)
     # fee leaves the live set until a publisher coinbase re-mints it
     assert after.total_live() == 47
     reward = make_coinbase([(C_ADDR, 3)], 2)
-    assert apply_transactions([reward], after, 2).total_live() == 50
+    assert applied([reward], after, 2).total_live() == 50
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +352,22 @@ def test_stake_moves_balance_to_locked():
     stake = build_transaction(
         [(fund.tx_id, 0)], [(A_ADDR, 5)], 0, [ALICE], utxo, kind=TxKind.STAKE
     )
-    staked = apply_transactions([stake], utxo, 1)
+    staked = applied([stake], utxo, 1)
     assert balance(A_ADDR, staked) == Balance(3, 5)
+
+
+def test_spendable_outpoint_is_lowest_live_unlocked_match():
+    utxo, fund = funded_utxo((A_ADDR, 2), (A_ADDR, 9), (B_ADDR, 9), (A_ADDR, 8), (A_ADDR, 7))
+    stake = build_transaction(
+        [(fund.tx_id, 4)], [(A_ADDR, 7)], 0, [ALICE], utxo, kind=TxKind.STAKE
+    )
+    staked = applied([stake], utxo, 1)
+    assert spendable_outpoint(staked, A_ADDR, 3) == (fund.tx_id, 1)
+    spent = applied([build_transaction([(fund.tx_id, 1)], [(B_ADDR, 9)], 0, [ALICE], staked)],
+                    staked, 2)
+    assert spendable_outpoint(spent, A_ADDR, 3) == (fund.tx_id, 3)
+    assert spendable_outpoint(spent, A_ADDR, 9) is None
+    assert spendable_outpoint(spent, C_ADDR, 0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +468,7 @@ def test_mempool_take_allows_chained_pending_spends():
     utxo, fund = funded_utxo((A_ADDR, 5))
     pool = Mempool()
     t1 = build_transaction([(fund.tx_id, 0)], [(B_ADDR, 5)], 0, [ALICE], utxo)
-    mid = apply_transactions([t1], utxo, 1)
+    mid = applied([t1], utxo, 1)
     t2 = build_transaction([(t1.tx_id, 0)], [(C_ADDR, 5)], 0, [BOB], mid)
     assert pool.add(t1, utxo)
     assert pool.add(t2, mid)

@@ -97,6 +97,16 @@ def test_booleans_are_not_integers():
     assert any(e.startswith("seed: expected an integer") for e in errs)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_unsigned_64_bits_rejected(seed):
+    assert errors_of(minimal(seed=seed)) == ["seed: must be between 0 and 18446744073709551615"]
+
+
+def test_seed_at_unsigned_64_bit_limits_accepted():
+    assert parse_scenario(minimal(seed=0)).seed == 0
+    assert parse_scenario(minimal(seed=2**64 - 1)).seed == 2**64 - 1
+
+
 def test_pow_hash_shares_must_sum_to_one():
     raw = minimal(
         nodes=[
@@ -111,6 +121,14 @@ def test_pow_hash_shares_must_sum_to_one():
 def test_pow_target_bits_bounds():
     errs = errors_of(minimal(consensus={"model": "pow", "target_bits": 256}))
     assert "consensus.target_bits: must be between 8 and 255" in errs
+    for spacing, interval in ((-5, -3), (0, 0)):
+        consensus = {"model": "pow", "target_spacing": spacing, "retarget_interval": interval}
+        errs = errors_of(minimal(consensus=consensus))
+        assert "consensus.target_spacing: must be at least 1" in errs
+        assert "consensus.retarget_interval: must be at least 1" in errs
+    consensus = {"model": "pow", "target_spacing": 1, "retarget_interval": 1}
+    params = parse_scenario(minimal(consensus=consensus)).chain.consensus
+    assert (params.target_spacing, params.retarget_interval) == (1, 1)
 
 
 def test_pos_requires_stake():
@@ -132,7 +150,7 @@ def test_pos_coinage_params_flow_through():
 
 
 def test_round_robin_publishers_in_config_order():
-    raw = minimal(consensus={"model": "round_robin", "timeout": 5})
+    raw = minimal(consensus={"model": "round_robin"})
     raw["nodes"] = [
         {"name": "r1", "role": "publishing"},
         {"name": "obs", "role": "full"},
@@ -145,7 +163,6 @@ def test_round_robin_publishers_in_config_order():
         derive_address(node_keypair(1, name).public_key) for name in ("r1", "r0")
     )
     assert params.publishers == expected
-    assert params.timeout == 5
 
 
 def test_poa_reputations_map_to_publishing_nodes():
@@ -168,6 +185,12 @@ def test_poet_inherits_scenario_seed():
     assert isinstance(params, PoetParams)
     assert params.seed == 1
     assert params.mean_wait == 4.5
+
+
+@pytest.mark.parametrize("mean_wait", [-2.5, 0])
+def test_poet_mean_wait_must_be_positive(mean_wait):
+    errs = errors_of(minimal(consensus={"model": "poet", "mean_wait": mean_wait}))
+    assert errs == ["consensus.mean_wait: must be positive"]
 
 
 def test_partition_validation():
