@@ -300,8 +300,10 @@ def cmd_chain(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
+        raise CliError(EXIT_CONFIG, f"--seed must be between 0 and {MAX_SEED}")
     try:
-        config = load_scenario(args.scenario)
+        config = load_scenario(args.scenario, args.seed)
     except FileNotFoundError:
         raise CliError(EXIT_IO, f"scenario file not found: {args.scenario}")
     except yaml.YAMLError as exc:
@@ -310,12 +312,6 @@ def cmd_sim(args) -> int:
         for line in exc.errors:
             print(line, file=sys.stderr)
         raise CliError(EXIT_CONFIG, f"{len(exc.errors)} scenario error(s)")
-    if args.seed is not None:
-        from dataclasses import replace
-
-        if not 0 <= args.seed <= MAX_SEED:
-            raise CliError(EXIT_CONFIG, f"--seed must be between 0 and {MAX_SEED}")
-        config = replace(config, seed=args.seed)
     result = run_scenario(config)
     write_reports(result, args.out)
     row = summary_row(result)

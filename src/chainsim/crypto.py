@@ -8,6 +8,7 @@ single integer seed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import multiprocessing
 import os
@@ -158,17 +159,38 @@ def sign(keypair: KeyPair, message: bytes) -> bytes:
     return sk.sign(sha256(message))
 
 
-def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    """True iff ``signature`` is valid for (public_key, message).
+# Distinct (public key, message, signature) triples whose result verify keeps.
+# Every full node checks the same transactions and headers, so the working set
+# is the signatures in flight: about 1,000 distinct triples in a 10-node run
+# to height 160, and 1,300 over the 15 bundled scenarios in one process.
+VERIFY_CACHE_SIZE = 1 << 14
 
-    Malformed keys or signatures verify false rather than raising.
-    """
+
+def _verify_uncached(public_key: bytes, message: bytes, signature: bytes) -> bool:
     try:
         pk = Ed25519PublicKey.from_public_bytes(public_key)
         pk.verify(signature, sha256(message))
         return True
     except (InvalidSignature, ValueError, TypeError):
         return False
+
+
+_verify_cached = functools.lru_cache(maxsize=VERIFY_CACHE_SIZE)(_verify_uncached)
+
+
+def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """True iff ``signature`` is valid for (public_key, message).
+
+    Malformed keys or signatures verify false rather than raising.  The
+    result is memoised in the process, valid or not, keyed by the exact
+    argument bytes, in a least-recently-used cache of VERIFY_CACHE_SIZE
+    entries; verification is a pure function, so a hit returns what a fresh
+    check would.
+    """
+    try:
+        return _verify_cached(public_key, message, signature)
+    except TypeError:  # an unhashable argument, such as a bytearray
+        return _verify_uncached(public_key, message, signature)
 
 
 # ---------------------------------------------------------------------------

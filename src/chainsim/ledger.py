@@ -6,6 +6,10 @@ claims fees through its coinbase.  UtxoSet.apply is the one place a
 transaction's inputs are spent and its outputs added: the chain store, the
 block verifier, block-fee pre-computation, mempool selection and the
 simulator's genesis builder all go through it.
+
+Each UtxoSet carries a paid-to index (address -> outpoints) that is
+append-only and shared with every copy: a superset of the outpoints the set
+holds for an address, so readers filter it through UtxoSet.get.
 """
 
 from __future__ import annotations
@@ -96,8 +100,17 @@ class Transaction:
 
     @property
     def tx_id(self) -> bytes:
-        """sha256 of the canonical bytes with all signatures zeroed."""
-        return sha256(self.serialize(zero_signatures=True))
+        """sha256 of the canonical bytes with all signatures zeroed.
+
+        Computed on first access and kept on the instance: every field is
+        immutable, so the id cannot change.  Not a dataclass field, so
+        equality, hashing and repr ignore it.
+        """
+        cached = self.__dict__.get("_tx_id")
+        if cached is None:
+            cached = sha256(self.serialize(zero_signatures=True))
+            object.__setattr__(self, "_tx_id", cached)
+        return cached
 
     @property
     def output_value(self) -> int:
@@ -161,21 +174,41 @@ class UtxoSet:
     """Map from outpoint to entry.  Spending marks an entry with its
     spent_height and keeps it, so validation can tell a spent input
     (SpentInput) from one that never existed (UnknownInput), and digest()
-    covers spent entries as well as live ones."""
+    covers spent entries as well as live ones.
+
+    A paid-to index maps each address to outpoints paying it.  It is
+    append-only and shared by reference between a set and every copy made
+    from it, so it holds each outpoint that any of them ever added: a
+    superset of this set's outpoints for the address.  Readers of paid_to
+    filter through get(); an outpoint (tx_id, index) fixes its output, so
+    one this set holds pays the address it is indexed under.
+    """
 
     def __init__(self, entries: dict[Outpoint, UtxoEntry] | None = None):
         self._entries: dict[Outpoint, UtxoEntry] = dict(entries or {})
+        self._paid_to: dict[Address, set[Outpoint]] = {}
+        for outpoint, entry in self._entries.items():
+            self._paid_to.setdefault(entry.output.recipient, set()).add(outpoint)
 
     def copy(self) -> "UtxoSet":
-        return UtxoSet(self._entries)
+        twin = UtxoSet.__new__(UtxoSet)
+        twin._entries = dict(self._entries)
+        twin._paid_to = self._paid_to
+        return twin
 
     def get(self, outpoint: Outpoint) -> UtxoEntry | None:
         return self._entries.get(outpoint)
+
+    def paid_to(self, address: Address) -> Iterable[Outpoint]:
+        """Every outpoint this set holds that pays address, and possibly
+        outpoints it does not hold (see the class docstring)."""
+        return self._paid_to.get(address, ())
 
     def add(self, outpoint: Outpoint, output: TxOutput, locked: bool, height: int) -> None:
         if outpoint in self._entries:
             raise ValueError("outpoint already present")
         self._entries[outpoint] = UtxoEntry(output, locked, height)
+        self._paid_to.setdefault(output.recipient, set()).add(outpoint)
 
     def spend(self, outpoint: Outpoint, height: int) -> int:
         """Mark a live entry spent and return its amount."""
@@ -389,9 +422,10 @@ def spendable_outpoint(utxo: UtxoSet, address: Address, needed: int) -> Outpoint
     return min(
         (
             outpoint
-            for outpoint, entry in utxo.live_entries()
-            if not entry.locked
-            and entry.output.recipient == address
+            for outpoint in utxo.paid_to(address)
+            if (entry := utxo.get(outpoint)) is not None
+            and entry.live
+            and not entry.locked
             and entry.output.amount >= needed
         ),
         default=None,

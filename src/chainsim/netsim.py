@@ -544,7 +544,11 @@ class Simulation:
             }
             return cons.round_robin_publisher(self.model, height, live) == node.address
         state = node.store.states[tip]
-        stakes = cons.stake_view(state.utxo, height, state.stake_resets)
+        stakes = (
+            cons.stake_view(state.utxo, height, state.stake_resets)
+            if is_stake_model(self.params)
+            else ()
+        )
         expected = cons.expected_publisher(self.model, tip, height, stakes)
         return expected == node.address
 

@@ -112,11 +112,16 @@ class _Checker:
         raise AssertionError(kind)
 
 
-def load_scenario(path: str) -> SimConfig:
+def load_scenario(path: str, seed: int | None = None) -> SimConfig:
+    """Parse a scenario file.  A seed other than None replaces the file's
+    before parsing, so everything derived from the seed (node keys, publisher
+    addresses, PoET's draw seed) follows it."""
     with open(path, "r") as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise ScenarioError(["top level: expected a mapping"])
+    if seed is not None:
+        raw["seed"] = seed
     return parse_scenario(raw)
 
 
@@ -256,7 +261,7 @@ def _parse_topology(c: _Checker, raw, names: list[str], duration) -> TopologySpe
         c.fail("topology.latency", "must be at least 1")
     if jitter is not None and jitter < 0:
         c.fail("topology.jitter", "must be non-negative")
-    partitions = []
+    partitions: list[tuple[int, PartitionSpec]] = []
     for i, item in enumerate(c.optional(raw, "topology", "partitions", list, []) or []):
         path = f"topology.partitions[{i}]"
         item = c.typed(item, path, dict)
@@ -270,6 +275,7 @@ def _parse_topology(c: _Checker, raw, names: list[str], duration) -> TopologySpe
         if start >= end:
             c.fail(path, "start must be below end")
         groups = []
+        group_of: dict[str, int] = {}
         for gi, group in enumerate(groups_raw):
             gpath = f"{path}.groups[{gi}]"
             group = c.typed(group, gpath, list)
@@ -278,9 +284,16 @@ def _parse_topology(c: _Checker, raw, names: list[str], duration) -> TopologySpe
             for member in group:
                 if member not in names:
                     c.fail(gpath, f"unknown node {member!r}")
+                elif group_of.setdefault(member, gi) != gi:
+                    c.fail(gpath, f"node {member!r} is already in groups[{group_of[member]}]")
             groups.append(tuple(group))
-        partitions.append(PartitionSpec(start=start, end=end, groups=tuple(groups)))
-    return TopologySpec(latency=latency or 1, jitter=jitter or 0, partitions=tuple(partitions))
+        for pi, other in partitions:
+            if start < other.end and other.start < end:
+                c.fail(path, f"overlaps topology.partitions[{pi}]")
+        partitions.append((i, PartitionSpec(start=start, end=end, groups=tuple(groups))))
+    return TopologySpec(
+        latency=latency or 1, jitter=jitter or 0, partitions=tuple(spec for _, spec in partitions)
+    )
 
 
 def _parse_fork(c: _Checker, raw, names: list[str]) -> ForkSchedule | None:

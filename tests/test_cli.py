@@ -20,6 +20,8 @@ from chainsim.cli import EXIT_VERIFY, CliError, _append_local_block, _load_store
 from chainsim.contracts import derive_contract_address
 from chainsim.crypto import derive_address, keypair_generate, sha256
 from chainsim.ledger import Transaction, TxOutput, Validity
+from chainsim.netsim import run_scenario
+from chainsim.scenario import load_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 SEED_HEX = "11" * 32
@@ -432,6 +434,22 @@ def test_sim_is_repeatable_and_seed_overridable(capsys, tmp_path):
     )
     assert other.startswith("seed=9 ")
     assert other != first
+
+
+@pytest.mark.parametrize("name", ["round_robin.cfg", "poa.cfg", "poet.cfg"])
+def test_sim_seed_override_equals_file_with_that_seed(capsys, tmp_path, name):
+    """Publisher addresses and PoET's draw seed follow --seed: the run equals
+    one of a copy of the file with that seed, and blocks are accepted."""
+    source = (REPO / "scenarios" / name).read_text()
+    copy = tmp_path / name
+    copy.write_text(re.sub(r"(?m)^seed: \d+$", "seed: 9", source, count=1))
+    assert copy.read_text() != source
+    overridden = run_cli(capsys, "-v", "sim", REPO / "scenarios" / name, "--out", tmp_path / "a", "--seed", 9)
+    from_file = run_cli(capsys, "-v", "sim", copy, "--out", tmp_path / "b")
+    assert overridden[0] == 0 and overridden == from_file
+    assert re.search(r"event log hash [0-9a-f]{64}", overridden[2])
+    result = run_scenario(load_scenario(str(copy)))
+    assert max(node.tip_height() for node in result.nodes.values()) > 0
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -146,6 +146,42 @@ def test_verify_rejects_malformed_signature_without_raising():
     assert not verify(pair.public_key, b"abc", b"\x00" * 63)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.binary(max_size=80), st.integers(0, 63), st.integers(1, 255))
+def test_cached_valid_signature_does_not_leak_to_neighbours(message, index, flip):
+    pair = keypair_generate(SEED_A)
+    other = keypair_generate(SEED_B)
+    sig = sign(pair, message)
+    assert verify(pair.public_key, message, sig)
+    assert verify(pair.public_key, message, sig)  # now a cache hit
+    flipped = bytearray(sig)
+    flipped[index] ^= flip
+    assert not verify(pair.public_key, message, bytes(flipped))
+    assert not verify(pair.public_key, message + b"\x00", sig)
+    assert not verify(other.public_key, message, sig)
+    assert not verify(pair.public_key, message, sig[:63])
+    assert not verify(pair.public_key, message, b"")
+    assert not verify(b"", message, sig)
+    assert not verify(b"", b"", b"")
+
+
+def test_cached_invalid_signature_stays_invalid():
+    pair = keypair_generate(SEED_A)
+    forged = bytes(64)
+    assert not verify(pair.public_key, b"abc", forged)
+    assert not verify(pair.public_key, b"abc", forged)
+    assert verify(pair.public_key, b"abc", sign(pair, b"abc"))
+
+
+def test_verify_unhashable_arguments_bypass_the_cache_without_raising():
+    pair = keypair_generate(SEED_A)
+    sig = sign(pair, b"abc")
+    assert verify(pair.public_key, bytearray(b"abc"), bytearray(sig))
+    assert not verify(pair.public_key, bytearray(b"abd"), bytearray(sig))
+    assert not verify(bytearray(pair.public_key), b"abc", sig)  # the key must be bytes
+    assert not verify(pair.public_key, [1], sig)
+
+
 def test_verify_rejects_random_byte_strings():
     pair = keypair_generate(SEED_A)
     rng = HashStream(7, "nonsig")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from chainsim.chain import (
     header_hash,
     transactions_merkle_root,
 )
-from chainsim.crypto import Address, HashStream, derive_address, keypair_generate, sign
+from chainsim.crypto import Address, HashStream, derive_address, keypair_generate, sha256, sign
 from chainsim.ledger import (
     Balance,
     Mempool,
@@ -370,6 +372,64 @@ def test_spendable_outpoint_is_lowest_live_unlocked_match():
     assert spendable_outpoint(spent, C_ADDR, 0) is None
 
 
+def _brute_spendable(utxo: UtxoSet, address: Address, needed: int):
+    return min(
+        (op for op, e in utxo.live_entries()
+         if not e.locked and e.output.recipient == address and e.output.amount >= needed),
+        default=None,
+    )
+
+
+_OWNERS = {A_ADDR: ALICE, B_ADDR: BOB, C_ADDR: CAROL}
+
+_utxo_ops = st.one_of(
+    # coinbase paying (address index, amount) pairs
+    st.tuples(st.just("coinbase"), st.integers(0, 7),
+              st.lists(st.tuples(st.integers(0, 2), st.integers(1, 9)), min_size=1, max_size=3)),
+    # spend the k-th live unlocked outpoint, paying an address; STAKE locks output 0
+    st.tuples(st.just("spend"), st.integers(0, 7), st.integers(0, 20), st.integers(0, 2),
+              st.booleans()),
+    st.tuples(st.just("copy"), st.integers(0, 7)),
+    # a new set from the live entries, through the constructor
+    st.tuples(st.just("rebuild"), st.integers(0, 7)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_utxo_ops, min_size=1, max_size=25))
+def test_spendable_outpoint_equals_brute_force_over_copies(ops):
+    """The paid-to index is shared by sibling copies and holds outpoints a
+    given set never had; spendable_outpoint must still equal the scan of that
+    set's own live entries, for every set after every step."""
+    addrs = list(_OWNERS)
+    sets = [UtxoSet()]
+    for height, (op, which, *rest) in enumerate(ops, start=1):
+        utxo = sets[which % len(sets)]
+        if op == "coinbase":
+            utxo.apply(make_coinbase([(addrs[a], amt) for a, amt in rest[0]], height), height)
+        elif op == "spend":
+            k, payee, stake = rest
+            live = sorted(o for o, e in utxo.live_entries() if not e.locked)
+            if live:
+                source = live[k % len(live)]
+                owner = utxo.get(source).output.recipient
+                tx = build_transaction(
+                    [source], [(addrs[payee], 1)], 0, [_OWNERS[owner]], utxo,
+                    kind=TxKind.STAKE if stake else TxKind.TRANSFER,
+                    payload=height.to_bytes(4, "big"),
+                )
+                utxo.apply(tx, height)
+        elif op == "copy":
+            sets.append(utxo.copy())
+        else:
+            sets.append(UtxoSet(dict(utxo.live_entries())))
+        for each in sets:
+            for address in addrs + [derive_address(b"nobody")]:
+                for needed in (0, 1, 5, 9):
+                    assert spendable_outpoint(each, address, needed) == \
+                        _brute_spendable(each, address, needed)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -416,6 +476,25 @@ def test_wire_roundtrip_property(kind, raw_inputs, raw_outputs, payload):
     decoded, consumed = deserialize_transaction(blob)
     assert consumed == len(blob)
     assert decoded == tx
+    # the cached id is the hash of the zero-signature bytes, on either object
+    expected = sha256(tx.serialize(zero_signatures=True))
+    assert tx.tx_id == expected
+    assert tx.tx_id == expected  # the second read comes from the cache
+    assert decoded == tx and hash(decoded) == hash(tx)  # one cached, one not
+    assert decoded.tx_id == expected
+    changed = replace(tx, payload=payload + b"x")
+    assert changed.tx_id == sha256(changed.serialize(zero_signatures=True)) != expected
+
+
+def test_cached_tx_id_of_built_transaction():
+    utxo, fund = funded_utxo((A_ADDR, 5), (A_ADDR, 4))
+    tx = build_transaction([(fund.tx_id, 0), (fund.tx_id, 1)], [(B_ADDR, 6)], 1, [ALICE], utxo)
+    expected = sha256(tx.serialize(zero_signatures=True))
+    assert tx.tx_id == expected
+    assert tx.tx_id == expected  # the second read comes from the cache
+    assert fund.tx_id == sha256(fund.serialize(zero_signatures=True))
+    assert isinstance(vars(Transaction)["tx_id"], property)
+    assert repr(tx) == repr(deserialize_transaction(tx.serialize())[0])
 
 
 def test_deserialize_rejects_truncation():

@@ -361,3 +361,13 @@ def test_summary_row_and_reports(tmp_path):
     assert (out / "agreement_timeseries.csv").exists()
     assert (out / "node_resources.csv").exists()
     assert (out / "events.log").read_text() == "\n".join(result.event_log) + "\n"
+
+
+def test_stake_view_is_built_only_for_stake_models(monkeypatch):
+    calls = []
+    real = cons.stake_view
+    monkeypatch.setattr(cons, "stake_view", lambda *args: calls.append(args) or real(*args))
+    run_scenario(scenario("poa"))
+    assert calls == []
+    run_scenario(scenario("pos_chain"))
+    assert calls

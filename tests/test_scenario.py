@@ -204,6 +204,30 @@ def test_partition_validation():
     assert "topology.partitions[0]: start must be below end" in errs
     assert "topology.partitions[0].groups[1]: unknown node 'zz'" in errs
 
+    nodes = [{"name": n, "role": "publishing", "hash_share": 0.5} for n in ("n0", "n1")]
+    raw = minimal(
+        nodes=nodes,
+        topology={"partitions": [{"start": 10, "end": 20, "groups": [["n0"], ["n1", "n0"]]}]},
+    )
+    assert errors_of(raw) == ["topology.partitions[0].groups[1]: node 'n0' is already in groups[0]"]
+
+    split = [["n0"], ["n1"]]
+    raw = minimal(
+        nodes=nodes,
+        topology={
+            "partitions": [
+                {"start": 10, "end": 20, "groups": split},
+                {"start": 20, "end": 30, "groups": split},
+                {"start": 25, "end": 40, "groups": split},
+                {"start": 5, "end": 11, "groups": split},
+            ]
+        },
+    )
+    assert errors_of(raw) == [
+        "topology.partitions[2]: overlaps topology.partitions[1]",
+        "topology.partitions[3]: overlaps topology.partitions[0]",
+    ]
+
 
 def test_online_intervals_validated():
     raw = minimal(
