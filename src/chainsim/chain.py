@@ -216,7 +216,9 @@ def _walk_transactions(
 
     Covers the ledger rules plus the chain-level ones: contract deploys must
     parse, calls must target a known contract and execute with gas = fee x
-    GAS_PER_FEE_UNIT (failed executions keep the fee but revert writes).
+    GAS_PER_FEE_UNIT (failed executions keep the fee but revert writes), and
+    no transaction may repeat one already in the state (DuplicateTransaction:
+    its output 0 exists), which apply would refuse by raising.
     """
     allow_locked = not is_stake_model(params)
     for index, tx in enumerate(txs):
@@ -240,6 +242,8 @@ def _walk_transactions(
                 call_words = contracts.parse_call_payload(tx.payload)
             except ValueError as exc:
                 return _invalid("BadCallData", f"transaction {index}: {exc}")
+        if state.utxo.get((tx.tx_id, 0)) is not None:
+            return _invalid("DuplicateTransaction", f"transaction {index}")
         fee = state.utxo.apply(tx, height)
         if tx.kind == TxKind.COINBASE:
             state.issued += tx.output_value
@@ -257,8 +261,12 @@ def _walk_transactions(
 
 
 def _block_fees(txs: tuple[Transaction, ...], utxo: UtxoSet) -> int | None:
-    """Total fees if every input resolves against the evolving view, else None
-    (the sequential walk will report the actual failure)."""
+    """Total fees if every input resolves against the evolving view, else None.
+
+    Applies txs to a copy of utxo, so it costs a full copy.  Only
+    make_candidate and a block whose walk failed need it: a block that walks
+    cleanly takes its fees from the walk.
+    """
     view = utxo.copy()
     try:
         return sum(view.apply(tx, 0) for tx in txs)
@@ -318,16 +326,20 @@ def validate_and_apply(
     coinbases = [t for t in block.transactions if t.kind == TxKind.COINBASE]
     if len(coinbases) != 1 or block.transactions[0].kind != TxKind.COINBASE:
         return None, _invalid("Coinbase", "exactly one coinbase, first in the block")
-    fees = _block_fees(block.transactions, parent_state.utxo)
-    if fees is not None and coinbases[0].output_value > params.block_subsidy + fees:
-        return None, _invalid(
-            "ExcessReward",
-            f"{coinbases[0].output_value} > {params.block_subsidy} + {fees}",
-        )
 
+    # ExcessReward outranks a walk failure whenever every input resolves on
+    # the parent's set.  A clean walk yields the fees; only a failed one needs
+    # _block_fees to tell.
     state = parent_state.clone()
     state.pow_params = pow_params
     v = _walk_transactions(block.transactions, state, header.height, params, True)
+    if v:
+        fees = state.fees - parent_state.fees
+    else:
+        fees = _block_fees(block.transactions, parent_state.utxo)
+    reward = coinbases[0].output_value
+    if fees is not None and reward > params.block_subsidy + fees:
+        return None, _invalid("ExcessReward", f"{reward} > {params.block_subsidy} + {fees}")
     if not v:
         return None, v
     _apply_stake_resets(block, state, stakes, params, header.height)

@@ -42,6 +42,7 @@ from .crypto import (
     solve_string_puzzle,
 )
 from .ledger import (
+    MAX_SUPPLY,
     Mempool,
     TxBuildError,
     TxKind,
@@ -211,6 +212,17 @@ def cmd_puzzle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _params_int(mapping: dict, name: str, default: int, minimum: int) -> int:
+    """The value of name's last dotted part in mapping: an integer (not a
+    bool) of at least minimum, or default when absent."""
+    value = mapping.get(name.rpartition(".")[2])
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise CliError(EXIT_CONFIG, f"{name}: expected an integer of at least {minimum}")
+    return value
+
+
 def _parse_params_file(path: str) -> ChainParams:
     try:
         with open(path, "r") as fh:
@@ -232,6 +244,8 @@ def _parse_params_file(path: str) -> ChainParams:
         if not isinstance(pair[1], int) or pair[1] <= 0:
             raise CliError(EXIT_CONFIG, f"allocation[{i}]: amount must be a positive integer")
         allocation.append((addr, pair[1]))
+    if sum(amount for _, amount in allocation) > MAX_SUPPLY:
+        raise CliError(EXIT_CONFIG, f"allocation: total exceeds the maximum supply {MAX_SUPPLY}")
     consensus = None
     if "pow" in raw and raw["pow"] is not None:
         pow_raw = raw["pow"]
@@ -242,19 +256,16 @@ def _parse_params_file(path: str) -> ChainParams:
             raise CliError(EXIT_CONFIG, "pow.target_bits: expected an integer in [8, 255]")
         consensus = cons.PowParams(
             target=1 << bits,
-            retarget_interval=pow_raw.get("retarget_interval", 16),
-            target_spacing=pow_raw.get("target_spacing", 10),
+            retarget_interval=_params_int(pow_raw, "pow.retarget_interval", 16, 1),
+            target_spacing=_params_int(pow_raw, "pow.target_spacing", 10, 1),
         )
-    try:
-        return ChainParams(
-            confirmation_depth=raw.get("confirmation_depth", 6),
-            block_subsidy=raw.get("block_subsidy", 50),
-            max_block_data_bytes=raw.get("max_block_data_bytes", 65536),
-            genesis_allocation=tuple(allocation),
-            consensus=consensus,
-        )
-    except (TypeError, ValueError) as exc:
-        raise CliError(EXIT_CONFIG, f"params file: {exc}")
+    return ChainParams(
+        confirmation_depth=_params_int(raw, "confirmation_depth", 6, 1),
+        block_subsidy=_params_int(raw, "block_subsidy", 50, 0),
+        max_block_data_bytes=_params_int(raw, "max_block_data_bytes", 65536, 1),
+        genesis_allocation=tuple(allocation),
+        consensus=consensus,
+    )
 
 
 def cmd_chain(args) -> int:

@@ -9,7 +9,10 @@ simulator's genesis builder all go through it.
 
 Each UtxoSet carries a paid-to index (address -> outpoints) that is
 append-only and shared with every copy: a superset of the outpoints the set
-holds for an address, so readers filter it through UtxoSet.get.
+holds for an address, so readers filter it through UtxoSet.get.  Each set
+also memoises spendable_outpoint answers by (address, needed), None
+included; UtxoSet.add and UtxoSet.spend clear that memo, and a copy starts
+with an empty one of its own.
 """
 
 from __future__ import annotations
@@ -182,11 +185,18 @@ class UtxoSet:
     superset of this set's outpoints for the address.  Readers of paid_to
     filter through get(); an outpoint (tx_id, index) fixes its output, so
     one this set holds pays the address it is indexed under.
+
+    The spendable memo maps (address, needed) to spendable_outpoint's answer
+    for this set.  add and spend clear it, since either can change an answer;
+    copy gives the twin an empty memo of its own, so one set's answers never
+    reach another.  A chain state's set is not mutated once stored, so its
+    memo lasts until the node's tip moves.
     """
 
     def __init__(self, entries: dict[Outpoint, UtxoEntry] | None = None):
         self._entries: dict[Outpoint, UtxoEntry] = dict(entries or {})
         self._paid_to: dict[Address, set[Outpoint]] = {}
+        self._spendable: dict[tuple[Address, int], Outpoint | None] = {}
         for outpoint, entry in self._entries.items():
             self._paid_to.setdefault(entry.output.recipient, set()).add(outpoint)
 
@@ -194,6 +204,7 @@ class UtxoSet:
         twin = UtxoSet.__new__(UtxoSet)
         twin._entries = dict(self._entries)
         twin._paid_to = self._paid_to
+        twin._spendable = {}
         return twin
 
     def get(self, outpoint: Outpoint) -> UtxoEntry | None:
@@ -209,6 +220,7 @@ class UtxoSet:
             raise ValueError("outpoint already present")
         self._entries[outpoint] = UtxoEntry(output, locked, height)
         self._paid_to.setdefault(output.recipient, set()).add(outpoint)
+        self._spendable.clear()
 
     def spend(self, outpoint: Outpoint, height: int) -> int:
         """Mark a live entry spent and return its amount."""
@@ -216,6 +228,7 @@ class UtxoSet:
         if not entry.live:
             raise ValueError("outpoint already spent")
         self._entries[outpoint] = replace(entry, spent_height=height)
+        self._spendable.clear()
         return entry.output.amount
 
     def apply(self, tx: Transaction, height: int) -> int:
@@ -418,8 +431,16 @@ class Balance(NamedTuple):
 
 
 def spendable_outpoint(utxo: UtxoSet, address: Address, needed: int) -> Outpoint | None:
-    """The lowest live, unlocked outpoint paying address at least needed."""
-    return min(
+    """The lowest live, unlocked outpoint paying address at least needed.
+
+    Answered from utxo's spendable memo when this set was asked the same
+    question since its last add or spend.
+    """
+    key = (address, needed)
+    memo = utxo._spendable
+    if key in memo:
+        return memo[key]
+    found = memo[key] = min(
         (
             outpoint
             for outpoint in utxo.paid_to(address)
@@ -430,6 +451,7 @@ def spendable_outpoint(utxo: UtxoSet, address: Address, needed: int) -> Outpoint
         ),
         default=None,
     )
+    return found
 
 
 def balance(address: Address, utxo: UtxoSet) -> Balance:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainsim.chain import (
     Block,
@@ -17,15 +19,21 @@ from chainsim.chain import (
     make_genesis,
     persist,
     transactions_merkle_root,
+    validate_and_apply,
     verify_blocks,
     verify_chain,
+    _block_fees,
+    _walk_transactions,
 )
-from chainsim.crypto import HashStream, derive_address, keypair_generate
+from chainsim.crypto import HashStream, derive_address, keypair_generate, sha256, sign
 from chainsim.ledger import (
     Balance,
     Mempool,
     Transaction,
+    TxInput,
+    TxKind,
     TxOutput,
+    Validity,
     balance,
     build_transaction,
     make_coinbase,
@@ -35,6 +43,7 @@ ALICE = keypair_generate(bytes(range(32)))
 BOB = keypair_generate(bytes(range(1, 33)))
 A_ADDR = derive_address(ALICE.public_key)
 B_ADDR = derive_address(BOB.public_key)
+C_ADDR = derive_address(keypair_generate(bytes(range(2, 34))).public_key)
 
 
 def fresh_store(allocation=((A_ADDR, 100),), **overrides) -> ChainStore:
@@ -47,6 +56,41 @@ def extend(store: ChainStore, txs=(), publisher=B_ADDR, parent=None, timestamp=N
     ts = timestamp if timestamp is not None else store.blocks[parent].header.height + 1
     block = store.make_candidate(publisher, list(txs), ts, parent_hash=parent)
     return block, store.append_block(block)
+
+
+def forge(store: ChainStore, txs) -> Block:
+    """A block of exactly txs on the tip, with a consistent header; no rule
+    beyond the header's own is checked."""
+    height = store.tip_height + 1
+    txs = tuple(txs)
+    header = BlockHeader(height, store.tip_hash, transactions_merkle_root(txs), height,
+                         len(block_data_bytes(txs)), 0, 0)
+    return Block(header, txs)
+
+
+def signed(inputs, outputs) -> Transaction:
+    """A transfer spending (outpoint, key) pairs, each input signed by its
+    key whether or not the key owns the outpoint."""
+    unsigned = Transaction(
+        TxKind.TRANSFER,
+        tuple(TxInput(op[0], op[1], key.public_key, b"") for op, key in inputs),
+        outputs,
+    )
+    return Transaction(
+        TxKind.TRANSFER,
+        tuple(TxInput(op[0], op[1], key.public_key, sign(key, unsigned.tx_id))
+              for op, key in inputs),
+        outputs,
+    )
+
+
+def bad_signature(tx: Transaction) -> Transaction:
+    first = tx.inputs[0]
+    flipped = bytes([first.signature[0] ^ 1]) + first.signature[1:]
+    return Transaction(
+        tx.kind, (TxInput(first.source_tx, first.source_index, first.public_key, flipped),)
+        + tx.inputs[1:], tx.outputs, tx.payload,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +206,117 @@ def test_height_must_increment():
     result = store.append_block(skewed)
     assert result.status == REJECTED
     assert result.reason == "Height"
+
+
+def test_repeated_coinbase_is_rejected_without_touching_the_store():
+    store = fresh_store()
+    block1, result = extend(store)
+    assert result.status == EXTENDED
+    tip, utxo_digest = store.tip_hash, store.tip_state().utxo.digest()
+    states = dict(store.states)
+
+    repeat = forge(store, block1.transactions)
+    result = store.append_block(repeat)
+    assert result.status == REJECTED
+    assert result.reason == "DuplicateTransaction"
+    assert result.validity.detail == "transaction 0"
+    assert store.tip_hash == tip
+    assert store.tip_state().utxo.digest() == utxo_digest
+    assert store.states == states
+
+
+def _fee_check_block(case: str):
+    """(store, block) for one row of the folded fee-check table: subsidy 50,
+    one payment with fee 10 from a genesis output of 100."""
+    store = fresh_store([(A_ADDR, 100)], block_subsidy=50)
+    fund = store.tip.transactions[0]
+    pay = build_transaction([(fund.tx_id, 0)], [(B_ADDR, 90)], 10, [ALICE],
+                            store.tip_state().utxo)
+    reward = {"bad_signature": 61, "unknown_input": 61, "exact": 60, "one_over": 61}[case]
+    txs = [make_coinbase([(B_ADDR, reward)], 1), pay]
+    if case == "bad_signature":
+        txs.append(bad_signature(signed([((pay.tx_id, 0), BOB)], (TxOutput(90, A_ADDR),))))
+    elif case == "unknown_input":
+        txs.append(signed([((sha256(b"ghost"), 0), ALICE)], (TxOutput(1, A_ADDR),)))
+    return store, forge(store, txs)
+
+
+@pytest.mark.parametrize("case, status, reason", [
+    # the reward is judged first whenever every input resolves...
+    ("bad_signature", REJECTED, "ExcessReward"),
+    # ...and the walk's reason stands when one does not
+    ("unknown_input", REJECTED, "UnknownInput"),
+    ("exact", EXTENDED, None),
+    ("one_over", REJECTED, "ExcessReward"),
+])
+def test_folded_fee_check_reasons(case, status, reason):
+    store, block = _fee_check_block(case)
+    result = store.append_block(block)
+    assert (result.status, result.reason) == (status, reason)
+    if reason == "ExcessReward":
+        assert result.validity.detail == "61 > 50 + 10"
+
+
+def _fees_first_reference(block: Block, parent_state, params: ChainParams):
+    """The transaction stage of validate_and_apply in its older order: fees
+    from _block_fees on the parent's set, the reward check, then the walk."""
+    fees = _block_fees(block.transactions, parent_state.utxo)
+    reward = block.transactions[0].output_value
+    if fees is not None and reward > params.block_subsidy + fees:
+        return None, Validity(False, "ExcessReward", f"{reward} > {params.block_subsidy} + {fees}")
+    state = parent_state.clone()
+    v = _walk_transactions(block.transactions, state, block.header.height, params, True)
+    return (state if v else None), v
+
+
+_SPENDS = st.sampled_from(
+    ["pay"] * 4 + ["chained"] * 2 + ["bad_signature", "unknown", "wrong_owner", "value_created"]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_SPENDS, st.integers(0, 3), st.integers(0, 3)), max_size=5),
+    st.integers(-1, 3),
+    st.integers(0, 7),
+)
+def test_folded_fee_check_matches_fees_first_reference(plan, extra, coinbase_pick):
+    store = fresh_store([(A_ADDR, 10)] * 4, block_subsidy=5)
+    genesis = store.tip.transactions[0]
+    txs, previous = [], None
+    for spend, i, fee in plan:
+        source = ((genesis.tx_id, i), ALICE)
+        outputs = (TxOutput(10 - fee, B_ADDR),)
+        if spend == "unknown":
+            source = ((sha256(b"ghost"), i), ALICE)
+        elif spend == "chained" and previous is not None:
+            source = ((previous.tx_id, 0), BOB)
+            outputs = (TxOutput(max(previous.outputs[0].amount - fee, 0), C_ADDR),)
+        elif spend == "wrong_owner":
+            source = ((genesis.tx_id, i), BOB)
+        elif spend == "value_created":
+            outputs = (TxOutput(10 + fee + 1, B_ADDR),)
+        tx = signed([source], outputs)
+        txs.append(bad_signature(tx) if spend == "bad_signature" else tx)
+        previous = tx
+    declared = sum(fee for _, _, fee in plan)
+    # now and then the block repeats the genesis coinbase
+    reward = 5 + declared + extra
+    coinbase = genesis if coinbase_pick == 0 else make_coinbase([(B_ADDR, reward)], 1)
+    block = forge(store, [coinbase] + txs)
+
+    parent_state = store.tip_state()
+    parent_digest = parent_state.utxo.digest()
+    got_state, got = validate_and_apply(
+        block, store.tip.header, parent_state, store.params,
+        store._branch_header_at(store.tip_hash),
+    )
+    want_state, want = _fees_first_reference(block, parent_state, store.params)
+    assert (got.ok, got.reason, got.detail) == (want.ok, want.reason, want.detail)
+    if got.ok:
+        assert got_state.utxo.digest() == want_state.utxo.digest()
+        assert (got_state.issued, got_state.fees) == (want_state.issued, want_state.fees)
+    assert parent_state.utxo.digest() == parent_digest
 
 
 # ---------------------------------------------------------------------------

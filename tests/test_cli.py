@@ -12,10 +12,19 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 from pathlib import Path
 
-from chainsim.chain import Block, deserialize_block
+from chainsim.chain import (
+    Block,
+    BlockHeader,
+    block_data_bytes,
+    deserialize_block,
+    header_hash,
+    persist,
+    transactions_merkle_root,
+)
 from chainsim.cli import EXIT_VERIFY, CliError, _append_local_block, _load_store, main
 from chainsim.contracts import derive_contract_address
 from chainsim.crypto import derive_address, keypair_generate, sha256
@@ -251,6 +260,64 @@ def test_chain_init_rejects_bad_params(capsys, tmp_path, data_dir):
     assert "allocation[0]" in err
 
 
+def _params_text(address_hex: str, overrides: dict[str, str]) -> str:
+    """A params file with allocation and a pow section; overrides maps a key
+    (``pow.`` prefixed for the pow section) to its YAML value."""
+    top = {"confirmation_depth": "2", "block_subsidy": "50", "max_block_data_bytes": "65536"}
+    pow_keys = {"target_bits": "252", "retarget_interval": "16", "target_spacing": "10"}
+    for key, value in overrides.items():
+        section, _, name = key.rpartition(".")
+        (pow_keys if section == "pow" else top)[name] = value
+    lines = [f"{k}: {v}" for k, v in top.items()]
+    lines += [f"allocation:\n  - [{address_hex}, 500]", "pow:"]
+    lines += [f"  {k}: {v}" for k, v in pow_keys.items()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("key, bad_values", [
+    ("confirmation_depth", ["0", "-1", '"x"', "true", "1.5"]),
+    ("block_subsidy", ["-1", "1.5", '"x"', "false"]),
+    ("max_block_data_bytes", ["0", '"x"', "true", "2.0"]),
+    ("pow.retarget_interval", ["0", '"x"', "true", "[16]"]),
+    ("pow.target_spacing", ["0", "-10", '"x"', "{a: 1}"]),
+])
+def test_chain_init_rejects_bad_integer_param(capsys, tmp_path, data_dir, key, bad_values):
+    address = keygen(capsys, tmp_path / "keys", "k")
+    path = tmp_path / "params.yaml"
+    for value in bad_values:
+        path.write_text(_params_text(address, {key: value}))
+        code, out, err = run_cli(capsys, "--data-dir", data_dir, "chain", "init", "--params", path)
+        assert (code, out) == (4, ""), value
+        assert err.startswith(f"error: {key}: expected an integer of at least "), value
+        assert not data_dir.exists()
+
+
+def test_chain_init_accepts_integer_params_at_their_bounds(capsys, tmp_path, data_dir):
+    address = keygen(capsys, tmp_path / "keys", "k")
+    path = tmp_path / "params.yaml"
+    path.write_text(_params_text(address, {
+        "confirmation_depth": "1", "block_subsidy": "0", "max_block_data_bytes": "1",
+        "pow.retarget_interval": "1", "pow.target_spacing": "1",
+    }))
+    code, out, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "init", "--params", path)
+    assert code == 0
+    assert out.startswith("height=0 tip=")
+    saved = yaml.safe_load((data_dir / "params.yaml").read_text())
+    assert (saved["confirmation_depth"], saved["block_subsidy"],
+            saved["max_block_data_bytes"]) == (1, 0, 1)
+    assert (saved["pow"]["retarget_interval"], saved["pow"]["target_spacing"]) == (1, 1)
+
+
+def test_chain_init_rejects_allocation_beyond_maximum_supply(capsys, tmp_path, data_dir):
+    address = keygen(capsys, tmp_path / "keys", "k")
+    path = tmp_path / "params.yaml"
+    path.write_text(f"allocation:\n  - [{address}, {2**62}]\n  - [{address}, 1]\n")
+    code, _, err = run_cli(capsys, "--data-dir", data_dir, "chain", "init", "--params", path)
+    assert code == 4
+    assert err == f"error: allocation: total exceeds the maximum supply {2**62}\n"
+    assert not data_dir.exists()
+
+
 def test_unknown_flag_maps_to_config_error(capsys):
     code, _, _ = run_cli(capsys, "chain", "--bogus")
     assert code == 4
@@ -388,6 +455,28 @@ def test_semantic_tamper_is_verification_failure(capsys, tmp_path, data_dir):
     code, out, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "verify")
     assert code == 2
     assert out == "Broken height=1 reason=DataHash\n"
+
+
+def test_repeated_coinbase_in_chain_file_is_verification_failure(capsys, tmp_path, data_dir):
+    init_funded_chain(capsys, tmp_path, data_dir)
+    args = argparse.Namespace(data_dir=str(data_dir), key=None, verbose=False)
+    store = _load_store(args)
+    block1 = store.make_candidate(derive_address(keypair_generate(bytes(32)).public_key), [], 1)
+    assert store.append_block(block1).status == "Extended"
+    persist(store, str(data_dir / "chain.dat"))
+    # block 2 carries block 1's coinbase verbatim
+    txs = block1.transactions
+    header = BlockHeader(2, header_hash(block1.header), transactions_merkle_root(txs), 2,
+                         len(block_data_bytes(txs)), 0, 0)
+    record = Block(header, txs).serialize()
+    with open(data_dir / "chain.dat", "ab") as fh:
+        fh.write(struct.pack(">I", len(record)) + record + sha256(record)[:4])
+
+    code, out, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "tip")
+    assert (code, out) == (0, f"height=1 tip={header_hash(block1.header).hex()}\n")
+    code, out, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "verify")
+    assert code == 2
+    assert out == "Broken height=2 reason=DuplicateTransaction\n"
 
 
 def test_truncated_chain_file_loads_prefix_with_warning(capsys, tmp_path, data_dir):

@@ -372,6 +372,26 @@ def test_spendable_outpoint_is_lowest_live_unlocked_match():
     assert spendable_outpoint(spent, C_ADDR, 0) is None
 
 
+def test_spendable_memo_is_cleared_by_add_and_spend_and_never_shared():
+    utxo, fund = funded_utxo((A_ADDR, 5))
+    assert spendable_outpoint(utxo, A_ADDR, 6) is None
+    richer = make_coinbase([(A_ADDR, 7)], 1)
+    utxo.apply(richer, 1)
+    assert spendable_outpoint(utxo, A_ADDR, 6) == (richer.tx_id, 0)
+
+    twin = utxo.copy()
+    assert spendable_outpoint(twin, A_ADDR, 6) == (richer.tx_id, 0)
+    twin.apply(build_transaction([(richer.tx_id, 0)], [(B_ADDR, 7)], 0, [ALICE], twin), 2)
+    assert spendable_outpoint(twin, A_ADDR, 6) is None
+    assert spendable_outpoint(utxo, A_ADDR, 6) == (richer.tx_id, 0)
+    both = {(fund.tx_id, 0), (richer.tx_id, 0)}
+    first = spendable_outpoint(utxo, A_ADDR, 0)
+    assert first == min(both)
+    utxo.spend(first, 2)
+    assert spendable_outpoint(utxo, A_ADDR, 0) == max(both)
+    assert spendable_outpoint(twin, A_ADDR, 6) is None
+
+
 def _brute_spendable(utxo: UtxoSet, address: Address, needed: int):
     return min(
         (op for op, e in utxo.live_entries()
@@ -386,12 +406,15 @@ _utxo_ops = st.one_of(
     # coinbase paying (address index, amount) pairs
     st.tuples(st.just("coinbase"), st.integers(0, 7),
               st.lists(st.tuples(st.integers(0, 2), st.integers(1, 9)), min_size=1, max_size=3)),
-    # spend the k-th live unlocked outpoint, paying an address; STAKE locks output 0
+    # spend the k-th live unlocked outpoint, paying an address; STAKE locks
+    # output 0, and a burn pays it all as fee, so the spend adds no output
     st.tuples(st.just("spend"), st.integers(0, 7), st.integers(0, 20), st.integers(0, 2),
-              st.booleans()),
+              st.sampled_from(["transfer", "stake", "burn"])),
     st.tuples(st.just("copy"), st.integers(0, 7)),
     # a new set from the live entries, through the constructor
     st.tuples(st.just("rebuild"), st.integers(0, 7)),
+    # ask one set one question between mutations, so its memo holds the answer
+    st.tuples(st.just("query"), st.integers(0, 7), st.integers(0, 3), st.integers(0, 10)),
 )
 
 
@@ -399,8 +422,11 @@ _utxo_ops = st.one_of(
 @given(st.lists(_utxo_ops, min_size=1, max_size=25))
 def test_spendable_outpoint_equals_brute_force_over_copies(ops):
     """The paid-to index is shared by sibling copies and holds outpoints a
-    given set never had; spendable_outpoint must still equal the scan of that
-    set's own live entries, for every set after every step."""
+    given set never had, and each set memoises its answers; spendable_outpoint
+    must still equal the scan of that set's own live entries, for every set
+    after every step.  Sets are asked before and after each mutation of
+    themselves and of their copies, so a memo that outlives an add or a spend,
+    or that a copy shares, gives a stale answer."""
     addrs = list(_OWNERS)
     sets = [UtxoSet()]
     for height, (op, which, *rest) in enumerate(ops, start=1):
@@ -408,21 +434,28 @@ def test_spendable_outpoint_equals_brute_force_over_copies(ops):
         if op == "coinbase":
             utxo.apply(make_coinbase([(addrs[a], amt) for a, amt in rest[0]], height), height)
         elif op == "spend":
-            k, payee, stake = rest
+            k, payee, how = rest
             live = sorted(o for o, e in utxo.live_entries() if not e.locked)
             if live:
                 source = live[k % len(live)]
-                owner = utxo.get(source).output.recipient
+                entry = utxo.get(source)
+                pay, fee = [(addrs[payee], 1)], 0
+                if how == "burn":
+                    pay, fee = [], entry.output.amount
                 tx = build_transaction(
-                    [source], [(addrs[payee], 1)], 0, [_OWNERS[owner]], utxo,
-                    kind=TxKind.STAKE if stake else TxKind.TRANSFER,
+                    [source], pay, fee, [_OWNERS[entry.output.recipient]], utxo,
+                    kind=TxKind.STAKE if how == "stake" else TxKind.TRANSFER,
                     payload=height.to_bytes(4, "big"),
                 )
                 utxo.apply(tx, height)
         elif op == "copy":
             sets.append(utxo.copy())
-        else:
+        elif op == "rebuild":
             sets.append(UtxoSet(dict(utxo.live_entries())))
+        else:
+            address = (addrs + [derive_address(b"nobody")])[rest[0]]
+            assert spendable_outpoint(utxo, address, rest[1]) == \
+                _brute_spendable(utxo, address, rest[1])
         for each in sets:
             for address in addrs + [derive_address(b"nobody")]:
                 for needed in (0, 1, 5, 9):
