@@ -6,6 +6,10 @@ target) per block, so side branches validate without replaying from genesis.
 Fork choice is block count with a strict-inequality switch: on equal length
 the first-seen tip is kept.  Reorganizations below the highest checkpoint are
 rejected outright.
+
+ChainStore.append_block is the one place that indexes a block and stores its
+state: chain-file loading (load) and replay verification (verify_blocks) go
+through it too.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .ledger import (
     UtxoSet,
     Validity,
     VALID,
+    _invalid,
     deserialize_transaction,
     make_coinbase,
     validate_transaction,
@@ -199,10 +204,6 @@ def is_stake_model(params: ChainParams) -> bool:
     from . import consensus
 
     return isinstance(params.consensus, (consensus.PosChainParams, consensus.PosCoinAgeParams))
-
-
-def _invalid(reason: str, detail: str = "") -> Validity:
-    return Validity(False, reason, detail)
 
 
 def _walk_transactions(
@@ -527,8 +528,9 @@ class ChainStore:
             self.tip_hash = h
             for t in block.transactions:
                 self._adopted_tx_heights[t.tx_id] = block.header.height
-            self.mempool.remove_confirmed(block.transactions)
-            self.mempool.drop_conflicting(state.utxo, not is_stake_model(self.params))
+            if self.mempool:  # empty while a chain file is loaded or verified
+                self.mempool.remove_confirmed(block.transactions)
+                self.mempool.drop_conflicting(state.utxo, not is_stake_model(self.params))
             return AppendResult(EXTENDED)
         return self._reorganize(h)
 
@@ -580,33 +582,14 @@ class ChainStore:
     # -- raw install (file loading) -------------------------------------------
 
     def _install_raw(self, block: Block) -> None:
-        """Index a block without judging it; state is built only when the
-        parent's state exists and the block validates, so corrupt entries stay
-        visible to verify_chain yet can never be adopted."""
-        h = header_hash(block.header)
-        if h in self.blocks:
-            return
-        parent_hash = block.header.prev_header_hash
-        self.blocks[h] = block
-        self.order.append(h)
-        parent = self.blocks.get(parent_hash)
-        parent_state = self.states.get(parent_hash)
-        if parent is not None and parent_state is not None:
-            state, v = validate_and_apply(
-                block, parent.header, parent_state, self.params,
-                self._branch_header_at(parent_hash),
-            )
-            if v:
-                self.states[h] = state
-        if h in self.states and block.header.height > self.tip_height:
-            self.tip_hash = h
-
-    def _rebuild_confirmation_index(self) -> None:
-        self._adopted_tx_heights = {}
-        for h in self.adopted_path():
-            blk = self.blocks[h]
-            for t in blk.transactions:
-                self._adopted_tx_heights[t.tx_id] = blk.header.height
+        """append_block, except that a block rejected for any reason but
+        Duplicate is still indexed, with no state: verify_chain sees the
+        corrupt entry, yet it is never adopted or built on."""
+        result = self.append_block(block)
+        if result.status == REJECTED and result.reason != "Duplicate":
+            h = header_hash(block.header)
+            self.blocks[h] = block
+            self.order.append(h)
 
     # -- candidate assembly ---------------------------------------------------
 
@@ -647,45 +630,46 @@ class ChainStore:
 
 
 def verify_blocks(params: ChainParams, blocks: Iterable[Block]) -> VerifyResult:
-    """Replay a block sequence from scratch: genesis structure, every link,
-    Merkle root, consensus proof, and transaction against rebuilt state."""
-    index: dict[bytes, Block] = {}
-    states: dict[bytes, ChainState] = {}
+    """Check the genesis structure, then replay every later block through
+    append_block on a fresh store, stopping at the first rejection.
+
+    An unknown parent, or a height-0 block after the first, reports PrevHash.
+    An exact duplicate record is skipped; one that repeats a header with other
+    transaction bytes (signatures lie outside tx_id) is judged on its own.
+    """
+    blocks = iter(blocks)
+    genesis = next(blocks, None)
+    if genesis is None:
+        return VerifyResult(True)
+    header = genesis.header
+    if header.height != 0 or header.prev_header_hash != GENESIS_PREV_HASH:
+        return VerifyResult(False, header.height, "PrevHash")
+    if not genesis.transactions:
+        return VerifyResult(False, 0, "DataHash")
+    if header.data_hash != transactions_merkle_root(genesis.transactions):
+        return VerifyResult(False, 0, "DataHash")
+    if header.size != len(genesis.data_bytes()):
+        return VerifyResult(False, 0, "Size")
+    try:
+        store = ChainStore(params, genesis)
+    except ValueError:
+        return VerifyResult(False, 0, _genesis_state(genesis, params)[1].reason)
     for block in blocks:
         header = block.header
-        if header.height == 0:
-            if header.prev_header_hash != GENESIS_PREV_HASH:
-                return VerifyResult(False, 0, "PrevHash")
-            if not block.transactions:
-                return VerifyResult(False, 0, "DataHash")
-            if header.data_hash != transactions_merkle_root(block.transactions):
-                return VerifyResult(False, 0, "DataHash")
-            if header.size != len(block.data_bytes()):
-                return VerifyResult(False, 0, "Size")
-            state, v = _genesis_state(block, params)
-            if not v:
-                return VerifyResult(False, 0, v.reason)
-        else:
-            parent = index.get(header.prev_header_hash)
-            if parent is None:
+        v = store.append_block(block).validity
+        if v.reason == "Duplicate":
+            if store.blocks[header_hash(header)] == block:
+                continue
+            if header.height > 0:
+                parent_hash = header.prev_header_hash
+                v = validate_and_apply(
+                    block, store.blocks[parent_hash].header, store.states[parent_hash],
+                    params, store._branch_header_at(parent_hash),
+                )[1]
+        if not v:
+            if v.reason == "UnknownParent" or header.height == 0:
                 return VerifyResult(False, header.height, "PrevHash")
-
-            def header_at(height: int, _start=parent) -> BlockHeader | None:
-                b = _start
-                while b.header.height > height:
-                    b = index.get(b.header.prev_header_hash)
-                    if b is None:
-                        return None
-                return b.header if b.header.height == height else None
-
-            state, v = validate_and_apply(
-                block, parent.header, states[header_hash(parent.header)], params, header_at
-            )
-            if not v:
-                return VerifyResult(False, header.height, v.reason)
-        h = header_hash(header)
-        index[h] = block
-        states[h] = state
+            return VerifyResult(False, header.height, v.reason)
     return VerifyResult(True)
 
 
@@ -725,13 +709,14 @@ def persist(store: ChainStore, path: str) -> None:
     os.replace(tmp, path)
 
 
-def load(path: str, params: ChainParams, mempool: Mempool | None = None) -> LoadResult:
-    """Rebuild a store from a chain file.
+def load(path: str, params: ChainParams) -> LoadResult:
+    """Rebuild a store from a chain file, each record through _install_raw.
 
     A file ending mid-record loads its intact prefix and reports the
     truncation offset; a checksum or decode failure raises with the offset of
     the bad record.  Semantic problems (bad signatures, broken proofs) are
-    verify_chain's job, not load's.
+    verify_chain's job, not load's.  The mempool starts empty, even when a
+    reorganization inside the file orphaned transactions.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -773,10 +758,10 @@ def load(path: str, params: ChainParams, mempool: Mempool | None = None) -> Load
     if blocks[0].header.height != 0:
         raise ChainFileError(6, "first record is not a genesis block")
     try:
-        store = ChainStore(params, genesis=blocks[0], mempool=mempool)
+        store = ChainStore(params, genesis=blocks[0])
     except ValueError as exc:
         raise ChainFileError(6, str(exc)) from None
     for block in blocks[1:]:
         store._install_raw(block)
-    store._rebuild_confirmation_index()
+    store.mempool = Mempool()
     return LoadResult(store, truncated_at)

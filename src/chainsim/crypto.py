@@ -58,13 +58,6 @@ class PuzzleSolution:
     attempts: int
 
 
-def _meets_difficulty(digest: bytes, difficulty: int) -> bool:
-    half, odd = divmod(difficulty, 2)
-    if not digest.startswith(b"\x00" * half):
-        return False
-    return not odd or digest[half] < 0x10
-
-
 def _scan(prefix: bytes, difficulty: int, start: int, stop: int):
     """First (nonce, digest) in [start, stop) meeting difficulty, else None."""
     base = hashlib.sha256(prefix)

@@ -11,6 +11,7 @@ produce on a fixed slot cadence through the consensus module's selection.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import struct
 from dataclasses import dataclass, field, replace
@@ -28,7 +29,7 @@ from .chain import (
     is_stake_model,
     make_genesis,
 )
-from .crypto import HashStream, KeyPair, derive_address, keypair_generate, sha256
+from .crypto import Address, HashStream, KeyPair, derive_address, keypair_generate, sha256
 from .ledger import (
     Mempool,
     Transaction,
@@ -69,7 +70,6 @@ class NodeSpec:
     hash_share: float = 0.0
     stake: int = 0
     balance: int = 0
-    rule_version: int = 0
     online: tuple[tuple[int, int], ...] = ()  # up intervals; empty means always up
 
 
@@ -159,7 +159,11 @@ class SimResult:
         return sha256("\n".join(self.event_log).encode())
 
 
+@functools.lru_cache(maxsize=None)
 def node_keypair(seed: int, name: str) -> KeyPair:
+    """The node's signing key, derived from the scenario seed and its name.
+    Memoised: the parser, the genesis allocation and the simulator ask for the
+    same pairs, and each is derived once per process."""
     return keypair_generate(sha256(b"node-key" + struct.pack(">Q", seed) + name.encode()))
 
 
@@ -203,7 +207,6 @@ class SimNode:
         self.orphan_buffer: dict[bytes, list[tuple[Block, str]]] = {}
         self.pulled: set[bytes] = set()
         self.pending_txs: list[tuple[bytes, int]] = []  # (tx_id, submit tick)
-        self.queued_txs: list[Transaction] = []  # lightweight, no full peer yet
         # producers
         self.mine_gen = 0
         self.mining_parent: bytes | None = None
@@ -283,12 +286,11 @@ class Simulation:
         self.metrics = Metrics(seed=config.seed)
         self.produced: dict[bytes, str] = {}  # block hash -> producer name
 
-        keys = {spec.name: node_keypair(config.seed, spec.name) for spec in config.nodes}
-        genesis = build_genesis(config, keys)
-        self.genesis = genesis
+        genesis = build_genesis(config)
         self.nodes: dict[str, SimNode] = {}
         for spec in config.nodes:
-            self.nodes[spec.name] = SimNode(spec, keys[spec.name], self.params, genesis)
+            keypair = node_keypair(config.seed, spec.name)
+            self.nodes[spec.name] = SimNode(spec, keypair, self.params, genesis)
         self.order = [spec.name for spec in config.nodes]
         self.publishers = [n for n in self.order if self.nodes[n].role == PUBLISHING]
         self.full_nodes = [n for n in self.order if self.nodes[n].role != LIGHTWEIGHT]
@@ -819,9 +821,6 @@ class Simulation:
             full_peers = [
                 p for p in self.peers_of(via, self.now) if self.nodes[p].role != LIGHTWEIGHT
             ]
-            if not full_peers:
-                node.queued_txs.append(tx)
-                return
             for peer_name in full_peers:
                 self._push(
                     self.now + self._latency(),
@@ -979,31 +978,35 @@ class Simulation:
         return False
 
 
-def build_genesis(config: SimConfig, keys: dict[str, KeyPair] | None = None) -> Block:
+def _genesis_funds(config: SimConfig) -> list[tuple[NodeSpec, Address, int]]:
+    """Each node holding a balance or stake, in config order, with its address
+    and genesis allocation (balance plus stake)."""
+    return [
+        (spec, derive_address(node_keypair(config.seed, spec.name).public_key),
+         spec.balance + spec.stake)
+        for spec in config.nodes
+        if spec.balance + spec.stake > 0
+    ]
+
+
+def build_genesis(config: SimConfig) -> Block:
     """Genesis carrying each node's allocation, with stake locked through
     signed STAKE transactions that spend the allocation inside the block."""
-    keys = keys or {spec.name: node_keypair(config.seed, spec.name) for spec in config.nodes}
-    allocation = []
-    funded = []
-    for spec in config.nodes:
-        total = spec.balance + spec.stake
-        if total > 0:
-            addr = derive_address(keys[spec.name].public_key)
-            allocation.append((addr, total))
-            funded.append((spec, addr, total))
+    funds = _genesis_funds(config)
+    allocation = [(addr, total) for _, addr, total in funds]
     params = replace(config.chain, genesis_allocation=tuple(allocation))
     coinbase = make_coinbase(allocation, 0)
     view = UtxoSet()
     view.apply(coinbase, 0)
     stake_txs = []
-    for i, (spec, addr, total) in enumerate(funded):
+    for i, (spec, addr, _) in enumerate(funds):
         if spec.stake <= 0:
             continue
         tx = build_transaction(
             [(coinbase.tx_id, i)],
             [(addr, spec.stake)],
             0,
-            [keys[spec.name]],
+            [node_keypair(config.seed, spec.name)],
             view,
             kind=TxKind.STAKE,
         )
@@ -1013,12 +1016,7 @@ def build_genesis(config: SimConfig, keys: dict[str, KeyPair] | None = None) -> 
 
 def effective_params(config: SimConfig) -> ChainParams:
     """Chain params with the genesis allocation implied by the node specs."""
-    keys = {spec.name: node_keypair(config.seed, spec.name) for spec in config.nodes}
-    allocation = tuple(
-        (derive_address(keys[spec.name].public_key), spec.balance + spec.stake)
-        for spec in config.nodes
-        if spec.balance + spec.stake > 0
-    )
+    allocation = tuple((addr, total) for _, addr, total in _genesis_funds(config))
     return replace(config.chain, genesis_allocation=allocation)
 
 

@@ -438,9 +438,11 @@ def _parse_consensus(c: _Checker, raw, nodes: list[NodeSpec], seed) -> object:
             known |= {"age_threshold", "weight_cap"}
             threshold = c.optional(raw, "consensus", "age_threshold", int, 1)
             cap = c.optional(raw, "consensus", "weight_cap", int, cons.PosCoinAgeParams().weight_cap)
+            if cap is not None and cap < 1:
+                c.fail("consensus.weight_cap", "must be at least 1")
             params = cons.PosCoinAgeParams(
                 age_threshold=threshold if threshold is not None else 1,
-                weight_cap=cap or cons.PosCoinAgeParams().weight_cap,
+                weight_cap=cap if cap is not None else cons.PosCoinAgeParams().weight_cap,
             )
     elif model == "round_robin":
         if not publishers:
@@ -453,6 +455,9 @@ def _parse_consensus(c: _Checker, raw, nodes: list[NodeSpec], seed) -> object:
         known |= {"reputations", "r_max"}
         reps = c.require(raw, "consensus", "reputations", dict)
         r_max = c.optional(raw, "consensus", "r_max", int, 100)
+        if r_max is not None and r_max < 1:
+            c.fail("consensus.r_max", "must be at least 1")
+            r_max = None
         if reps is None:
             return None
         authorities = {}
@@ -463,11 +468,16 @@ def _parse_consensus(c: _Checker, raw, nodes: list[NodeSpec], seed) -> object:
             rep = c.typed(rep, f"consensus.reputations.{name}", int)
             if rep is None:
                 continue
+            if r_max is not None and not 0 <= rep <= r_max:
+                c.fail(f"consensus.reputations.{name}", f"must be between 0 and {r_max}")
+                continue
             authorities[pub_addrs[name]] = rep
         if not authorities:
             c.fail("consensus.reputations", "needs at least one authority")
             return None
-        params = cons.PoaParams(authorities=authorities, r_max=r_max or 100)
+        if r_max is None:
+            return None
+        params = cons.PoaParams(authorities=authorities, r_max=r_max)
     elif model == "poet":
         known |= {"mean_wait"}
         mean_wait = c.optional(raw, "consensus", "mean_wait", float, 10.0)

@@ -1,0 +1,398 @@
+"""Chain-file loading and replay verification against a reference.
+
+load and verify_blocks replay blocks through ChainStore.append_block.  The
+reference below is the earlier loader (its own _install_raw and a
+confirmation-index rebuild) and verifier (its own block index, state map and
+ancestor walk), written as functions.  Over random chain files and random
+single-byte block mutants the two must agree, except for the one deliberate
+change pinned in test_second_genesis_record_fails_verification.
+"""
+
+import random
+import struct
+from dataclasses import replace
+
+import pytest
+
+from chainsim import consensus as cons
+from chainsim.chain import (
+    CHAIN_FORMAT_VERSION,
+    CHAIN_MAGIC,
+    GENESIS_PREV_HASH,
+    Block,
+    BlockHeader,
+    ChainFileError,
+    ChainParams,
+    ChainStore,
+    LoadResult,
+    VerifyResult,
+    _genesis_state,
+    block_data_bytes,
+    deserialize_block,
+    header_hash,
+    load,
+    make_genesis,
+    transactions_merkle_root,
+    validate_and_apply,
+    verify_blocks,
+    verify_chain,
+)
+from chainsim.crypto import derive_address, keypair_generate, sha256
+from chainsim.ledger import build_transaction, make_coinbase
+
+from test_acceptance import _signed_payment_chain
+
+ALICE = keypair_generate(bytes(range(32)))
+BOB = keypair_generate(bytes(range(1, 33)))
+A_ADDR = derive_address(ALICE.public_key)
+B_ADDR = derive_address(BOB.public_key)
+
+# simulated PoW: every header is signed, and a retarget every 4 blocks makes
+# each state depend on the timestamps of its own branch's ancestors
+PARAMS = ChainParams(
+    genesis_allocation=tuple((A_ADDR, 10) for _ in range(12)),
+    consensus=cons.PowParams(retarget_interval=4, target_spacing=5, simulated=True),
+)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the loader and verifier that kept their own block bookkeeping
+# ---------------------------------------------------------------------------
+
+
+def reference_verify_blocks(params, blocks):
+    index = {}
+    states = {}
+    for block in blocks:
+        header = block.header
+        if header.height == 0:
+            if header.prev_header_hash != GENESIS_PREV_HASH:
+                return VerifyResult(False, 0, "PrevHash")
+            if not block.transactions:
+                return VerifyResult(False, 0, "DataHash")
+            if header.data_hash != transactions_merkle_root(block.transactions):
+                return VerifyResult(False, 0, "DataHash")
+            if header.size != len(block.data_bytes()):
+                return VerifyResult(False, 0, "Size")
+            state, v = _genesis_state(block, params)
+            if not v:
+                return VerifyResult(False, 0, v.reason)
+        else:
+            parent = index.get(header.prev_header_hash)
+            if parent is None:
+                return VerifyResult(False, header.height, "PrevHash")
+
+            def header_at(height, _start=parent):
+                b = _start
+                while b.header.height > height:
+                    b = index.get(b.header.prev_header_hash)
+                    if b is None:
+                        return None
+                return b.header if b.header.height == height else None
+
+            state, v = validate_and_apply(
+                block, parent.header, states[header_hash(parent.header)], params, header_at
+            )
+            if not v:
+                return VerifyResult(False, header.height, v.reason)
+        h = header_hash(header)
+        index[h] = block
+        states[h] = state
+    return VerifyResult(True)
+
+
+def reference_install_raw(store, block):
+    h = header_hash(block.header)
+    if h in store.blocks:
+        return
+    parent_hash = block.header.prev_header_hash
+    store.blocks[h] = block
+    store.order.append(h)
+    parent = store.blocks.get(parent_hash)
+    parent_state = store.states.get(parent_hash)
+    if parent is not None and parent_state is not None:
+        state, v = validate_and_apply(
+            block, parent.header, parent_state, store.params,
+            store._branch_header_at(parent_hash),
+        )
+        if v:
+            store.states[h] = state
+    if h in store.states and block.header.height > store.tip_height:
+        store.tip_hash = h
+
+
+def reference_load(path, params):
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    if buf[:4] != CHAIN_MAGIC:
+        raise ChainFileError(0, "bad magic")
+    if len(buf) < 6:
+        raise ChainFileError(4, "missing format version")
+    (version,) = struct.unpack_from(">H", buf, 4)
+    if version != CHAIN_FORMAT_VERSION:
+        raise ChainFileError(4, f"unsupported format version {version}")
+    offset = 6
+    blocks = []
+    truncated_at = None
+    while offset < len(buf):
+        start = offset
+        if offset + 4 > len(buf):
+            truncated_at = start
+            break
+        (length,) = struct.unpack_from(">I", buf, offset)
+        offset += 4
+        if offset + length + 4 > len(buf):
+            truncated_at = start
+            break
+        record = buf[offset : offset + length]
+        offset += length
+        checksum = buf[offset : offset + 4]
+        offset += 4
+        if sha256(record)[:4] != checksum:
+            raise ChainFileError(start, "record checksum mismatch")
+        try:
+            block, consumed = deserialize_block(record)
+        except ValueError as exc:
+            raise ChainFileError(start, f"undecodable block: {exc}") from None
+        if consumed != length:
+            raise ChainFileError(start, "trailing bytes in record")
+        blocks.append(block)
+    if not blocks:
+        raise ChainFileError(6, "no blocks in file")
+    if blocks[0].header.height != 0:
+        raise ChainFileError(6, "first record is not a genesis block")
+    try:
+        store = ChainStore(params, genesis=blocks[0])
+    except ValueError as exc:
+        raise ChainFileError(6, str(exc)) from None
+    for block in blocks[1:]:
+        reference_install_raw(store, block)
+    store._adopted_tx_heights = {}
+    for h in store.adopted_path():
+        blk = store.blocks[h]
+        for t in blk.transactions:
+            store._adopted_tx_heights[t.tx_id] = blk.header.height
+    return LoadResult(store, truncated_at)
+
+
+# ---------------------------------------------------------------------------
+# Random chain files
+# ---------------------------------------------------------------------------
+
+
+def _file_bytes(blocks) -> bytes:
+    parts = [CHAIN_MAGIC, struct.pack(">H", CHAIN_FORMAT_VERSION)]
+    for block in blocks:
+        record = block.serialize()
+        parts += [struct.pack(">I", len(record)), record, sha256(record)[:4]]
+    return b"".join(parts)
+
+
+def _valid_child(store, rng, parent_hash) -> Block:
+    """A signed block on parent_hash paying 0-2 of the genesis outputs still
+    live on that branch, so sibling branches carry conflicting payments."""
+    utxo = store.states[parent_hash].utxo
+    fund = store.blocks[store.genesis_hash].transactions[0]
+    live = [i for i in range(len(fund.outputs)) if utxo.get((fund.tx_id, i)).live]
+    picks = rng.sample(live, min(len(live), rng.randrange(3)))
+    txs = [build_transaction([(fund.tx_id, i)], [(B_ADDR, 9)], 1, [ALICE], utxo) for i in picks]
+    timestamp = store.blocks[parent_hash].header.timestamp + rng.randrange(1, 12)
+    candidate = store.make_candidate(B_ADDR, txs, timestamp, parent_hash=parent_hash)
+    return cons.attach_proof(candidate, PARAMS.consensus, keypair=BOB)
+
+
+def _forged_child(parent: Block) -> Block:
+    """A well-formed, signed coinbase-only block on any parent, whether or not
+    the parent is valid or present in the file."""
+    height = parent.header.height + 1
+    txs = (make_coinbase([(B_ADDR, 50)], height),)
+    header = BlockHeader(height, header_hash(parent.header), transactions_merkle_root(txs),
+                         parent.header.timestamp + 1, len(block_data_bytes(txs)), 0)
+    return cons.attach_proof(Block(header, txs), PARAMS.consensus, keypair=BOB)
+
+
+def _invalid_variant(rng, block: Block) -> Block:
+    """A single-byte mutant of block that still decodes, else block with its
+    timestamp moved after signing (a broken publisher signature)."""
+    raw = bytearray(block.serialize())
+    raw[rng.randrange(len(raw))] ^= 1 + rng.randrange(255)
+    try:
+        mutant, consumed = deserialize_block(bytes(raw))
+        if consumed == len(raw):
+            return mutant
+    except ValueError:
+        pass
+    return Block(replace(block.header, timestamp=block.header.timestamp + 1), block.transactions)
+
+
+def random_chain_file(seed: int) -> bytes:
+    """Records of a random block tree with side branches, reorgs and duplicate
+    records.  Two files in three are also damaged: invalid blocks, children of
+    invalid blocks, orphans (a child before its parent, or a parent left out),
+    and sometimes a flipped byte or a truncated tail."""
+    rng = random.Random(seed)
+    damaged = rng.random() < 2 / 3
+    source = ChainStore(PARAMS)
+    valid = [source.genesis_hash]
+    records = []
+    for _ in range(rng.randrange(8, 30)):
+        parent_hash = source.tip_hash if rng.random() < 0.6 else rng.choice(valid)
+        block = _valid_child(source, rng, parent_hash)
+        if damaged and rng.random() < 0.15:
+            block = _invalid_variant(rng, block)
+        elif source.append_block(block).validity:
+            valid.append(header_hash(block.header))
+        records.append(block)
+        if damaged and rng.random() < 0.15:
+            records.append(_forged_child(rng.choice(records)))
+        if rng.random() < 0.1:
+            records.append(rng.choice(records))
+    if damaged:
+        for _ in range(rng.randrange(3)):
+            i = rng.randrange(len(records) - 1)
+            records[i], records[i + 1] = records[i + 1], records[i]
+        if rng.random() < 0.3:
+            del records[rng.randrange(len(records))]
+    data = bytearray(_file_bytes([source.blocks[source.genesis_hash]] + records))
+    if damaged and rng.random() < 0.15:
+        data[rng.randrange(len(data))] ^= 1 + rng.randrange(255)
+    if damaged and rng.random() < 0.15:
+        del data[rng.randrange(6, len(data)):]
+    return bytes(data)
+
+
+def _load_either(loader, path):
+    try:
+        return loader(str(path), PARAMS)
+    except ChainFileError as exc:
+        return exc
+
+
+def _confirmation_heights(store):
+    return {
+        t.tx_id: store.confirmation_height(t.tx_id)
+        for block in store.blocks.values()
+        for t in block.transactions
+    }
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_load_matches_reference(tmp_path, seed):
+    path = tmp_path / "chain.dat"
+    path.write_bytes(random_chain_file(seed))
+    new = _load_either(load, path)
+    ref = _load_either(reference_load, path)
+    if isinstance(ref, ChainFileError):
+        assert isinstance(new, ChainFileError)
+        assert (new.offset, str(new)) == (ref.offset, str(ref))
+        return
+    assert new.truncated_at == ref.truncated_at
+    a, b = new.store, ref.store
+    assert a.order == b.order
+    assert a.blocks == b.blocks
+    assert a.states.keys() == b.states.keys()
+    for h, state in b.states.items():
+        assert a.states[h].utxo.digest() == state.utxo.digest()
+        assert a.states[h] == state
+    assert a.tip_hash == b.tip_hash
+    assert _confirmation_heights(a) == _confirmation_heights(b)
+    assert len(a.mempool) == 0
+    assert verify_chain(a) == reference_verify_blocks(PARAMS, (b.blocks[h] for h in b.order))
+
+
+def test_random_chain_files_cover_every_case(tmp_path):
+    """The files above include reorganizations whose orphaned payments a live
+    store puts back in its mempool, blocks kept without state, truncated
+    files, files that verify and files that fail verification or to load."""
+    repooled = stateless = truncated = verified = unverified = unloadable = 0
+    for seed in range(60):
+        path = tmp_path / f"{seed}.dat"
+        path.write_bytes(random_chain_file(seed))
+        loaded = _load_either(load, path)
+        if isinstance(loaded, ChainFileError):
+            unloadable += 1
+            continue
+        store = loaded.store
+        replay = ChainStore(PARAMS, store.blocks[store.genesis_hash])
+        for h in store.order[1:]:
+            replay.append_block(store.blocks[h])
+        repooled += len(replay.mempool) > 0
+        stateless += len(store.blocks) > len(store.states)
+        truncated += loaded.truncated_at is not None
+        ok = verify_chain(store).ok
+        verified += ok
+        unverified += not ok
+    assert repooled >= 2 and stateless >= 20 and truncated >= 2
+    assert verified >= 10 and unverified >= 20 and unloadable >= 2
+
+
+def test_verify_matches_reference_on_single_byte_mutants():
+    params, blocks = _signed_payment_chain(50)
+    rng = random.Random(6)
+    reached = 0
+    for _ in range(1500):
+        idx = rng.randrange(len(blocks))
+        raw = bytearray(blocks[idx].serialize())
+        raw[rng.randrange(len(raw))] ^= 1 + rng.randrange(255)
+        try:
+            mutant, consumed = deserialize_block(bytes(raw))
+        except ValueError:
+            continue
+        if consumed != len(raw):
+            continue
+        reached += 1
+        sequences = [blocks[:idx] + [mutant] + blocks[idx + 1 :]]
+        if idx > 0 and header_hash(mutant.header) == header_hash(blocks[idx].header):
+            # other transaction bytes under the same header, after the original
+            sequences.append(blocks[: idx + 1] + [mutant] + blocks[idx + 1 :])
+        for sequence in sequences:
+            assert verify_blocks(params, sequence) == reference_verify_blocks(params, sequence)
+    assert reached >= 1000
+
+
+def test_verify_skips_exact_duplicates_and_judges_a_resigned_duplicate():
+    params, blocks = _signed_payment_chain(6)
+    repeated = blocks[:4] + [blocks[0], blocks[3], blocks[2]] + blocks[4:]
+    assert verify_blocks(params, repeated) == reference_verify_blocks(params, repeated)
+    assert verify_blocks(params, repeated).ok
+    # a payment signature is outside tx_id, so the header hash is unchanged
+    original = blocks[3]
+    tx = original.transactions[1]
+    forged_tx = replace(tx, inputs=(replace(tx.inputs[0], signature=bytes(64)),) + tx.inputs[1:])
+    forged = Block(original.header, (original.transactions[0], forged_tx))
+    assert header_hash(forged.header) == header_hash(original.header)
+    sequence = blocks[:4] + [forged] + blocks[4:]
+    assert verify_blocks(params, sequence) == VerifyResult(False, 3, "BadSignature")
+    assert reference_verify_blocks(params, sequence) == VerifyResult(False, 3, "BadSignature")
+
+
+def test_second_genesis_record_fails_verification(tmp_path):
+    """The deliberate change: a height-0 block after the first that is not an
+    exact duplicate no longer passes as a second root."""
+    params, blocks = _signed_payment_chain(3)
+    other = make_genesis(ChainParams(genesis_allocation=((B_ADDR, 5),)))
+    sequence = blocks[:2] + [other] + blocks[2:]
+    assert reference_verify_blocks(params, sequence) == VerifyResult(True)
+    assert verify_blocks(params, sequence) == VerifyResult(False, 0, "PrevHash")
+    # a height-0 header on a replayed parent was PrevHash before and still is
+    lowered = Block(replace(blocks[2].header, height=0), blocks[2].transactions)
+    sequence_low = blocks[:2] + [lowered]
+    assert verify_blocks(params, sequence_low) == VerifyResult(False, 0, "PrevHash")
+    assert reference_verify_blocks(params, sequence_low) == VerifyResult(False, 0, "PrevHash")
+    exact = blocks[:2] + [blocks[0]] + blocks[2:]
+    assert verify_blocks(params, exact) == reference_verify_blocks(params, exact)
+    assert verify_blocks(params, exact).ok
+    # loading is unchanged: the foreign genesis is kept without state
+    path = tmp_path / "chain.dat"
+    path.write_bytes(_file_bytes(sequence + [_forged_child(other)]))
+    new, ref = load(str(path), params), reference_load(str(path), params)
+    assert new.store.order == ref.store.order
+    assert new.store.states.keys() == ref.store.states.keys()
+    assert header_hash(other.header) not in new.store.states
+    assert verify_chain(new.store) == VerifyResult(False, 0, "PrevHash")
+    assert reference_verify_blocks(params, (ref.store.blocks[h] for h in ref.store.order)).ok

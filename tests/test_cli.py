@@ -571,6 +571,16 @@ def test_sim_reports_every_scenario_problem(capsys, tmp_path):
     assert "error: 2 scenario error(s)" in err
 
 
+def test_sim_reputation_beyond_r_max_is_config_error(capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text((REPO / "scenarios" / "poa.cfg").read_text().replace("a0: 50", "a0: 150"))
+    code, out, err = run_cli(capsys, "sim", bad, "--out", tmp_path / "r")
+    assert code == 4 and out == ""
+    assert "consensus.reputations.a0: must be between 0 and 100" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_sim_missing_scenario_is_io_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sim", tmp_path / "ghost.cfg", "--out", tmp_path / "r")
     assert code == 3

@@ -178,6 +178,37 @@ def test_poa_reputations_map_to_publishing_nodes():
     assert params.authorities == {addr: 60}
 
 
+@pytest.mark.parametrize(
+    "consensus, error",
+    [
+        ({"model": "poa", "reputations": {"n0": 150}},
+         "consensus.reputations.n0: must be between 0 and 100"),
+        ({"model": "poa", "reputations": {"n0": -1}},
+         "consensus.reputations.n0: must be between 0 and 100"),
+        ({"model": "poa", "reputations": {"n0": 5}, "r_max": 4},
+         "consensus.reputations.n0: must be between 0 and 4"),
+        ({"model": "poa", "reputations": {"n0": 0}, "r_max": 0},
+         "consensus.r_max: must be at least 1"),
+        ({"model": "pos_coinage", "weight_cap": 0}, "consensus.weight_cap: must be at least 1"),
+        ({"model": "pos_coinage", "weight_cap": -3}, "consensus.weight_cap: must be at least 1"),
+    ],
+)
+def test_authority_and_coinage_bounds_name_their_key(consensus, error):
+    raw = minimal(consensus=consensus)
+    raw["nodes"] = [{"name": "n0", "role": "publishing", "stake": 10}]
+    assert error in errors_of(raw)
+
+
+def test_authority_and_coinage_values_at_their_bounds():
+    raw = minimal(consensus={"model": "poa", "reputations": {"n0": 1}, "r_max": 1})
+    assert parse_scenario(raw).chain.consensus.r_max == 1
+    raw = minimal(consensus={"model": "poa", "reputations": {"n0": 0}, "r_max": 1})
+    assert list(parse_scenario(raw).chain.consensus.authorities.values()) == [0]
+    raw = minimal(consensus={"model": "pos_coinage", "weight_cap": 1})
+    raw["nodes"] = [{"name": "n0", "role": "publishing", "stake": 10}]
+    assert parse_scenario(raw).chain.consensus.weight_cap == 1
+
+
 def test_poet_inherits_scenario_seed():
     raw = minimal(consensus={"model": "poet", "mean_wait": 4.5})
     config = parse_scenario(raw)
