@@ -76,7 +76,18 @@ class BlockHeader:
 
 
 def header_hash(header: BlockHeader) -> bytes:
-    return sha256(header.serialize())
+    """sha256 of the serialized header.
+
+    Computed on first call and kept on the instance, as Transaction.tx_id
+    is: every field is immutable, and dataclasses.replace builds a new
+    instance without it.  Not a dataclass field, so equality, hashing and
+    repr ignore it.
+    """
+    cached = header.__dict__.get("_hash")
+    if cached is None:
+        cached = sha256(header.serialize())
+        object.__setattr__(header, "_hash", cached)
+    return cached
 
 
 def deserialize_header(buf: bytes, offset: int = 0) -> tuple[BlockHeader, int]:
@@ -419,7 +430,8 @@ class ChainStore:
         mempool: Mempool | None = None,
     ):
         self.params = params
-        self.mempool = mempool if mempool is not None else Mempool()
+        # None while load or verify_blocks replays blocks: no pool is kept
+        self.mempool: Mempool | None = mempool if mempool is not None else Mempool()
         self.policy: Callable[[Block], Validity] | None = None
         genesis = genesis if genesis is not None else make_genesis(params)
         if genesis.header.height != 0 or genesis.header.prev_header_hash != GENESIS_PREV_HASH:
@@ -528,7 +540,7 @@ class ChainStore:
             self.tip_hash = h
             for t in block.transactions:
                 self._adopted_tx_heights[t.tx_id] = block.header.height
-            if self.mempool:  # empty while a chain file is loaded or verified
+            if self.mempool:  # None during replay; an empty pool has nothing to drop
                 self.mempool.remove_confirmed(block.transactions)
                 self.mempool.drop_conflicting(state.utxo, not is_stake_model(self.params))
             return AppendResult(EXTENDED)
@@ -550,14 +562,15 @@ class ChainStore:
             height = self.blocks[h].header.height
             for t in self.blocks[h].transactions:
                 self._adopted_tx_heights[t.tx_id] = height
-        allow_locked = not is_stake_model(self.params)
-        utxo = self.tip_state().utxo
-        confirmed = {t.tx_id for b in adopted for t in b.transactions}
-        for b in adopted:
-            self.mempool.remove_confirmed(b.transactions)
-        orphaned_txs = [t for b in orphaned for t in b.transactions]
-        self.mempool.reinsert(orphaned_txs, utxo, confirmed, allow_locked)
-        self.mempool.drop_conflicting(utxo, allow_locked)
+        if self.mempool is not None:
+            allow_locked = not is_stake_model(self.params)
+            utxo = self.tip_state().utxo
+            confirmed = {t.tx_id for b in adopted for t in b.transactions}
+            for b in adopted:
+                self.mempool.remove_confirmed(b.transactions)
+            orphaned_txs = [t for b in orphaned for t in b.transactions]
+            self.mempool.reinsert(orphaned_txs, utxo, confirmed, allow_locked)
+            self.mempool.drop_conflicting(utxo, allow_locked)
         return AppendResult(REORGANIZED, orphaned=orphaned, adopted=adopted)
 
     # -- confirmation and checkpoints ----------------------------------------
@@ -654,6 +667,7 @@ def verify_blocks(params: ChainParams, blocks: Iterable[Block]) -> VerifyResult:
         store = ChainStore(params, genesis)
     except ValueError:
         return VerifyResult(False, 0, _genesis_state(genesis, params)[1].reason)
+    store.mempool = None
     for block in blocks:
         header = block.header
         v = store.append_block(block).validity
@@ -715,8 +729,9 @@ def load(path: str, params: ChainParams) -> LoadResult:
     A file ending mid-record loads its intact prefix and reports the
     truncation offset; a checksum or decode failure raises with the offset of
     the bad record.  Semantic problems (bad signatures, broken proofs) are
-    verify_chain's job, not load's.  The mempool starts empty, even when a
-    reorganization inside the file orphaned transactions.
+    verify_chain's job, not load's.  The replay keeps no pool, and the
+    returned store's mempool starts empty, even when a reorganization inside
+    the file orphaned transactions.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -761,6 +776,7 @@ def load(path: str, params: ChainParams) -> LoadResult:
         store = ChainStore(params, genesis=blocks[0])
     except ValueError as exc:
         raise ChainFileError(6, str(exc)) from None
+    store.mempool = None
     for block in blocks[1:]:
         store._install_raw(block)
     store.mempool = Mempool()

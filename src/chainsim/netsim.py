@@ -191,6 +191,7 @@ class SimNode:
         self.name = spec.name
         self.keypair = keypair
         self.address = derive_address(keypair.public_key)
+        self.addr = self.address.to_bytes()  # event-queue key
         self.role = spec.role
         self.params = params
         if spec.role == LIGHTWEIGHT:
@@ -204,6 +205,9 @@ class SimNode:
             self.headers = None
         self.relayed: set[bytes] = set()
         self.tx_relayed: set[bytes] = set()
+        # tx_id -> earliest tick at which a transaction push in flight to
+        # this node arrives while the node is online; dropped on delivery
+        self.tx_due: dict[bytes, int] = {}
         self.orphan_buffer: dict[bytes, list[tuple[Block, str]]] = {}
         self.pulled: set[bytes] = set()
         self.pending_txs: list[tuple[bytes, int]] = []  # (tx_id, submit tick)
@@ -294,6 +298,13 @@ class Simulation:
         self.order = [spec.name for spec in config.nodes]
         self.publishers = [n for n in self.order if self.nodes[n].role == PUBLISHING]
         self.full_nodes = [n for n in self.order if self.nodes[n].role != LIGHTWEIGHT]
+        self.stake_model = is_stake_model(self.params)
+        # without partitions every node reaches every other at every tick
+        self._all_peers = (
+            None
+            if config.topology.partitions
+            else {name: [other for other in self.order if other != name] for name in self.order}
+        )
 
         self.adversary = config.adversary
         self.adversary_node = self.nodes[config.adversary.node] if config.adversary else None
@@ -347,6 +358,11 @@ class Simulation:
         return max(1, lat)
 
     def peers_of(self, name: str, tick: int) -> list[str]:
+        """Nodes that name reaches at tick, in config order.  Without
+        partitions this is one list per node, shared by every call: callers
+        must not modify it."""
+        if self._all_peers is not None:
+            return self._all_peers[name]
         return [
             other
             for other in self.order
@@ -440,7 +456,7 @@ class Simulation:
         for spec in self.config.nodes:
             for start, _end in spec.online:
                 if 0 < start <= self.config.duration:
-                    addr = self.nodes[spec.name].address.to_bytes()
+                    addr = self.nodes[spec.name].addr
                     self._push(start, _RANK_BLOCK, addr, "rejoin", (spec.name,))
         for part in self.config.topology.partitions:
             if part.end <= self.config.duration:
@@ -461,7 +477,7 @@ class Simulation:
                     self._push(
                         self.now + delay,
                         _RANK_BLOCK,
-                        node.address.to_bytes(),
+                        node.addr,
                         "deliver_header",
                         (name, peer.store.blocks[bh].header),
                     )
@@ -469,7 +485,7 @@ class Simulation:
                 self._push(
                     self.now + delay,
                     _RANK_BLOCK,
-                    node.address.to_bytes(),
+                    node.addr,
                     "deliver_block",
                     (name, peer.store.tip, peer_name),
                 )
@@ -501,7 +517,7 @@ class Simulation:
         if rate <= 0:
             return
         wait = max(1, round(self._mine_streams[node.name].expovariate(1.0 / rate)))
-        self._push(tick + wait, _RANK_PRODUCE, node.address.to_bytes(), "find", (node.name, node.mine_gen))
+        self._push(tick + wait, _RANK_PRODUCE, node.addr, "find", (node.name, node.mine_gen))
 
     def _on_find(self, name: str, gen: int) -> None:
         node = self.nodes[name]
@@ -548,7 +564,7 @@ class Simulation:
         state = node.store.states[tip]
         stakes = (
             cons.stake_view(state.utxo, height, state.stake_resets)
-            if is_stake_model(self.params)
+            if self.stake_model
             else ()
         )
         expected = cons.expected_publisher(self.model, tip, height, stakes)
@@ -577,7 +593,7 @@ class Simulation:
                     self._push(
                         self.now + wait,
                         _RANK_PRODUCE,
-                        node.address.to_bytes(),
+                        node.addr,
                         "poet_fire",
                         (node.name, cert.draw_index, node.store.tip_hash),
                     )
@@ -598,7 +614,7 @@ class Simulation:
 
     def _mempool_selection(self, node: SimNode, parent: bytes, budget: int) -> list[Transaction]:
         state = node.store.states[parent]
-        txs = node.store.mempool.take(budget, state.utxo, not is_stake_model(self.params))
+        txs = node.store.mempool.take(budget, state.utxo, not self.stake_model)
         if (
             self.adversary
             and self.adversary.kind == CENSORSHIP
@@ -706,6 +722,17 @@ class Simulation:
     # -- gossip ---------------------------------------------------------------------
 
     def _gossip_block(self, node: SimNode, block: Block, extra_delay: int = 0) -> None:
+        """Flood a block (a header, to lightweight peers) to every reachable
+        peer, once per node.
+
+        Each peer costs one latency draw, whether or not its delivery is
+        pushed, so the gossip stream does not depend on what peers hold.  No
+        delivery is pushed to a full peer whose store already indexes the
+        block: a store never drops a block, so on arrival append_block would
+        return Duplicate and the delivery would do nothing.  A block waiting
+        in the peer's orphan buffer, or one the peer rejected, is not indexed
+        and is pushed as before.
+        """
         h = header_hash(block.header)
         if h in node.relayed:
             return
@@ -718,15 +745,15 @@ class Simulation:
                     self._push(
                         self.now + delay,
                         _RANK_BLOCK,
-                        peer.address.to_bytes(),
+                        peer.addr,
                         "deliver_header",
                         (peer_name, block.header),
                     )
-            else:
+            elif h not in peer.store.blocks:
                 self._push(
                     self.now + delay,
                     _RANK_BLOCK,
-                    peer.address.to_bytes(),
+                    peer.addr,
                     "deliver_block",
                     (peer_name, block, node.name),
                 )
@@ -782,7 +809,7 @@ class Simulation:
                 self._push(
                     self.now + delay,
                     _RANK_BLOCK,
-                    node.address.to_bytes(),
+                    node.addr,
                     "deliver_block",
                     (node.name, peer.store.blocks[bh], sender),
                 )
@@ -825,7 +852,7 @@ class Simulation:
                 self._push(
                     self.now + self._latency(),
                     _RANK_TX,
-                    self.nodes[peer_name].address.to_bytes(),
+                    self.nodes[peer_name].addr,
                     "deliver_tx",
                     (peer_name, tx, via),
                 )
@@ -833,22 +860,34 @@ class Simulation:
         self._deliver_tx_to(node, tx, via)
 
     def _deliver_tx_to(self, node: SimNode, tx: Transaction, sender: str) -> None:
+        """First arrival of a transaction at a full node: pool it and flood it
+        to every reachable full peer.
+
+        Each peer costs one latency draw, pushed or not.  No delivery is
+        pushed to a peer that has already relayed the transaction, nor to one
+        that an earlier push reaches, online, no later than this one would:
+        on a tie that push has the lower sequence number and runs first, so
+        this delivery would find the transaction relayed and do nothing.
+        """
         tx_id = tx.tx_id
         if tx_id in node.tx_relayed:
             return
         node.tx_relayed.add(tx_id)
-        node.store.mempool.add(tx, node.store.tip_state().utxo, not is_stake_model(self.params))
+        node.tx_due.pop(tx_id, None)
+        node.store.mempool.add(tx, node.store.tip_state().utxo, not self.stake_model)
         for peer_name in self.peers_of(node.name, self.now):
             peer = self.nodes[peer_name]
             if peer.role == LIGHTWEIGHT:
                 continue
-            self._push(
-                self.now + self._latency(),
-                _RANK_TX,
-                peer.address.to_bytes(),
-                "deliver_tx",
-                (peer_name, tx, node.name),
-            )
+            arrive = self.now + self._latency()
+            if tx_id in peer.tx_relayed:
+                continue
+            due = peer.tx_due.get(tx_id)
+            if due is not None and due <= arrive:
+                continue
+            if peer.online(arrive):
+                peer.tx_due[tx_id] = arrive
+            self._push(arrive, _RANK_TX, peer.addr, "deliver_tx", (peer_name, tx, node.name))
 
     def _on_deliver_tx(self, name: str, tx: Transaction, sender: str) -> None:
         node = self.nodes[name]

@@ -475,6 +475,10 @@ def _parse_consensus(c: _Checker, raw, nodes: list[NodeSpec], seed) -> object:
         if not authorities:
             c.fail("consensus.reputations", "needs at least one authority")
             return None
+        if not any(authorities.values()):
+            # poa_select weighs authorities by reputation: all 0, none is picked
+            c.fail("consensus.reputations", "needs at least one reputation above 0")
+            return None
         if r_max is None:
             return None
         params = cons.PoaParams(authorities=authorities, r_max=r_max)

@@ -38,7 +38,7 @@ from chainsim.chain import (
     verify_chain,
 )
 from chainsim.crypto import derive_address, keypair_generate, sha256
-from chainsim.ledger import build_transaction, make_coinbase
+from chainsim.ledger import Mempool, build_transaction, make_coinbase
 
 from test_acceptance import _signed_payment_chain
 
@@ -396,3 +396,33 @@ def test_second_genesis_record_fails_verification(tmp_path):
     assert header_hash(other.header) not in new.store.states
     assert verify_chain(new.store) == VerifyResult(False, 0, "PrevHash")
     assert reference_verify_blocks(params, (ref.store.blocks[h] for h in ref.store.order)).ok
+
+
+def test_replay_keeps_no_mempool(tmp_path, monkeypatch):
+    """load and verify_blocks replay reorganizations without putting orphaned
+    transactions back in a pool: nothing reads it, and load hands back an
+    empty one.  A store with a pool, fed the same blocks, does reinsert."""
+    calls = []
+    reinsert = Mempool.reinsert
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return reinsert(self, *args, **kwargs)
+
+    monkeypatch.setattr(Mempool, "reinsert", counted)
+    reorganizing = 0
+    for seed in range(60):
+        path = tmp_path / f"{seed}.dat"
+        path.write_bytes(random_chain_file(seed))
+        calls.clear()  # the generating store has a pool
+        loaded = _load_either(load, path)
+        if isinstance(loaded, ChainFileError):
+            continue
+        verify_chain(loaded.store)
+        assert calls == [] and len(loaded.store.mempool) == 0
+        store = loaded.store
+        live = ChainStore(PARAMS, store.blocks[store.genesis_hash], Mempool())
+        for h in store.order[1:]:
+            live.append_block(store.blocks[h])
+        reorganizing += bool(calls)
+    assert reorganizing >= 5

@@ -581,6 +581,19 @@ def test_sim_reputation_beyond_r_max_is_config_error(capsys, tmp_path):
     assert not (tmp_path / "r").exists()
 
 
+def test_sim_all_zero_reputations_is_config_error(capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    text = (REPO / "scenarios" / "poa.cfg").read_text()
+    for rep in ("a0: 50", "a1: 30", "a2: 20"):
+        text = text.replace(rep, rep.split(":")[0] + ": 0")
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "sim", bad, "--out", tmp_path / "r")
+    assert code == 4 and out == ""
+    assert "consensus.reputations: needs at least one reputation above 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_sim_missing_scenario_is_io_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sim", tmp_path / "ghost.cfg", "--out", tmp_path / "r")
     assert code == 3

@@ -202,11 +202,22 @@ def test_authority_and_coinage_bounds_name_their_key(consensus, error):
 def test_authority_and_coinage_values_at_their_bounds():
     raw = minimal(consensus={"model": "poa", "reputations": {"n0": 1}, "r_max": 1})
     assert parse_scenario(raw).chain.consensus.r_max == 1
-    raw = minimal(consensus={"model": "poa", "reputations": {"n0": 0}, "r_max": 1})
-    assert list(parse_scenario(raw).chain.consensus.authorities.values()) == [0]
+    raw = minimal(consensus={"model": "poa", "reputations": {"n0": 0, "n1": 1}, "r_max": 1})
+    raw["nodes"].append({"name": "n1", "role": "publishing"})
+    assert list(parse_scenario(raw).chain.consensus.authorities.values()) == [0, 1]
     raw = minimal(consensus={"model": "pos_coinage", "weight_cap": 1})
     raw["nodes"] = [{"name": "n0", "role": "publishing", "stake": 10}]
     assert parse_scenario(raw).chain.consensus.weight_cap == 1
+
+
+def test_poa_needs_a_reputation_above_zero():
+    """An authority is drawn with probability proportional to its
+    reputation, so with every reputation 0 no block is ever produced."""
+    raw = minimal(consensus={"model": "poa", "reputations": {"n0": 0, "n1": 0}})
+    raw["nodes"].append({"name": "n1", "role": "publishing"})
+    assert errors_of(raw) == ["consensus.reputations: needs at least one reputation above 0"]
+    raw["consensus"]["reputations"]["n1"] = 1
+    assert parse_scenario(raw).chain.consensus.r_max == 100
 
 
 def test_poet_inherits_scenario_seed():
