@@ -156,6 +156,8 @@ class ChainParams:
             raise ValueError("confirmation depth must be at least 1")
         if self.block_subsidy < 0:
             raise ValueError("subsidy must be non-negative")
+        if self.max_block_data_bytes < 1:
+            raise ValueError("block data limit must be at least 1")
 
 
 def make_genesis(params: ChainParams, extra_txs: tuple[Transaction, ...] = ()) -> Block:

@@ -36,6 +36,7 @@ from .ledger import (
     TxBuildError,
     TxKind,
     UtxoSet,
+    VALID,
     Validity,
     build_transaction,
     make_coinbase,
@@ -93,6 +94,18 @@ class ForkSchedule:
     activation_height: int
     adopters: tuple[str, ...]
     new_rule_version: int = 1
+
+
+def fork_rule(fork: ForkSchedule | None, node: str, height: int, limit: int) -> tuple[int, int]:
+    """The block-data limit and rule version that node applies at height,
+    given the chain's limit.  From activation on, a soft-fork adopter halves
+    the limit and a hard-fork adopter moves to the new version; every other
+    case keeps the full limit and version 0."""
+    if fork is None or node not in fork.adopters or height < fork.activation_height:
+        return limit, 0
+    if fork.kind == SOFT:
+        return limit // 2, 0
+    return limit, fork.new_rule_version
 
 
 @dataclass(frozen=True)
@@ -322,7 +335,9 @@ class Simulation:
             for name in self.publishers:
                 self.nodes[name].hash_rate = self.nodes[name].spec.hash_share * total_rate
 
-        self._apply_fork_policies()
+        if config.fork is not None:
+            for name in self.full_nodes:
+                self.nodes[name].store.policy = self._fork_policy(config.fork, name)
 
     # -- event plumbing -------------------------------------------------------
 
@@ -371,63 +386,22 @@ class Simulation:
 
     # -- fork schedules ---------------------------------------------------------
 
-    def _apply_fork_policies(self) -> None:
-        fork = self.config.fork
-        if fork is None:
-            return
-        for name in self.order:
-            node = self.nodes[name]
-            if node.store is None:
-                continue
-            adopter = name in fork.adopters
-            node.store.policy = self._fork_policy(fork, adopter)
-
-    def _fork_policy(self, fork: ForkSchedule, adopter: bool):
+    def _fork_policy(self, fork: ForkSchedule, name: str):
+        """Check a block against the rule name applies at its height: the size
+        only under a tightened limit, the version only under a hard fork."""
         base_limit = self.params.max_block_data_bytes
 
         def policy(block: Block) -> Validity:
-            height = block.header.height
-            version = block.header.rule_version
-            if fork.kind == SOFT:
-                if adopter and height >= fork.activation_height:
-                    if len(block.data_bytes()) > base_limit // 2:
-                        return Validity(False, "Oversize", "tightened rule")
-                return Validity(True)
-            # hard fork: adopters require the new version after activation,
-            # everyone else rejects versions they do not know
-            if adopter:
-                if height >= fork.activation_height and version != fork.new_rule_version:
-                    return Validity(False, "RuleVersion", "old version after activation")
-                if height < fork.activation_height and version != 0:
-                    return Validity(False, "RuleVersion", "new version before activation")
-            elif version != 0:
-                return Validity(False, "RuleVersion", f"unknown version {version}")
-            return Validity(True)
+            limit, version = fork_rule(fork, name, block.header.height, base_limit)
+            if limit < base_limit and len(block.data_bytes()) > limit:
+                return Validity(False, "Oversize", f"above the tightened limit {limit}")
+            if fork.kind == HARD and block.header.rule_version != version:
+                return Validity(
+                    False, "RuleVersion", f"version {block.header.rule_version}, expected {version}"
+                )
+            return VALID
 
         return policy
-
-    def _rule_version_for(self, node: SimNode, height: int) -> int:
-        fork = self.config.fork
-        if (
-            fork is not None
-            and fork.kind == HARD
-            and node.name in fork.adopters
-            and height >= fork.activation_height
-        ):
-            return fork.new_rule_version
-        return 0
-
-    def _size_budget(self, node: SimNode, height: int) -> int:
-        limit = self.params.max_block_data_bytes
-        fork = self.config.fork
-        if (
-            fork is not None
-            and fork.kind == SOFT
-            and node.name in fork.adopters
-            and height >= fork.activation_height
-        ):
-            limit //= 2
-        return limit
 
     # -- run --------------------------------------------------------------------
 
@@ -633,13 +607,15 @@ class Simulation:
         self, node: SimNode, parent: bytes, poet_cert: cons.PoetCertificate | None = None
     ) -> Block | None:
         height = node.store.blocks[parent].header.height + 1
-        budget = self._size_budget(node, height) - 160  # leave room for the coinbase
-        txs = self._mempool_selection(node, parent, budget)
+        limit, version = fork_rule(
+            self.config.fork, node.name, height, self.params.max_block_data_bytes
+        )
+        txs = self._mempool_selection(node, parent, limit - 160)  # room for the coinbase
         candidate = node.store.make_candidate(
             node.address,
             txs,
             timestamp=self.now,
-            rule_version=self._rule_version_for(node, height),
+            rule_version=version,
             parent_hash=parent,
         )
         state = node.store.states[parent]
@@ -957,22 +933,32 @@ class Simulation:
 
     # -- sampling --------------------------------------------------------------------
 
+    def _tips(self) -> dict[bytes, tuple[ChainStore, int]]:
+        """Each distinct adopted tip among full nodes, in first-seen order,
+        with a store that holds it and the number of nodes on it."""
+        tips: dict[bytes, tuple[ChainStore, int]] = {}
+        for name in self.full_nodes:
+            store = self.nodes[name].store
+            _, count = tips.get(store.tip_hash, (store, 0))
+            tips[store.tip_hash] = (store, count + 1)
+        return tips
+
     def chain_agreement(self) -> float:
         """Fraction of full-node pairs whose adopted tips are prefix-compatible
-        at the lower of the two heights."""
-        names = self.full_nodes
-        if len(names) < 2:
+        at the lower of the two heights.  Nodes on one tip agree; each pair of
+        distinct tips is compared once and counts for every node pair it
+        stands for."""
+        n = len(self.full_nodes)
+        if n < 2:
             return 1.0
-        agreeing = 0
-        total = 0
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                total += 1
-                sa, sb = self.nodes[a].store, self.nodes[b].store
+        groups = list(self._tips().values())
+        agreeing = sum(count * (count - 1) // 2 for _, count in groups)
+        for i, (sa, ca) in enumerate(groups):
+            for sb, cb in groups[i + 1 :]:
                 h = min(sa.tip_height, sb.tip_height)
                 if sa.ancestor_at(sa.tip_hash, h) == sb.ancestor_at(sb.tip_hash, h):
-                    agreeing += 1
-        return agreeing / total
+                    agreeing += ca * cb
+        return agreeing / (n * (n - 1) // 2)
 
     def _on_sample(self) -> None:
         self.metrics.agreement_series.append((self.now, self.chain_agreement()))
@@ -991,30 +977,15 @@ class Simulation:
         for name in self.full_nodes:
             self._check_confirmations(self.nodes[name])
         adopted_union: set[bytes] = set()
-        for name in self.full_nodes:
-            adopted_union.update(self.nodes[name].store.adopted_path())
+        for store, _ in self._tips().values():
+            adopted_union.update(store.adopted_path())
         self.metrics.orphan_count = sum(1 for h in self.produced if h not in adopted_union)
-        self.metrics.fork_split = self._fork_split()
+        # some pair of full nodes disagrees at the lower tip height
+        self.metrics.fork_split = self.chain_agreement() < 1.0
         tips = ",".join(
             f"{name}:{self.nodes[name].tip_hash().hex()[:12]}" for name in self.full_nodes
         )
         self._emit(f"t={self.config.duration} end tips={tips}")
-
-    def _fork_split(self) -> bool:
-        tips = {self.nodes[name].store.tip_hash for name in self.full_nodes}
-        if len(tips) < 2:
-            return False
-        # diverged if some pair's common prefix sits strictly below both tips
-        names = self.full_nodes
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                sa, sb = self.nodes[a].store, self.nodes[b].store
-                if sa.tip_hash == sb.tip_hash:
-                    continue
-                h = min(sa.tip_height, sb.tip_height)
-                if sa.ancestor_at(sa.tip_hash, h) != sb.ancestor_at(sb.tip_hash, h):
-                    return True
-        return False
 
 
 def _genesis_funds(config: SimConfig) -> list[tuple[NodeSpec, Address, int]]:

@@ -68,11 +68,9 @@ class _Checker:
     def fail(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
 
-    def require(self, mapping: dict, path: str, key: str, kind, default=None):
+    def require(self, mapping: dict, path: str, key: str, kind):
         name = f"{path}.{key}" if path else key
         if key not in mapping:
-            if default is not None:
-                return default
             self.fail(name, "required key is missing")
             return None
         return self.typed(mapping[key], name, kind)
@@ -93,7 +91,14 @@ class _Checker:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 self.fail(name, f"expected a number, got {value!r}")
                 return None
-            return float(value)
+            try:
+                number = float(value)
+            except OverflowError:  # an integer beyond the float range
+                number = math.inf
+            if not math.isfinite(number):
+                self.fail(name, f"expected a finite number, got {value!r}")
+                return None
+            return number
         if kind is str:
             if not isinstance(value, str):
                 self.fail(name, f"expected a string, got {value!r}")
@@ -203,7 +208,7 @@ def _parse_nodes(c: _Checker, raw) -> list[NodeSpec]:
         share = c.optional(item, path, "hash_share", float, 0.0)
         stake = c.optional(item, path, "stake", int, 0)
         balance = c.optional(item, path, "balance", int, 0)
-        if share is None or share < 0:
+        if share is not None and share < 0:
             c.fail(f"{path}.hash_share", "must be non-negative")
             share = 0.0
         if stake is not None and stake < 0:
@@ -515,10 +520,12 @@ def _parse_chain(c: _Checker, raw, consensus) -> ChainParams:
     depth = c.optional(raw, "chain", "confirmation_depth", int, 6)
     if subsidy is not None and subsidy < 0:
         c.fail("chain.block_subsidy", "must be non-negative")
+        subsidy = 50
     if max_bytes is not None and max_bytes < 256:
         c.fail("chain.max_block_data_bytes", "must be at least 256")
     if depth is not None and depth < 1:
         c.fail("chain.confirmation_depth", "must be at least 1")
+        depth = 6
     return ChainParams(
         consensus=consensus,
         block_subsidy=subsidy if subsidy is not None else 50,

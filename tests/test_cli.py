@@ -594,6 +594,26 @@ def test_sim_all_zero_reputations_is_config_error(capsys, tmp_path):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("old, new, error", [
+    ("{model: pow}", "{model: pow}\nchain: {confirmation_depth: -1}",
+     "chain.confirmation_depth: must be at least 1"),
+    ("{model: pow}", "{model: pow}\nchain: {block_subsidy: -1}",
+     "chain.block_subsidy: must be non-negative"),
+    ("hash_share: 1.0", "hash_share: .nan", "nodes[0].hash_share: expected a finite number, got nan"),
+    ("{model: pow}", "{model: poet, mean_wait: .inf}",
+     "consensus.mean_wait: expected a finite number, got inf"),
+], ids=["confirmation_depth", "block_subsidy", "hash_share", "mean_wait"])
+def test_sim_bad_number_is_config_error(capsys, tmp_path, old, new, error):
+    bad = tmp_path / "bad.cfg"
+    text = "seed: 1\nduration: 50\nnodes:\n  - {name: a, role: publishing, hash_share: 1.0}\nconsensus: {model: pow}\n"
+    bad.write_text(text.replace(old, new))
+    code, out, err = run_cli(capsys, "sim", bad, "--out", tmp_path / "r")
+    assert code == 4 and out == ""
+    assert error in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_sim_missing_scenario_is_io_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sim", tmp_path / "ghost.cfg", "--out", tmp_path / "r")
     assert code == 3

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,29 @@ def test_poet_mean_wait_must_be_positive(mean_wait):
     assert errs == ["consensus.mean_wait: must be positive"]
 
 
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        ({"consensus": {"model": "poet", "mean_wait": math.inf}},
+         "consensus.mean_wait: expected a finite number, got inf"),
+        ({"consensus": {"model": "poet", "mean_wait": -math.inf}},
+         "consensus.mean_wait: expected a finite number, got -inf"),
+        ({"consensus": {"model": "poet", "mean_wait": math.nan}},
+         "consensus.mean_wait: expected a finite number, got nan"),
+        ({"nodes": [{"name": "n0", "role": "publishing", "hash_share": math.nan}]},
+         "nodes[0].hash_share: expected a finite number, got nan"),
+        ({"nodes": [{"name": "n0", "role": "publishing", "hash_share": math.inf}]},
+         "nodes[0].hash_share: expected a finite number, got inf"),
+        ({"nodes": [{"name": "n0", "role": "publishing", "hash_share": 10**400}]},
+         f"nodes[0].hash_share: expected a finite number, got {10**400}"),
+    ],
+    ids=["mean_wait-inf", "mean_wait-minus-inf", "mean_wait-nan",
+         "hash_share-nan", "hash_share-inf", "hash_share-beyond-float"],
+)
+def test_non_finite_numbers_rejected(overrides, error):
+    assert error in errors_of(minimal(**overrides))
+
+
 def test_partition_validation():
     raw = minimal(
         topology={
@@ -305,6 +329,12 @@ def test_chain_bounds():
     errs = errors_of(minimal(chain={"max_block_data_bytes": 100, "confirmation_depth": 0}))
     assert "chain.max_block_data_bytes: must be at least 256" in errs
     assert "chain.confirmation_depth: must be at least 1" in errs
+    # reported, not passed on to ChainParams, which raises for them
+    errs = errors_of(minimal(chain={"confirmation_depth": -1, "block_subsidy": -1}))
+    assert errs == [
+        "chain.block_subsidy: must be non-negative",
+        "chain.confirmation_depth: must be at least 1",
+    ]
 
 
 def test_top_level_must_be_mapping(tmp_path):
