@@ -212,15 +212,27 @@ def cmd_puzzle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _params_int(mapping: dict, name: str, default: int, minimum: int) -> int:
-    """The value of name's last dotted part in mapping: an integer (not a
-    bool) of at least minimum, or default when absent."""
-    value = mapping.get(name.rpartition(".")[2])
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise CliError(EXIT_CONFIG, f"{name}: expected an integer of at least {minimum}")
-    return value
+def _params_ints(mapping: dict, prefix: str, bounds: dict) -> dict:
+    """The keys of bounds that mapping gives, each an integer (not a bool)
+    within its (minimum, maximum); a key left out keeps its dataclass
+    default.  A maximum of None means no maximum."""
+    values = {}
+    for key, (minimum, maximum) in bounds.items():
+        value = mapping.get(key)
+        if value is None:
+            continue
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, int)
+            or value < minimum
+            or maximum is not None and value > maximum
+        ):
+            limit = "" if maximum is None else f" and at most {maximum}"
+            raise CliError(
+                EXIT_CONFIG, f"{prefix}{key}: expected an integer of at least {minimum}{limit}"
+            )
+        values[key] = value
+    return values
 
 
 def _parse_params_file(path: str) -> ChainParams:
@@ -241,7 +253,7 @@ def _parse_params_file(path: str) -> ChainParams:
             addr = Address.from_hex(str(pair[0]))
         except ValueError as exc:
             raise CliError(EXIT_CONFIG, f"allocation[{i}]: {exc}")
-        if not isinstance(pair[1], int) or pair[1] <= 0:
+        if isinstance(pair[1], bool) or not isinstance(pair[1], int) or pair[1] <= 0:
             raise CliError(EXIT_CONFIG, f"allocation[{i}]: amount must be a positive integer")
         allocation.append((addr, pair[1]))
     if sum(amount for _, amount in allocation) > MAX_SUPPLY:
@@ -256,15 +268,18 @@ def _parse_params_file(path: str) -> ChainParams:
             raise CliError(EXIT_CONFIG, "pow.target_bits: expected an integer in [8, 255]")
         consensus = cons.PowParams(
             target=1 << bits,
-            retarget_interval=_params_int(pow_raw, "pow.retarget_interval", 16, 1),
-            target_spacing=_params_int(pow_raw, "pow.target_spacing", 10, 1),
+            **_params_ints(
+                pow_raw, "pow.", {"retarget_interval": (1, None), "target_spacing": (1, None)}
+            ),
         )
     return ChainParams(
-        confirmation_depth=_params_int(raw, "confirmation_depth", 6, 1),
-        block_subsidy=_params_int(raw, "block_subsidy", 50, 0),
-        max_block_data_bytes=_params_int(raw, "max_block_data_bytes", 65536, 1),
         genesis_allocation=tuple(allocation),
         consensus=consensus,
+        **_params_ints(raw, "", {
+            "confirmation_depth": (1, None),
+            "block_subsidy": (0, MAX_SUPPLY),
+            "max_block_data_bytes": (1, None),
+        }),
     )
 
 

@@ -95,7 +95,7 @@ class PoaParams:
 @dataclass(frozen=True)
 class PoetParams:
     publishers: tuple[Address, ...]
-    mean_wait: int = 10
+    mean_wait: float = 10.0
     seed: int = 0  # stands in for the trusted hardware's attestation key
 
     def __post_init__(self):

@@ -2,7 +2,9 @@
 
 Every error is reported with the key path that caused it, and all errors in a
 file are collected before raising, so a bad config surfaces its full damage in
-one pass.
+one pass.  Each section's keys are read from one table that gives every key's
+type and bounds; a key left out takes the default of the config dataclass
+field it fills.  The config objects are built only from a file with no errors.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import yaml
 from . import consensus as cons
 from .chain import ChainParams
 from .crypto import derive_address
+from .ledger import MAX_SUPPLY
 from .netsim import (
     FULL,
     LIGHTWEIGHT,
@@ -36,29 +39,130 @@ from .netsim import (
 ROLES = (FULL, PUBLISHING, LIGHTWEIGHT)
 FORK_KINDS = (SOFT, HARD)
 ADVERSARY_KINDS = (MAJORITY_REORG, WITHHOLDING, CENSORSHIP)
-MODELS = ("pow", "pos_chain", "pos_coinage", "round_robin", "poa", "poet")
 MAX_SEED = 2**64 - 1  # seeds are packed as unsigned 64-bit integers
-
-_TOP_KEYS = {
-    "seed",
-    "duration",
-    "production_stop",
-    "block_interval",
-    "agreement_interval",
-    "chain",
-    "consensus",
-    "nodes",
-    "topology",
-    "fork",
-    "adversary",
-    "workload",
-}
+MAX_TICK = 2**64 - 1  # block timestamps are packed as unsigned 64-bit integers
+MAX_RULE_VERSION = 2**16 - 1  # block headers pack the rule version in 16 bits
 
 
 class ScenarioError(Exception):
     def __init__(self, errors: list[str]):
         self.errors = errors
         super().__init__("; ".join(errors))
+
+
+# ---------------------------------------------------------------------------
+# Key tables
+# ---------------------------------------------------------------------------
+
+# A bound is a test on a well-typed value and the error when the test fails.
+POSITIVE = (lambda v: v > 0, "must be positive")
+NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+
+
+def at_least(low):
+    return (lambda v: v >= low, f"must be at least {low}")
+
+
+def at_most(high):
+    return (lambda v: v <= high, f"must be at most {high}")
+
+
+def between(low, high):
+    return (lambda v: low <= v <= high, f"must be between {low} and {high}")
+
+
+def one_of(choices):
+    return (lambda v: v in choices, f"must be one of {choices}")
+
+
+class Key:
+    """One scenario key: its type, the bounds its value must meet (checked in
+    order, the first failure reported), whether the file must give it, and a
+    default where the scenario's differs from the config dataclass field's."""
+
+    __slots__ = ("kind", "bounds", "required", "default")
+
+    def __init__(self, kind, *bounds, required=False, default=None):
+        self.kind, self.bounds, self.required, self.default = kind, bounds, required, default
+
+
+TOP = {
+    "seed": Key(int, between(0, MAX_SEED), required=True),
+    "duration": Key(int, POSITIVE, at_most(MAX_TICK), required=True),
+    "production_stop": Key(int),
+    "block_interval": Key(int, POSITIVE),
+    "agreement_interval": Key(int, POSITIVE),
+    "nodes": Key(list, (len, "at least one node is required"), required=True),
+    "topology": Key(dict),
+    "fork": Key(dict),
+    "adversary": Key(dict),
+    "workload": Key(dict),
+    "consensus": Key(dict, required=True),
+    "chain": Key(dict),
+}
+NODE = {
+    "name": Key(str, required=True),
+    "role": Key(str, one_of(ROLES)),
+    "hash_share": Key(float, NON_NEGATIVE, at_most(1)),
+    "stake": Key(int, NON_NEGATIVE),
+    "balance": Key(int, NON_NEGATIVE),
+    "online": Key(list),
+}
+TOPOLOGY = {
+    "latency": Key(int, at_least(1)),
+    "jitter": Key(int, NON_NEGATIVE),
+    "partitions": Key(list),
+}
+PARTITION = {
+    "start": Key(int, required=True),
+    "end": Key(int, required=True),
+    "groups": Key(list, required=True),
+}
+FORK = {
+    "kind": Key(str, one_of(FORK_KINDS), required=True),
+    "activation_height": Key(int, at_least(1), required=True),
+    "adopters": Key(list, required=True),
+    "new_rule_version": Key(int, between(0, MAX_RULE_VERSION)),
+}
+ADVERSARY = {
+    "kind": Key(str, one_of(ADVERSARY_KINDS), required=True),
+    "node": Key(str, required=True),
+    "secret_depth": Key(int, NON_NEGATIVE),
+    "delay_ticks": Key(int, NON_NEGATIVE),
+    "victim": Key(str),
+}
+WORKLOAD = {
+    "tx_interval": Key(int, NON_NEGATIVE),
+    "tx_amount": Key(int, POSITIVE),
+    "tx_fee": Key(int, NON_NEGATIVE),
+    "submit_via": Key(str),
+}
+CHAIN = {
+    "block_subsidy": Key(int, NON_NEGATIVE, at_most(MAX_SUPPLY)),
+    "max_block_data_bytes": Key(int, at_least(256)),
+    "confirmation_depth": Key(int, at_least(1)),
+}
+CONSENSUS = {
+    "pow": {
+        "target_bits": Key(int, between(8, 255), default=250),
+        "retarget_interval": Key(int, at_least(1)),
+        "target_spacing": Key(int, at_least(1)),
+    },
+    "pos_chain": {},
+    "pos_coinage": {
+        "age_threshold": Key(int, default=1),
+        "weight_cap": Key(int, at_least(1)),
+    },
+    "round_robin": {},
+    "poa": {"reputations": Key(dict, required=True), "r_max": Key(int, at_least(1))},
+    "poet": {"mean_wait": Key(float, POSITIVE, at_most(MAX_TICK))},
+}
+MODELS = tuple(CONSENSUS)
+MODEL = {"model": Key(str, one_of(MODELS), required=True)}
+
+_KIND_NAMES = {
+    int: "an integer", float: "a number", str: "a string", dict: "a mapping", list: "a list"
+}
 
 
 class _Checker:
@@ -68,53 +172,60 @@ class _Checker:
     def fail(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
 
-    def require(self, mapping: dict, path: str, key: str, kind):
-        name = f"{path}.{key}" if path else key
-        if key not in mapping:
-            self.fail(name, "required key is missing")
-            return None
-        return self.typed(mapping[key], name, kind)
-
-    def optional(self, mapping: dict, path: str, key: str, kind, default):
-        name = f"{path}.{key}" if path else key
-        if key not in mapping or mapping[key] is None:
-            return default
-        return self.typed(mapping[key], name, kind)
-
     def typed(self, value, name: str, kind):
-        if kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                self.fail(name, f"expected an integer, got {value!r}")
-                return None
+        """value if it has kind (a number is returned as a float), else None
+        after reporting it.  A bool is not a number."""
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            self.fail(name, f"expected {_KIND_NAMES[kind]}, got {value!r}")
+            return None
+        if kind is not float:
             return value
-        if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                self.fail(name, f"expected a number, got {value!r}")
-                return None
-            try:
-                number = float(value)
-            except OverflowError:  # an integer beyond the float range
-                number = math.inf
-            if not math.isfinite(number):
-                self.fail(name, f"expected a finite number, got {value!r}")
-                return None
-            return number
-        if kind is str:
-            if not isinstance(value, str):
-                self.fail(name, f"expected a string, got {value!r}")
-                return None
-            return value
-        if kind is dict:
-            if not isinstance(value, dict):
-                self.fail(name, f"expected a mapping, got {value!r}")
-                return None
-            return value
-        if kind is list:
-            if not isinstance(value, list):
-                self.fail(name, f"expected a list, got {value!r}")
-                return None
-            return value
-        raise AssertionError(kind)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            self.fail(name, f"expected a finite number, got {value!r}")
+            return None
+        return number
+
+    def read(self, raw: dict, path: str, table: dict, unknown: str | None = "unknown key") -> dict:
+        """The values in raw that have their table key's type and bounds,
+        plus the table's defaults for keys left out (a null counts as left
+        out).  Reports each key missing from the table (with the unknown
+        message, unless it is None), missing though required, of the wrong
+        type, or out of bounds; such a key is left out of the result."""
+        prefix = f"{path}." if path else ""
+        if unknown is not None:
+            for key in raw:
+                if key not in table:
+                    self.fail(f"{prefix}{key}", unknown)
+        values = {}
+        for key, spec in table.items():
+            name = prefix + key
+            value = raw.get(key)
+            if value is None:
+                if spec.required:
+                    self.fail(name, "required key is missing")
+                elif spec.default is not None:
+                    values[key] = spec.default
+                continue
+            value = self.typed(value, name, spec.kind)
+            if value is None:
+                continue
+            for ok, message in spec.bounds:
+                if not ok(value):
+                    self.fail(name, message)
+                    break
+            else:
+                values[key] = value
+        return values
+
+
+# ---------------------------------------------------------------------------
+# Parsing
+# ---------------------------------------------------------------------------
 
 
 def load_scenario(path: str, seed: int | None = None) -> SimConfig:
@@ -132,59 +243,33 @@ def load_scenario(path: str, seed: int | None = None) -> SimConfig:
 
 def parse_scenario(raw: dict) -> SimConfig:
     c = _Checker()
-    for key in raw:
-        if key not in _TOP_KEYS:
-            c.fail(key, "unknown key")
-
-    seed = c.require(raw, "", "seed", int)
-    if seed is not None and not 0 <= seed <= MAX_SEED:
-        c.fail("seed", f"must be between 0 and {MAX_SEED}")
-        seed = None
-    duration = c.require(raw, "", "duration", int)
-    if duration is not None and duration <= 0:
-        c.fail("duration", "must be positive")
-    production_stop = c.optional(raw, "", "production_stop", int, None)
-    block_interval = c.optional(raw, "", "block_interval", int, 10)
-    agreement_interval = c.optional(raw, "", "agreement_interval", int, 10)
-    if block_interval is not None and block_interval <= 0:
-        c.fail("block_interval", "must be positive")
-    if agreement_interval is not None and agreement_interval <= 0:
-        c.fail("agreement_interval", "must be positive")
-
-    nodes = _parse_nodes(c, raw.get("nodes"))
+    top = c.read(raw, "", TOP)
+    nodes = _parse_nodes(c, top.pop("nodes", []))
     names = [spec.name for spec in nodes]
-    topology = _parse_topology(c, raw.get("topology"), names, duration)
-    fork = _parse_fork(c, raw.get("fork"), names)
-    adversary = _parse_adversary(c, raw.get("adversary"), names)
-    workload = _parse_workload(c, raw.get("workload"), names)
-    consensus = _parse_consensus(c, raw.get("consensus"), nodes, seed)
-    chain = _parse_chain(c, raw.get("chain"), consensus)
+    topology = _parse_topology(c, top.pop("topology", {}), names)
+    fork = _parse_fork(c, top.pop("fork", None), names)
+    adversary = _parse_adversary(c, top.pop("adversary", None), names)
+    workload = _parse_workload(c, top.pop("workload", {}), names)
+    consensus = _parse_consensus(c, top.pop("consensus", None), nodes)
+    chain = c.read(top.pop("chain", {}), "chain", CHAIN)
 
     if c.errors:
         raise ScenarioError(c.errors)
+    nodes = tuple(nodes)
     return SimConfig(
-        seed=seed,
-        duration=duration,
-        nodes=tuple(nodes),
-        chain=chain,
-        topology=topology,
-        fork=fork,
-        adversary=adversary,
-        workload=workload,
-        block_interval=block_interval,
-        production_stop=production_stop,
-        agreement_interval=agreement_interval,
+        nodes=nodes,
+        chain=ChainParams(consensus=_consensus_params(consensus, nodes, top["seed"]), **chain),
+        topology=TopologySpec(**topology),
+        fork=None if fork is None else ForkSchedule(**fork),
+        adversary=None if adversary is None else AdversarySpec(**adversary),
+        workload=WorkloadSpec(**workload),
+        **top,
     )
 
 
-def _parse_nodes(c: _Checker, raw) -> list[NodeSpec]:
-    if raw is None:
-        c.fail("nodes", "required key is missing")
-        return []
-    raw = c.typed(raw, "nodes", list)
-    if not raw:
-        c.fail("nodes", "at least one node is required")
-        return []
+def _parse_nodes(c: _Checker, raw: list) -> list[NodeSpec]:
+    """Each node with a valid name, its fields the node's valid values, for
+    the rules across keys to read."""
     specs: list[NodeSpec] = []
     seen: set[str] = set()
     for i, item in enumerate(raw):
@@ -192,50 +277,22 @@ def _parse_nodes(c: _Checker, raw) -> list[NodeSpec]:
         item = c.typed(item, path, dict)
         if item is None:
             continue
-        for key in item:
-            if key not in {"name", "role", "hash_share", "stake", "balance", "online"}:
-                c.fail(f"{path}.{key}", "unknown key")
-        name = c.require(item, path, "name", str)
-        if name is None:
+        values = c.read(item, path, NODE)
+        if "name" not in values:
             continue
-        if name in seen:
-            c.fail(f"{path}.name", f"duplicate node name {name!r}")
-        seen.add(name)
-        role = c.optional(item, path, "role", str, FULL)
-        if role not in ROLES:
-            c.fail(f"{path}.role", f"must be one of {ROLES}")
-            role = FULL
-        share = c.optional(item, path, "hash_share", float, 0.0)
-        stake = c.optional(item, path, "stake", int, 0)
-        balance = c.optional(item, path, "balance", int, 0)
-        if share is not None and share < 0:
-            c.fail(f"{path}.hash_share", "must be non-negative")
-            share = 0.0
-        if stake is not None and stake < 0:
-            c.fail(f"{path}.stake", "must be non-negative")
-        if balance is not None and balance < 0:
-            c.fail(f"{path}.balance", "must be non-negative")
-        online = _parse_intervals(c, item.get("online"), f"{path}.online")
-        specs.append(
-            NodeSpec(
-                name=name,
-                role=role,
-                hash_share=share or 0.0,
-                stake=stake or 0,
-                balance=balance or 0,
-                online=online,
-            )
-        )
+        if values["name"] in seen:
+            c.fail(f"{path}.name", f"duplicate node name {values['name']!r}")
+        seen.add(values["name"])
+        values["online"] = _parse_intervals(c, values.get("online", []), f"{path}.online")
+        specs.append(NodeSpec(**values))
+    total = sum(spec.balance + spec.stake for spec in specs)
+    if total > MAX_SUPPLY:
+        c.fail("nodes", f"balance plus stake totals {total}, above the maximum supply {MAX_SUPPLY}")
     return specs
 
 
-def _parse_intervals(c: _Checker, raw, path: str) -> tuple[tuple[int, int], ...]:
-    if raw is None:
-        return ()
-    raw = c.typed(raw, path, list)
-    if raw is None:
-        return ()
-    out = []
+def _parse_intervals(c: _Checker, raw: list, path: str) -> tuple[tuple[int, int], ...]:
+    out: list[tuple[int, int]] = []
     for i, pair in enumerate(raw):
         if (
             not isinstance(pair, list)
@@ -244,44 +301,39 @@ def _parse_intervals(c: _Checker, raw, path: str) -> tuple[tuple[int, int], ...]
         ):
             c.fail(f"{path}[{i}]", "expected [start, end] integers")
             continue
-        if pair[0] >= pair[1]:
+        start, end = pair
+        if start >= end:
             c.fail(f"{path}[{i}]", "start must be below end")
             continue
-        out.append((pair[0], pair[1]))
+        for j in _overlapping(start, end, out):
+            c.fail(f"{path}[{i}]", f"overlaps {path}[{j}]")
+        out.append((start, end))
     return tuple(out)
 
 
-def _parse_topology(c: _Checker, raw, names: list[str], duration) -> TopologySpec:
-    if raw is None:
-        return TopologySpec()
-    raw = c.typed(raw, "topology", dict)
-    if raw is None:
-        return TopologySpec()
-    for key in raw:
-        if key not in {"latency", "jitter", "partitions"}:
-            c.fail(f"topology.{key}", "unknown key")
-    latency = c.optional(raw, "topology", "latency", int, 1)
-    jitter = c.optional(raw, "topology", "jitter", int, 0)
-    if latency is not None and latency < 1:
-        c.fail("topology.latency", "must be at least 1")
-    if jitter is not None and jitter < 0:
-        c.fail("topology.jitter", "must be non-negative")
-    partitions: list[tuple[int, PartitionSpec]] = []
-    for i, item in enumerate(c.optional(raw, "topology", "partitions", list, []) or []):
+def _overlapping(start: int, end: int, intervals) -> list[int]:
+    """The indexes of the [start, end) intervals that share a tick with
+    [start, end); two that only touch share none."""
+    return [i for i, (low, high) in enumerate(intervals) if start < high and low < end]
+
+
+def _parse_topology(c: _Checker, raw: dict, names: list[str]) -> dict:
+    values = c.read(raw, "topology", TOPOLOGY)
+    partitions: list[PartitionSpec] = []
+    for i, item in enumerate(values.get("partitions", [])):
         path = f"topology.partitions[{i}]"
         item = c.typed(item, path, dict)
         if item is None:
             continue
-        start = c.require(item, path, "start", int)
-        end = c.require(item, path, "end", int)
-        groups_raw = c.require(item, path, "groups", list)
-        if None in (start, end, groups_raw):
+        part = c.read(item, path, PARTITION)
+        if len(part) < len(PARTITION):  # a required key failed
             continue
+        start, end = part["start"], part["end"]
         if start >= end:
             c.fail(path, "start must be below end")
         groups = []
         group_of: dict[str, int] = {}
-        for gi, group in enumerate(groups_raw):
+        for gi, group in enumerate(part["groups"]):
             gpath = f"{path}.groups[{gi}]"
             group = c.typed(group, gpath, list)
             if group is None:
@@ -292,243 +344,111 @@ def _parse_topology(c: _Checker, raw, names: list[str], duration) -> TopologySpe
                 elif group_of.setdefault(member, gi) != gi:
                     c.fail(gpath, f"node {member!r} is already in groups[{group_of[member]}]")
             groups.append(tuple(group))
-        for pi, other in partitions:
-            if start < other.end and other.start < end:
-                c.fail(path, f"overlaps topology.partitions[{pi}]")
-        partitions.append((i, PartitionSpec(start=start, end=end, groups=tuple(groups))))
-    return TopologySpec(
-        latency=latency or 1, jitter=jitter or 0, partitions=tuple(spec for _, spec in partitions)
-    )
+        for pi in _overlapping(start, end, [(other.start, other.end) for other in partitions]):
+            c.fail(path, f"overlaps topology.partitions[{pi}]")
+        partitions.append(PartitionSpec(start=start, end=end, groups=tuple(groups)))
+    if "partitions" in values:
+        values["partitions"] = tuple(partitions)
+    return values
 
 
-def _parse_fork(c: _Checker, raw, names: list[str]) -> ForkSchedule | None:
+def _parse_fork(c: _Checker, raw: dict | None, names: list[str]) -> dict | None:
     if raw is None:
         return None
-    raw = c.typed(raw, "fork", dict)
-    if raw is None:
-        return None
-    for key in raw:
-        if key not in {"kind", "activation_height", "adopters", "new_rule_version"}:
-            c.fail(f"fork.{key}", "unknown key")
-    kind = c.require(raw, "fork", "kind", str)
-    if kind is not None and kind not in FORK_KINDS:
-        c.fail("fork.kind", f"must be one of {FORK_KINDS}")
-    height = c.require(raw, "fork", "activation_height", int)
-    if height is not None and height < 1:
-        c.fail("fork.activation_height", "must be at least 1")
-    adopters = c.require(raw, "fork", "adopters", list)
-    version = c.optional(raw, "fork", "new_rule_version", int, 1)
-    if adopters is None:
-        return None
-    for name in adopters:
+    values = c.read(raw, "fork", FORK)
+    for name in values.get("adopters", []):
         if name not in names:
             c.fail("fork.adopters", f"unknown node {name!r}")
-    return ForkSchedule(
-        kind=kind or SOFT,
-        activation_height=height or 1,
-        adopters=tuple(adopters),
-        new_rule_version=version if version is not None else 1,
-    )
+    if "adopters" in values:
+        values["adopters"] = tuple(values["adopters"])
+    return values
 
 
-def _parse_adversary(c: _Checker, raw, names: list[str]) -> AdversarySpec | None:
+def _parse_adversary(c: _Checker, raw: dict | None, names: list[str]) -> dict | None:
     if raw is None:
         return None
-    raw = c.typed(raw, "adversary", dict)
-    if raw is None:
-        return None
-    for key in raw:
-        if key not in {"kind", "node", "secret_depth", "delay_ticks", "victim"}:
-            c.fail(f"adversary.{key}", "unknown key")
-    kind = c.require(raw, "adversary", "kind", str)
-    if kind is not None and kind not in ADVERSARY_KINDS:
-        c.fail("adversary.kind", f"must be one of {ADVERSARY_KINDS}")
-    node = c.require(raw, "adversary", "node", str)
-    if node is not None and node not in names:
-        c.fail("adversary.node", f"unknown node {node!r}")
-    depth = c.optional(raw, "adversary", "secret_depth", int, 3)
-    delay = c.optional(raw, "adversary", "delay_ticks", int, 0)
-    victim = c.optional(raw, "adversary", "victim", str, "")
-    if kind == CENSORSHIP and not victim:
+    values = c.read(raw, "adversary", ADVERSARY)
+    if "node" in values and values["node"] not in names:
+        c.fail("adversary.node", f"unknown node {values['node']!r}")
+    victim = values.get("victim")
+    if values.get("kind") == CENSORSHIP and not victim:
         c.fail("adversary.victim", "censorship needs a victim node")
     if victim and victim not in names:
         c.fail("adversary.victim", f"unknown node {victim!r}")
-    return AdversarySpec(
-        kind=kind or WITHHOLDING,
-        node=node or "",
-        secret_depth=depth if depth is not None else 3,
-        delay_ticks=delay or 0,
-        victim=victim or "",
-    )
+    return values
 
 
-def _parse_workload(c: _Checker, raw, names: list[str]) -> WorkloadSpec:
-    if raw is None:
-        return WorkloadSpec()
-    raw = c.typed(raw, "workload", dict)
-    if raw is None:
-        return WorkloadSpec()
-    for key in raw:
-        if key not in {"tx_interval", "tx_amount", "tx_fee", "submit_via"}:
-            c.fail(f"workload.{key}", "unknown key")
-    interval = c.optional(raw, "workload", "tx_interval", int, 0)
-    amount = c.optional(raw, "workload", "tx_amount", int, 5)
-    fee = c.optional(raw, "workload", "tx_fee", int, 1)
-    via = c.optional(raw, "workload", "submit_via", str, "")
-    if interval is not None and interval < 0:
-        c.fail("workload.tx_interval", "must be non-negative")
-    if amount is not None and amount <= 0:
-        c.fail("workload.tx_amount", "must be positive")
-    if fee is not None and fee < 0:
-        c.fail("workload.tx_fee", "must be non-negative")
+def _parse_workload(c: _Checker, raw: dict, names: list[str]) -> dict:
+    values = c.read(raw, "workload", WORKLOAD)
+    via = values.get("submit_via")
     if via and via not in names:
         c.fail("workload.submit_via", f"unknown node {via!r}")
-    return WorkloadSpec(
-        tx_interval=interval or 0,
-        tx_amount=amount or 5,
-        tx_fee=fee if fee is not None else 1,
-        submit_via=via or "",
-    )
+    if values.get("tx_interval") and len(names) < 2:
+        # a payment goes from one node to another
+        c.fail("workload.tx_interval", "payments need at least two nodes")
+    return values
 
 
-def _parse_consensus(c: _Checker, raw, nodes: list[NodeSpec], seed) -> object:
-    if raw is None:
-        c.fail("consensus", "required key is missing")
-        return None
-    raw = c.typed(raw, "consensus", dict)
+def _parse_consensus(c: _Checker, raw: dict | None, nodes: list[NodeSpec]) -> dict | None:
     if raw is None:
         return None
-    model = c.require(raw, "consensus", "model", str)
+    model = c.read(raw, "consensus", MODEL, unknown=None).get("model")
     if model is None:
         return None
-    if model not in MODELS:
-        c.fail("consensus.model", f"must be one of {MODELS}")
-        return None
-
+    table = {**MODEL, **CONSENSUS[model]}
+    values = c.read(raw, "consensus", table, unknown=f"unknown key for model {model!r}")
     publishers = [spec for spec in nodes if spec.role == PUBLISHING]
-    pub_addrs = {
-        spec.name: derive_address(node_keypair(seed or 0, spec.name).public_key)
-        for spec in publishers
-    }
-
-    known = {"model"}
-    params: object = None
     if model == "pow":
-        known |= {"target_bits", "retarget_interval", "target_spacing"}
-        bits = c.optional(raw, "consensus", "target_bits", int, 250)
-        interval = c.optional(raw, "consensus", "retarget_interval", int, 16)
-        spacing = c.optional(raw, "consensus", "target_spacing", int, 10)
-        if bits is not None and not 8 <= bits <= 255:
-            c.fail("consensus.target_bits", "must be between 8 and 255")
-            bits = 250
-        for key, value in (("retarget_interval", interval), ("target_spacing", spacing)):
-            if value is not None and value < 1:
-                c.fail(f"consensus.{key}", "must be at least 1")
         total = math.fsum(spec.hash_share for spec in publishers)
         if publishers and abs(total - 1.0) > 1e-9:
             c.fail("nodes", f"publishing hash_share values must sum to 1, got {total}")
-        params = cons.PowParams(
-            target=1 << (bits or 250),
-            retarget_interval=interval if interval is not None else 16,
-            target_spacing=spacing if spacing is not None else 10,
-            simulated=True,
-        )
     elif model in ("pos_chain", "pos_coinage"):
-        staked = [spec for spec in nodes if spec.stake > 0]
-        if not staked:
+        if not any(spec.stake > 0 for spec in nodes):
             c.fail("nodes", f"{model} needs at least one node with stake")
-        if model == "pos_chain":
-            params = cons.PosChainParams()
-        else:
-            known |= {"age_threshold", "weight_cap"}
-            threshold = c.optional(raw, "consensus", "age_threshold", int, 1)
-            cap = c.optional(raw, "consensus", "weight_cap", int, cons.PosCoinAgeParams().weight_cap)
-            if cap is not None and cap < 1:
-                c.fail("consensus.weight_cap", "must be at least 1")
-            params = cons.PosCoinAgeParams(
-                age_threshold=threshold if threshold is not None else 1,
-                weight_cap=cap if cap is not None else cons.PosCoinAgeParams().weight_cap,
-            )
-    elif model == "round_robin":
+    elif model in ("round_robin", "poet"):
         if not publishers:
-            c.fail("nodes", "round_robin needs publishing nodes")
-            return None
-        params = cons.RoundRobinParams(
-            publishers=tuple(pub_addrs[spec.name] for spec in publishers)
-        )
-    elif model == "poa":
-        known |= {"reputations", "r_max"}
-        reps = c.require(raw, "consensus", "reputations", dict)
-        r_max = c.optional(raw, "consensus", "r_max", int, 100)
-        if r_max is not None and r_max < 1:
-            c.fail("consensus.r_max", "must be at least 1")
-            r_max = None
-        if reps is None:
-            return None
-        authorities = {}
-        for name, rep in reps.items():
-            if name not in pub_addrs:
-                c.fail(f"consensus.reputations.{name}", "not a publishing node")
-                continue
-            rep = c.typed(rep, f"consensus.reputations.{name}", int)
-            if rep is None:
-                continue
-            if r_max is not None and not 0 <= rep <= r_max:
-                c.fail(f"consensus.reputations.{name}", f"must be between 0 and {r_max}")
-                continue
-            authorities[pub_addrs[name]] = rep
-        if not authorities:
+            c.fail("nodes", f"{model} needs publishing nodes")
+    elif "reputations" in values:
+        names = [spec.name for spec in publishers]
+        in_range, out_of_range = between(0, values.get("r_max", cons.PoaParams.r_max))
+        reputations = {}
+        for name, rep in values["reputations"].items():
+            path = f"consensus.reputations.{name}"
+            if name not in names:
+                c.fail(path, "not a publishing node")
+            elif c.typed(rep, path, int) is None:
+                pass
+            elif in_range(rep):
+                reputations[name] = rep
+            else:
+                c.fail(path, out_of_range)
+        if not reputations:
             c.fail("consensus.reputations", "needs at least one authority")
-            return None
-        if not any(authorities.values()):
+        elif not any(reputations.values()):
             # poa_select weighs authorities by reputation: all 0, none is picked
             c.fail("consensus.reputations", "needs at least one reputation above 0")
-            return None
-        if r_max is None:
-            return None
-        params = cons.PoaParams(authorities=authorities, r_max=r_max)
-    elif model == "poet":
-        known |= {"mean_wait"}
-        mean_wait = c.optional(raw, "consensus", "mean_wait", float, 10.0)
-        if mean_wait is not None and mean_wait <= 0:
-            c.fail("consensus.mean_wait", "must be positive")
-        if not publishers:
-            c.fail("nodes", "poet needs publishing nodes")
-            return None
-        params = cons.PoetParams(
-            publishers=tuple(pub_addrs[spec.name] for spec in publishers),
-            mean_wait=mean_wait if mean_wait is not None else 10.0,
-            seed=seed or 0,
-        )
-
-    for key in raw:
-        if key not in known:
-            c.fail(f"consensus.{key}", f"unknown key for model {model!r}")
-    return params
+        values["reputations"] = reputations
+    return values
 
 
-def _parse_chain(c: _Checker, raw, consensus) -> ChainParams:
-    raw = raw if raw is not None else {}
-    raw = c.typed(raw, "chain", dict)
-    if raw is None:
-        raw = {}
-    for key in raw:
-        if key not in {"block_subsidy", "max_block_data_bytes", "confirmation_depth"}:
-            c.fail(f"chain.{key}", "unknown key")
-    subsidy = c.optional(raw, "chain", "block_subsidy", int, 50)
-    max_bytes = c.optional(raw, "chain", "max_block_data_bytes", int, 65536)
-    depth = c.optional(raw, "chain", "confirmation_depth", int, 6)
-    if subsidy is not None and subsidy < 0:
-        c.fail("chain.block_subsidy", "must be non-negative")
-        subsidy = 50
-    if max_bytes is not None and max_bytes < 256:
-        c.fail("chain.max_block_data_bytes", "must be at least 256")
-    if depth is not None and depth < 1:
-        c.fail("chain.confirmation_depth", "must be at least 1")
-        depth = 6
-    return ChainParams(
-        consensus=consensus,
-        block_subsidy=subsidy if subsidy is not None else 50,
-        max_block_data_bytes=max_bytes or 65536,
-        confirmation_depth=depth or 6,
-    )
+def _consensus_params(values: dict, nodes: tuple[NodeSpec, ...], seed: int):
+    """The consensus params of a section with no errors.  Publishers are
+    named by the addresses of their keys, which derive from the seed."""
+    model = values.pop("model")
+    if model == "pow":
+        return cons.PowParams(target=1 << values.pop("target_bits"), simulated=True, **values)
+    if model == "pos_chain":
+        return cons.PosChainParams()
+    if model == "pos_coinage":
+        return cons.PosCoinAgeParams(**values)
+    address = {
+        spec.name: derive_address(node_keypair(seed, spec.name).public_key)
+        for spec in nodes
+        if spec.role == PUBLISHING
+    }
+    if model == "poa":
+        authorities = {address[name]: rep for name, rep in values.pop("reputations").items()}
+        return cons.PoaParams(authorities=authorities, **values)
+    if model == "round_robin":
+        return cons.RoundRobinParams(publishers=tuple(address.values()))
+    return cons.PoetParams(publishers=tuple(address.values()), seed=seed, **values)

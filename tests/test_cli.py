@@ -318,6 +318,17 @@ def test_chain_init_rejects_allocation_beyond_maximum_supply(capsys, tmp_path, d
     assert not data_dir.exists()
 
 
+def test_chain_init_rejects_boolean_allocation(capsys, tmp_path, data_dir):
+    """YAML's true is a Python int; it was allocated as an amount of 1."""
+    address = keygen(capsys, tmp_path / "keys", "k")
+    path = tmp_path / "params.yaml"
+    path.write_text(f"allocation:\n  - [{address}, true]\n")
+    code, out, err = run_cli(capsys, "--data-dir", data_dir, "chain", "init", "--params", path)
+    assert (code, out) == (4, "")
+    assert err == "error: allocation[0]: amount must be a positive integer\n"
+    assert not data_dir.exists()
+
+
 def test_unknown_flag_maps_to_config_error(capsys):
     code, _, _ = run_cli(capsys, "chain", "--bogus")
     assert code == 4
@@ -612,6 +623,54 @@ def test_sim_bad_number_is_config_error(capsys, tmp_path, old, new, error):
     assert error in err
     assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
+
+
+ONE_NODE = "seed: 1\nduration: 200\nnodes:\n  - {name: a, role: publishing, hash_share: 1.0}\nconsensus: {model: pow}\n"
+
+
+@pytest.mark.parametrize("extra, error", [
+    ("chain: {max_block_data_bytes: -1}", "chain.max_block_data_bytes: must be at least 256"),
+    ("fork: {kind: hard, activation_height: 2, adopters: [a], new_rule_version: 70000}",
+     "fork.new_rule_version: must be between 0 and 65535"),
+    ("nodes:\n  - {name: a, role: publishing, hash_share: 1.0, balance: 4611686018427387904}\n"
+     "  - {name: b, balance: 5}",
+     "nodes: balance plus stake totals 4611686018427387909, above the maximum supply 4611686018427387904"),
+    ("workload: {tx_interval: 5}", "workload.tx_interval: payments need at least two nodes"),
+    ("adversary: {kind: withholding, node: a, delay_ticks: -30}",
+     "adversary.delay_ticks: must be non-negative"),
+    (f"chain: {{block_subsidy: {2**64}}}", "chain.block_subsidy: must be at most 4611686018427387904"),
+    (f"chain: {{block_subsidy: {2**63}}}", "chain.block_subsidy: must be at most 4611686018427387904"),
+    ("nodes:\n  - {name: a, role: publishing, hash_share: 1.0, online: [[0, 150], [50, 200]]}",
+     "nodes[0].online[1]: overlaps nodes[0].online[0]"),
+], ids=["block-data-limit", "rule-version", "supply", "lone-payer", "past-delivery",
+        "subsidy-2**64", "subsidy-2**63", "online-overlap"])
+def test_sim_value_that_crashed_a_run_is_config_error(capsys, tmp_path, extra, error):
+    """Each of these parsed (or, for the block data limit, crashed the
+    parser) and then ended the run with a traceback."""
+    bad = tmp_path / "bad.cfg"
+    text = ONE_NODE
+    if extra.startswith("nodes:"):
+        text = text[: text.index("nodes:")] + text[text.index("consensus:"):]
+    bad.write_text(text + extra + "\n")
+    code, out, err = run_cli(capsys, "sim", bad, "--out", tmp_path / "r")
+    assert code == 4 and out == ""
+    assert error in err.splitlines()
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_chain_init_rejects_subsidy_beyond_maximum_supply(capsys, tmp_path, data_dir):
+    address = keygen(capsys, tmp_path / "keys", "k")
+    path = tmp_path / "params.yaml"
+    for subsidy in (2**62 + 1, 2**64):
+        path.write_text(_params_text(address, {"block_subsidy": str(subsidy)}))
+        code, out, err = run_cli(capsys, "--data-dir", data_dir, "chain", "init", "--params", path)
+        assert (code, out) == (4, "")
+        assert err == f"error: block_subsidy: expected an integer of at least 0 and at most {2**62}\n"
+        assert not data_dir.exists()
+    path.write_text(_params_text(address, {"block_subsidy": str(2**62)}))
+    code, _, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "init", "--params", path)
+    assert code == 0
 
 
 def test_sim_missing_scenario_is_io_error(capsys, tmp_path):

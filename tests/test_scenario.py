@@ -1,7 +1,10 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chainsim.consensus import (
     PoaParams,
@@ -11,11 +14,13 @@ from chainsim.consensus import (
     PowParams,
     RoundRobinParams,
 )
+from chainsim import scenario
 from chainsim.crypto import derive_address
-from chainsim.netsim import node_keypair
+from chainsim.netsim import PUBLISHING, node_keypair, run_scenario
 from chainsim.scenario import ScenarioError, load_scenario, parse_scenario
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+REPO = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = REPO / "scenarios"
 
 
 def minimal(**overrides) -> dict:
@@ -343,3 +348,217 @@ def test_top_level_must_be_mapping(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(str(path))
     assert err.value.errors == ["top level: expected a mapping"]
+
+
+PAIR = [{"name": n, "role": "publishing", "hash_share": 0.5} for n in ("n0", "n1")]
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        ({"fork": {"kind": "hard", "activation_height": 2, "adopters": ["n0"], "new_rule_version": 65536}},
+         "fork.new_rule_version: must be between 0 and 65535"),
+        ({"fork": {"kind": "hard", "activation_height": 2, "adopters": ["n0"], "new_rule_version": -1}},
+         "fork.new_rule_version: must be between 0 and 65535"),
+        ({"chain": {"block_subsidy": 2**62 + 1}},
+         "chain.block_subsidy: must be at most 4611686018427387904"),
+        ({"adversary": {"kind": "withholding", "node": "n0", "delay_ticks": -30}},
+         "adversary.delay_ticks: must be non-negative"),
+        ({"adversary": {"kind": "majority_reorg", "node": "n0", "secret_depth": -1}},
+         "adversary.secret_depth: must be non-negative"),
+        ({"nodes": [{"name": "n0", "role": "publishing", "hash_share": 0.5, "balance": 2**62},
+                    {"name": "n1", "role": "publishing", "hash_share": 0.5, "stake": 1}]},
+         "nodes: balance plus stake totals 4611686018427387905,"
+         " above the maximum supply 4611686018427387904"),
+        ({"workload": {"tx_interval": 5}}, "workload.tx_interval: payments need at least two nodes"),
+        ({"nodes": [{"name": "n0", "role": "publishing", "hash_share": 1.0,
+                     "online": [[0, 150], [50, 200], [10, 20]]}]},
+         "nodes[0].online[1]: overlaps nodes[0].online[0]"),
+        ({"duration": 2**64}, "duration: must be at most 18446744073709551615"),
+        ({"consensus": {"model": "poet", "mean_wait": 1e308}},
+         "consensus.mean_wait: must be at most 18446744073709551615"),
+        ({"nodes": [{"name": "n0", "role": "publishing", "hash_share": 1.5}]},
+         "nodes[0].hash_share: must be at most 1"),
+    ],
+    ids=["rule-version-above", "rule-version-below", "subsidy", "delay", "secret-depth",
+         "supply", "lone-payer", "online-overlap", "duration", "mean-wait", "hash-share"],
+)
+def test_values_that_crash_a_run_are_rejected(overrides, error):
+    """Each value parsed before but crashed the run (struct.error on a header
+    field, ValueError from make_genesis, an empty randrange, a delivery in the
+    past, an infinite wait) or counted an up-interval twice."""
+    assert error in errors_of(minimal(**overrides))
+
+
+def test_values_at_the_new_bounds_are_accepted():
+    fork = {"kind": "hard", "activation_height": 2, "adopters": ["n0"], "new_rule_version": 65535}
+    assert parse_scenario(minimal(fork=fork)).fork.new_rule_version == 65535
+    fork["new_rule_version"] = 0
+    assert parse_scenario(minimal(fork=fork)).fork.new_rule_version == 0
+    assert parse_scenario(minimal(chain={"block_subsidy": 2**62})).chain.block_subsidy == 2**62
+    adversary = {"kind": "majority_reorg", "node": "n0", "secret_depth": 0, "delay_ticks": 0}
+    config = parse_scenario(minimal(adversary=adversary))
+    assert (config.adversary.secret_depth, config.adversary.delay_ticks) == (0, 0)
+    nodes = [dict(PAIR[0], balance=2**61), dict(PAIR[1], balance=2**61 - 5, stake=5)]
+    assert parse_scenario(minimal(nodes=nodes)).nodes[1].stake == 5
+    config = parse_scenario(minimal(nodes=PAIR, workload={"tx_interval": 5}))
+    assert config.workload.tx_interval == 5
+    nodes = [{"name": "n0", "role": "publishing", "hash_share": 1.0, "online": [[0, 50], [50, 100]]}]
+    assert parse_scenario(minimal(nodes=nodes)).nodes[0].online == ((0, 50), (50, 100))
+    assert parse_scenario(minimal(duration=2**64 - 1)).duration == 2**64 - 1
+
+
+def _readme_keys() -> set[str]:
+    text = (REPO / "README.md").read_text()
+    section = text.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    return {key + model for key, model in re.findall(r"^\| `([^`]+)`( \(\w+\))?", section, re.M)}
+
+
+def test_readme_table_lists_every_key():
+    tables = {
+        "": scenario.TOP,
+        "nodes[].": scenario.NODE,
+        "topology.": scenario.TOPOLOGY,
+        "topology.partitions[].": scenario.PARTITION,
+        "fork.": scenario.FORK,
+        "adversary.": scenario.ADVERSARY,
+        "workload.": scenario.WORKLOAD,
+        "chain.": scenario.CHAIN,
+        "consensus.": scenario.MODEL,
+        **{f"consensus.({model})": table for model, table in scenario.CONSENSUS.items()},
+    }
+    keys = set()
+    for prefix, table in tables.items():
+        model = re.fullmatch(r"consensus\.\((\w+)\)", prefix)
+        keys |= {f"consensus.{key} ({model.group(1)})" if model else prefix + key for key in table}
+    readme = _readme_keys()
+    assert keys - readme == set()
+    assert readme - keys == set()
+
+
+# -- hardening --------------------------------------------------------------------------
+
+ALL_KEYS = sorted({key for table in (scenario.TOP, scenario.NODE, scenario.TOPOLOGY, scenario.PARTITION,
+                                     scenario.FORK, scenario.ADVERSARY, scenario.WORKLOAD, scenario.CHAIN,
+                                     scenario.MODEL, *scenario.CONSENSUS.values())
+                   for key in table})
+LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+          | st.sampled_from(["n0", "n1", *scenario.MODELS, *scenario.ROLES, *scenario.FORK_KINDS,
+                             *scenario.ADVERSARY_KINDS]))
+NESTED = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(ALL_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.dictionaries(st.sampled_from(ALL_KEYS) | st.text(max_size=3), NESTED, max_size=8))
+def test_arbitrary_input_raises_only_scenario_error(raw):
+    try:
+        parse_scenario(raw)
+    except ScenarioError:
+        pass
+
+
+NAMES = ("n0", "n1", "n2", "n3")
+EDGES = (-1, 0, 1, 2, 8, 255, 256, 2**16 - 1, 2**16, 2**62, 2**62 + 1, 2**64)
+FLOAT_EDGES = (-1.0, 0.0, 1e-300, 1.5, 2.0**64, 2.0**65, 1e308)
+
+
+def mostly(valid, edges):
+    """A draw from valid nine times in ten, else one of edges."""
+    return st.sampled_from([False] * 9 + [True]).flatmap(
+        lambda edge: st.sampled_from(edges) if edge else valid
+    )
+
+
+INTS = mostly(st.integers(1, 40), EDGES)
+AMOUNTS = mostly(st.integers(0, 100), (2**61, 2**62, 2**62 + 1))
+FLOATS = mostly(st.sampled_from([0.5, 1.0, 10.0]), FLOAT_EDGES)
+# disjoint [start, end) pairs, cut from sorted distinct ticks
+INTERVALS = st.lists(st.integers(-5, 160), unique=True, max_size=6).map(
+    lambda cuts: [list(pair) for pair in zip(sorted(cuts)[::2], sorted(cuts)[1::2])]
+)
+
+
+@st.composite
+def small_scenarios(draw):
+    """Scenarios of at most 4 nodes and 150 ticks, every section and key in
+    play, each value mostly valid and otherwise at or past a bound."""
+
+    def maybe(mapping: dict, key: str, values) -> None:
+        if draw(st.booleans()):
+            mapping[key] = draw(values)
+
+    names = NAMES[: draw(st.integers(1, 4))]
+    some_name = st.sampled_from(names)
+    nodes = []
+    for name in names:
+        node = {"name": name, "role": draw(st.sampled_from(scenario.ROLES + (PUBLISHING,)))}
+        maybe(node, "stake", AMOUNTS)
+        maybe(node, "balance", AMOUNTS)
+        maybe(node, "online", INTERVALS)
+        nodes.append(node)
+    publishers = [node for node in nodes if node["role"] == PUBLISHING]
+    for node in publishers:
+        node["hash_share"] = draw(mostly(st.just(1 / len(publishers)), FLOAT_EDGES))
+    model = draw(st.sampled_from(scenario.MODELS))
+    consensus = {"model": model}
+    for key, spec in scenario.CONSENSUS[model].items():
+        if key == "reputations":
+            consensus[key] = {node["name"]: draw(INTS) for node in publishers}
+        else:
+            maybe(consensus, key, FLOATS if spec.kind is float else INTS)
+    raw = {"seed": draw(INTS), "duration": draw(st.integers(1, 150)), "nodes": nodes,
+           "consensus": consensus}
+    for key in ("production_stop", "block_interval", "agreement_interval"):
+        maybe(raw, key, INTS)
+    if draw(st.booleans()):
+        topology = raw["topology"] = {}
+        maybe(topology, "latency", INTS)
+        maybe(topology, "jitter", INTS)
+        # partitions over disjoint intervals, each splitting the nodes in two
+        # at a drawn index, with a node sometimes left out of both groups
+        cut = st.integers(0, len(names))
+        groups = st.tuples(cut, cut).map(lambda ab: [list(names[: min(ab)]), list(names[max(ab):])])
+        partition = st.tuples(INTERVALS, st.lists(groups, min_size=3, max_size=3)).map(
+            lambda pair: [{"start": start, "end": end, "groups": split}
+                          for (start, end), split in zip(pair[0], pair[1])]
+        )
+        maybe(topology, "partitions", partition)
+    if draw(st.booleans()):
+        fork = raw["fork"] = {"kind": draw(st.sampled_from(scenario.FORK_KINDS)),
+                              "activation_height": draw(INTS),
+                              "adopters": draw(st.lists(some_name, unique=True))}
+        maybe(fork, "new_rule_version", INTS)
+    if draw(st.booleans()):
+        adversary = raw["adversary"] = {"kind": draw(st.sampled_from(scenario.ADVERSARY_KINDS)),
+                                        "node": draw(some_name)}
+        maybe(adversary, "secret_depth", INTS)
+        maybe(adversary, "delay_ticks", INTS)
+        maybe(adversary, "victim", some_name)
+    if draw(st.booleans()):
+        workload = raw["workload"] = {}
+        for key in ("tx_interval", "tx_amount", "tx_fee"):
+            maybe(workload, key, INTS)
+        maybe(workload, "submit_via", some_name)
+    if draw(st.booleans()):
+        chain = raw["chain"] = {}
+        maybe(chain, "block_subsidy", INTS)
+        maybe(chain, "max_block_data_bytes", st.integers(200, 5000))
+        maybe(chain, "confirmation_depth", INTS)
+    return raw
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_scenarios())
+def test_every_accepted_scenario_runs(raw):
+    try:
+        config = parse_scenario(raw)
+    except ScenarioError:
+        return
+    run_scenario(config)
