@@ -298,7 +298,7 @@ def validate_and_apply(
     """Full block validation in fixed rule order, returning the post-state.
 
     header_at(height) resolves ancestors on the block's own branch (needed for
-    the retarget window).
+    the retarget window of branch_pow_params).
     """
     from . import consensus
 
@@ -317,14 +317,7 @@ def validate_and_apply(
     if len(data) > params.max_block_data_bytes:
         return None, _invalid("Oversize", f"{len(data)} > {params.max_block_data_bytes}")
 
-    pow_params = parent_state.pow_params
-    if isinstance(params.consensus, consensus.PowParams):
-        if header.height % params.consensus.retarget_interval == 0:
-            window = _retarget_window(header.height, params.consensus.retarget_interval, header_at)
-            if window:
-                pow_params = replace(
-                    pow_params, target=consensus.pow_retarget(window, pow_params)
-                )
+    pow_params = branch_pow_params(params, parent_state, header.height, header_at)
     stakes = (
         consensus.stake_view(parent_state.utxo, header.height, parent_state.stake_resets)
         if is_stake_model(params)
@@ -360,14 +353,27 @@ def validate_and_apply(
     return state, VALID
 
 
-def _retarget_window(
-    height: int, interval: int, header_at: Callable[[int], BlockHeader | None]
-) -> list[BlockHeader]:
-    # one extra header below the interval when available, so the window spans
-    # exactly `interval` inter-block gaps
-    lo = max(0, height - interval - 1)
-    window = [header_at(h) for h in range(lo, height)]
-    return [h for h in window if h is not None]
+def branch_pow_params(
+    params: ChainParams,
+    parent_state: ChainState,
+    height: int,
+    header_at: Callable[[int], BlockHeader | None],
+):
+    """The PowParams whose target a block at ``height`` must meet on the
+    branch of ``parent_state`` (None outside proof of work): validation and
+    every miner call this.  Each retarget_interval-th height retargets from
+    the last retarget_interval gaps between the headers below it, which
+    header_at resolves on the branch."""
+    from . import consensus
+
+    pow_params = parent_state.pow_params
+    model = params.consensus
+    if isinstance(model, consensus.PowParams) and height % model.retarget_interval == 0:
+        lo = max(0, height - model.retarget_interval - 1)
+        window = [h for h in map(header_at, range(lo, height)) if h is not None]
+        if window:
+            pow_params = replace(pow_params, target=consensus.pow_retarget(window, pow_params))
+    return pow_params
 
 
 def _apply_stake_resets(
@@ -444,7 +450,6 @@ class ChainStore:
         self.genesis_hash = header_hash(genesis.header)
         self.blocks: dict[bytes, Block] = {self.genesis_hash: genesis}
         self.states: dict[bytes, ChainState] = {self.genesis_hash: state}
-        self.order: list[bytes] = [self.genesis_hash]
         self.tip_hash = self.genesis_hash
         self.checkpoints: dict[int, bytes] = {}
         self._adopted_tx_heights: dict[bytes, int] = {
@@ -495,7 +500,7 @@ class ChainStore:
                 return None
             h = block.header.prev_header_hash
 
-    def _branch_header_at(self, parent_hash: bytes) -> Callable[[int], BlockHeader | None]:
+    def branch_header_at(self, parent_hash: bytes) -> Callable[[int], BlockHeader | None]:
         def header_at(height: int) -> BlockHeader | None:
             h = self.ancestor_at(parent_hash, height)
             return self.blocks[h].header if h is not None else None
@@ -527,14 +532,13 @@ class ChainStore:
         if parent_state is None:
             return AppendResult(REJECTED, _invalid("UnknownParentState"))
         state, v = validate_and_apply(
-            block, parent.header, parent_state, self.params, self._branch_header_at(parent_hash)
+            block, parent.header, parent_state, self.params, self.branch_header_at(parent_hash)
         )
         if not v:
             return AppendResult(REJECTED, v)
 
         self.blocks[h] = block
         self.states[h] = state
-        self.order.append(h)
 
         if block.header.height <= self.tip_height:
             return AppendResult(NEW_SIDE_BRANCH)
@@ -604,7 +608,6 @@ class ChainStore:
         if result.status == REJECTED and result.reason != "Duplicate":
             h = header_hash(block.header)
             self.blocks[h] = block
-            self.order.append(h)
 
     # -- candidate assembly ---------------------------------------------------
 
@@ -680,7 +683,7 @@ def verify_blocks(params: ChainParams, blocks: Iterable[Block]) -> VerifyResult:
                 parent_hash = header.prev_header_hash
                 v = validate_and_apply(
                     block, store.blocks[parent_hash].header, store.states[parent_hash],
-                    params, store._branch_header_at(parent_hash),
+                    params, store.branch_header_at(parent_hash),
                 )[1]
         if not v:
             if v.reason == "UnknownParent" or header.height == 0:
@@ -691,7 +694,7 @@ def verify_blocks(params: ChainParams, blocks: Iterable[Block]) -> VerifyResult:
 
 def verify_chain(store: ChainStore) -> VerifyResult:
     """Re-verify every stored block in insertion order, ignoring cached state."""
-    return verify_blocks(store.params, (store.blocks[h] for h in store.order))
+    return verify_blocks(store.params, store.blocks.values())
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +720,8 @@ def persist(store: ChainStore, path: str) -> None:
     with open(tmp, "wb") as fh:
         fh.write(CHAIN_MAGIC)
         fh.write(struct.pack(">H", CHAIN_FORMAT_VERSION))
-        for h in store.order:
-            record = store.blocks[h].serialize()
+        for block in store.blocks.values():
+            record = block.serialize()
             fh.write(struct.pack(">I", len(record)))
             fh.write(record)
             fh.write(sha256(record)[:4])

@@ -24,6 +24,7 @@ from .chain import (
     ChainFileError,
     ChainParams,
     ChainStore,
+    branch_pow_params,
     header_hash,
     load,
     make_genesis,
@@ -237,7 +238,7 @@ def _params_ints(mapping: dict, prefix: str, bounds: dict) -> dict:
 
 def _parse_params_file(path: str) -> ChainParams:
     try:
-        with open(path, "r") as fh:
+        with open(path, "rb") as fh:  # yaml decodes, and reports bytes that are not text
             raw = yaml.safe_load(fh) or {}
     except FileNotFoundError:
         raise CliError(EXIT_IO, f"params file not found: {path}")
@@ -357,6 +358,8 @@ def cmd_asm(args) -> int:
             text = fh.read()
     except FileNotFoundError:
         raise CliError(EXIT_IO, f"assembly file not found: {args.source}")
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_CONFIG, f"assembly file: {exc}")
     try:
         code = contracts.assemble(text)
     except contracts.AsmError as exc:
@@ -391,20 +394,19 @@ def _funding(store: ChainStore, address: Address, needed: int):
     return outpoint, utxo
 
 
-def _append_local_block(args, store: ChainStore, txs) -> Block:
-    """Mine or stamp one block on the local chain and persist it."""
-    keypair = _pick_key(args, _load_records(args))
-    publisher = derive_address(keypair.public_key)
+def _append_local_block(args, store: ChainStore, txs, keypair) -> Block:
+    """Mine or stamp one block on the tip of the local chain, published by
+    keypair's address, and persist it."""
     candidate = store.make_candidate(
-        publisher, list(txs), timestamp=store.tip.header.timestamp + 1
+        derive_address(keypair.public_key), list(txs), timestamp=store.tip.header.timestamp + 1
     )
-    params = store.params.consensus
-    if params is None:
-        block = candidate
-    else:
-        state = store.tip_state()
-        target = state.pow_params.target if state.pow_params else None
-        block = cons.attach_proof(candidate, params, keypair=keypair, target=target)
+    block = candidate
+    if store.params.consensus is not None:  # literal PoW, the one model a params file sets
+        pow_params = branch_pow_params(
+            store.params, store.tip_state(), candidate.header.height,
+            store.branch_header_at(store.tip_hash),
+        )
+        block = cons.attach_proof(candidate, pow_params)
         if block is None:
             raise CliError(EXIT_VERIFY, "failed to produce a consensus proof")
     result = store.append_block(block)
@@ -438,7 +440,7 @@ def cmd_deploy(args) -> int:
         raise CliError(EXIT_CONFIG, f"cannot build deploy transaction: {exc}")
     deploy_index = store.tip_state().deploy_counts.get(sender.to_bytes(), 0)
     contract = contracts.derive_contract_address(sender, deploy_index)
-    _append_local_block(args, store, [tx])
+    _append_local_block(args, store, [tx], keypair)
     print(f"contract={contract.hex()} height={store.tip_height}")
     return EXIT_OK
 
@@ -475,7 +477,7 @@ def cmd_call(args) -> int:
     result = contracts.registry_call(
         preview, tuple(words), args.fee * contracts.GAS_PER_FEE_UNIT
     )
-    _append_local_block(args, store, [tx])
+    _append_local_block(args, store, [tx], keypair)
     out = ",".join(str(w) for w in result.output)
     print(f"status={result.status} output={out} gas_used={result.gas_used}")
     return EXIT_OK

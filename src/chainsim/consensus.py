@@ -375,18 +375,17 @@ def attach_proof(
     block: Block,
     params: object,
     keypair: KeyPair | None = None,
-    target: int | None = None,
     poet_cert: PoetCertificate | None = None,
-    nonce_end: int = 2**32,
 ) -> Block | None:
     """Complete a candidate block with its consensus proof.
 
-    Literal PoW mines the nonce; every other model signs the zero-tag header
-    bytes (PoET additionally embeds its certificate).
+    Literal PoW mines the nonce against ``params.target``, which a caller
+    takes from chain.branch_pow_params; every other model signs the zero-tag
+    header bytes (PoET additionally embeds its certificate).
     """
     header = block.header
     if isinstance(params, PowParams) and not params.simulated:
-        mined = pow_mine(replace(header, consensus_tag=b""), target or params.target, 0, nonce_end)
+        mined = pow_mine(replace(header, consensus_tag=b""), params.target)
         if mined is None:
             return None
         return Block(mined, block.transactions)

@@ -76,21 +76,26 @@ def _scan_chunk(args):
     return _scan(*args)
 
 
+# nonces per chunk; a puzzle answered in the first chunk starts no worker
+PUZZLE_CHUNK = 1 << 20
+
+
 def solve_string_puzzle(
     prefix: str,
     difficulty: int,
     start_nonce: int = 0,
     end_nonce: int | None = None,
-    workers: int | None = 1,
 ) -> PuzzleSolution | None:
     """Scan nonces ascending until sha256(prefix + str(nonce)) has at least
     ``difficulty`` leading zero hex digits.
 
     The nonce is rendered as unpadded base-10 ASCII appended to ``prefix``.
-    Returns None when ``end_nonce`` is exhausted.  ``workers`` > 1 shards the
-    range into ordered chunks across processes; the result is always the
-    lowest solving nonce in the scanned range, so sharding never changes the
-    answer.
+    Returns None when ``end_nonce`` is exhausted.  The first PUZZLE_CHUNK
+    nonces are scanned in this process.  Only when they hold no answer is the
+    rest of the range cut into ordered chunks of that size and scanned by a
+    pool of one worker process per CPU.  Chunk results are read in order and
+    the pool is stopped at the first hit, so the answer is always the lowest
+    solving nonce in the range, and no worker outlives the call.
     """
     if not 0 <= difficulty <= 64:
         raise ValueError("difficulty must be in [0, 64]")
@@ -98,23 +103,16 @@ def solve_string_puzzle(
         raise ValueError("start_nonce must be non-negative")
     prefix_bytes = prefix.encode()
     stop = end_nonce if end_nonce is not None else (1 << 63)
-    if workers is None:
-        workers = os.cpu_count() or 1
-
-    if workers <= 1 or (end_nonce is not None and stop - start_nonce < 200_000):
-        found = _scan(prefix_bytes, difficulty, start_nonce, stop)
-    else:
-        found = None
-        chunk = 1 << 20
-        starts = range(start_nonce, stop, chunk)
-        tasks = ((prefix_bytes, difficulty, s, min(s + chunk, stop)) for s in starts)
-        with multiprocessing.Pool(workers) as pool:
-            for result in pool.imap(_scan_chunk, tasks):
-                if result is not None:
-                    found = result
-                    pool.terminate()
-                    break
-
+    first_stop = min(start_nonce + PUZZLE_CHUNK, stop)
+    found = _scan(prefix_bytes, difficulty, start_nonce, first_stop)
+    if found is None and first_stop < stop:
+        tasks = (
+            (prefix_bytes, difficulty, s, min(s + PUZZLE_CHUNK, stop))
+            for s in range(first_stop, stop, PUZZLE_CHUNK)
+        )
+        # spawned, not forked: the caller may have threads; terminated on exit
+        with multiprocessing.get_context("spawn").Pool(os.cpu_count()) as pool:
+            found = next((r for r in pool.imap(_scan_chunk, tasks) if r is not None), None)
     if found is None:
         return None
     nonce, digest = found
@@ -324,24 +322,32 @@ def load_keystore(path) -> list[KeystoreRecord]:
         raw = fh.read()
     if not raw or raw[0] != KEYSTORE_FORMAT_VERSION:
         raise KeystoreError("unsupported key store format")
-    (count,) = struct.unpack_from(">I", raw, 1)
-    offset = 5
+    offset = 1
     records = []
     try:
+        (count,) = struct.unpack_from(">I", raw, offset)
+        offset += 4
         for _ in range(count):
             (n,) = struct.unpack_from(">I", raw, offset)
             offset += 4
             seed = raw[offset : offset + n]
             if len(seed) != n:
                 raise KeystoreError(f"truncated key store at offset {offset}")
+            if n != 32:
+                raise KeystoreError(f"key seed of {n} bytes at offset {offset}, expected 32")
             offset += n
             version = raw[offset]
             offset += 1
             (m,) = struct.unpack_from(">I", raw, offset)
             offset += 4
-            label = raw[offset : offset + m].decode()
+            label = raw[offset : offset + m]
+            if len(label) != m:
+                raise KeystoreError(f"truncated key store at offset {offset}")
+            label = label.decode()
             offset += m
             records.append(KeystoreRecord(seed=seed, address_version=version, label=label))
     except (struct.error, IndexError):
         raise KeystoreError(f"truncated key store at offset {offset}") from None
+    except UnicodeDecodeError:
+        raise KeystoreError(f"key label at offset {offset} is not UTF-8") from None
     return records

@@ -470,20 +470,13 @@ def balance(address: Address, utxo: UtxoSet) -> Balance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _PoolEntry:
-    seq: int
-    tx: Transaction
-
-
 class Mempool:
-    """Validated pending transactions, iterated in insertion order with tx_id
-    as the tiebreak so block assembly is deterministic."""
+    """Validated pending transactions, kept by tx_id in arrival order, which
+    is the order block assembly reads them in."""
 
     def __init__(self) -> None:
-        self._entries: dict[bytes, _PoolEntry] = {}
+        self._entries: dict[bytes, Transaction] = {}
         self._claimed: set[Outpoint] = set()
-        self._seq = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -503,15 +496,14 @@ class Mempool:
         for inp in tx.inputs:
             if inp.outpoint in self._claimed:
                 return _invalid("Conflict", "outpoint claimed by a pooled transaction")
-        self._entries[tx_id] = _PoolEntry(self._seq, tx)
-        self._seq += 1
+        self._entries[tx_id] = tx
         self._claimed.update(inp.outpoint for inp in tx.inputs)
         return VALID
 
     def _drop(self, tx_id: bytes) -> None:
-        entry = self._entries.pop(tx_id, None)
-        if entry is not None:
-            self._claimed.difference_update(i.outpoint for i in entry.tx.inputs)
+        tx = self._entries.pop(tx_id, None)
+        if tx is not None:
+            self._claimed.difference_update(i.outpoint for i in tx.inputs)
 
     def remove_confirmed(self, txs: Iterable[Transaction]) -> None:
         for tx in txs:
@@ -519,8 +511,8 @@ class Mempool:
 
     def drop_conflicting(self, utxo: UtxoSet, allow_locked: bool = False) -> None:
         """Evict entries no longer valid against a new chain state."""
-        for tx_id in [t for t, e in self._entries.items()
-                      if not validate_transaction(e.tx, utxo, allow_locked)]:
+        for tx_id in [t for t, tx in self._entries.items()
+                      if not validate_transaction(tx, utxo, allow_locked)]:
             self._drop(tx_id)
 
     def reinsert(
@@ -543,17 +535,13 @@ class Mempool:
                 returned.append(tx.tx_id)
         return returned
 
-    def ordered(self) -> list[Transaction]:
-        entries = sorted(self._entries.items(), key=lambda kv: (kv[1].seq, kv[0]))
-        return [e.tx for _, e in entries]
-
     def take(self, max_bytes: int, utxo: UtxoSet, allow_locked: bool = False) -> list[Transaction]:
         """Select transactions for a block, respecting a serialized-size budget
         and sequential validity (pool entries may chain off each other)."""
         view = utxo.copy()
         picked: list[Transaction] = []
         budget = max_bytes
-        for tx in self.ordered():
+        for tx in self._entries.values():
             size = len(tx.serialize())
             if size > budget:
                 continue

@@ -216,7 +216,6 @@ class SimNode:
         else:
             self.store = ChainStore(params, genesis, Mempool())
             self.headers = None
-        self.relayed: set[bytes] = set()
         self.tx_relayed: set[bytes] = set()
         # tx_id -> earliest tick at which a transaction push in flight to
         # this node arrives while the node is online; dropped on delivery
@@ -618,12 +617,7 @@ class Simulation:
             rule_version=version,
             parent_hash=parent,
         )
-        state = node.store.states[parent]
-        target = state.pow_params.target if state.pow_params else None
-        block = cons.attach_proof(
-            candidate, self.model, keypair=node.keypair, target=target, poet_cert=poet_cert
-        )
-        return block
+        return cons.attach_proof(candidate, self.model, keypair=node.keypair, poet_cert=poet_cert)
 
     def _handle_own_block(self, node: SimNode, block: Block) -> None:
         h = header_hash(block.header)
@@ -699,20 +693,19 @@ class Simulation:
 
     def _gossip_block(self, node: SimNode, block: Block, extra_delay: int = 0) -> None:
         """Flood a block (a header, to lightweight peers) to every reachable
-        peer, once per node.
+        peer.
 
-        Each peer costs one latency draw, whether or not its delivery is
-        pushed, so the gossip stream does not depend on what peers hold.  No
-        delivery is pushed to a full peer whose store already indexes the
-        block: a store never drops a block, so on arrival append_block would
-        return Duplicate and the delivery would do nothing.  A block waiting
-        in the peer's orphan buffer, or one the peer rejected, is not indexed
-        and is pushed as before.
+        A node calls this once per block: when it produces the block, first
+        accepts it, or releases it from its secret chain, and its store
+        rejects any later copy as Duplicate.  Each peer costs one latency
+        draw, whether or not its delivery is pushed, so the gossip stream does
+        not depend on what peers hold.  No delivery is pushed to a full peer
+        whose store already indexes the block: a store never drops a block, so
+        on arrival append_block would return Duplicate and the delivery would
+        do nothing.  A block waiting in the peer's orphan buffer, or one the
+        peer rejected, is not indexed and is pushed as before.
         """
         h = header_hash(block.header)
-        if h in node.relayed:
-            return
-        node.relayed.add(h)
         for peer_name in self.peers_of(node.name, self.now):
             peer = self.nodes[peer_name]
             delay = self._latency() + extra_delay

@@ -232,7 +232,7 @@ def load_scenario(path: str, seed: int | None = None) -> SimConfig:
     """Parse a scenario file.  A seed other than None replaces the file's
     before parsing, so everything derived from the seed (node keys, publisher
     addresses, PoET's draw seed) follows it."""
-    with open(path, "r") as fh:
+    with open(path, "rb") as fh:  # yaml decodes, and reports bytes that are not text
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise ScenarioError(["top level: expected a mapping"])
@@ -283,6 +283,8 @@ def _parse_nodes(c: _Checker, raw: list) -> list[NodeSpec]:
         if values["name"] in seen:
             c.fail(f"{path}.name", f"duplicate node name {values['name']!r}")
         seen.add(values["name"])
+        if values.get("hash_share", 0) > 0 and values.get("role", FULL) != PUBLISHING:
+            c.fail(f"{path}.hash_share", "must be 0 unless the role is publishing")
         values["online"] = _parse_intervals(c, values.get("online", []), f"{path}.online")
         specs.append(NodeSpec(**values))
     total = sum(spec.balance + spec.stake for spec in specs)

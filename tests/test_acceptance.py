@@ -357,10 +357,7 @@ def _check_hard_fork_split(result):
             timestamp=store.tip.header.timestamp + 1,
             rule_version=version,
         )
-        target = store.tip_state().pow_params.target
-        block = cons.attach_proof(
-            candidate, store.params.consensus, keypair=node.keypair, target=target
-        )
+        block = cons.attach_proof(candidate, store.params.consensus, keypair=node.keypair)
         assert store.append_block(block).status == EXTENDED
         assert not store.tip_state().utxo.get(outpoint).live
 

@@ -309,7 +309,7 @@ def test_folded_fee_check_matches_fees_first_reference(plan, extra, coinbase_pic
     parent_digest = parent_state.utxo.digest()
     got_state, got = validate_and_apply(
         block, store.tip.header, parent_state, store.params,
-        store._branch_header_at(store.tip_hash),
+        store.branch_header_at(store.tip_hash),
     )
     want_state, want = _fees_first_reference(block, parent_state, store.params)
     assert (got.ok, got.reason, got.detail) == (want.ok, want.reason, want.detail)
@@ -333,7 +333,7 @@ def test_extend_then_side_branch_then_reorganize():
     assert r2.status == NEW_SIDE_BRANCH
     assert store.tip.transactions[0].outputs[0].recipient == A_ADDR  # tip kept
 
-    side = store.order[-1]
+    side = list(store.blocks)[-1]
     _, r3 = extend(store, publisher=B_ADDR, parent=side, timestamp=2)
     assert r3.status == REORGANIZED
     assert [b.header.height for b in r3.orphaned] == [1]

@@ -8,11 +8,15 @@ single-byte block mutants the two must agree, except for the one deliberate
 change pinned in test_second_genesis_record_fails_verification.
 """
 
+import os
 import random
 import struct
+import tempfile
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainsim import consensus as cons
 from chainsim.chain import (
@@ -107,13 +111,12 @@ def reference_install_raw(store, block):
         return
     parent_hash = block.header.prev_header_hash
     store.blocks[h] = block
-    store.order.append(h)
     parent = store.blocks.get(parent_hash)
     parent_state = store.states.get(parent_hash)
     if parent is not None and parent_state is not None:
         state, v = validate_and_apply(
             block, parent.header, parent_state, store.params,
-            store._branch_header_at(parent_hash),
+            store.branch_header_at(parent_hash),
         )
         if v:
             store.states[h] = state
@@ -293,7 +296,7 @@ def test_load_matches_reference(tmp_path, seed):
         return
     assert new.truncated_at == ref.truncated_at
     a, b = new.store, ref.store
-    assert a.order == b.order
+    assert list(a.blocks) == list(b.blocks)
     assert a.blocks == b.blocks
     assert a.states.keys() == b.states.keys()
     for h, state in b.states.items():
@@ -302,7 +305,7 @@ def test_load_matches_reference(tmp_path, seed):
     assert a.tip_hash == b.tip_hash
     assert _confirmation_heights(a) == _confirmation_heights(b)
     assert len(a.mempool) == 0
-    assert verify_chain(a) == reference_verify_blocks(PARAMS, (b.blocks[h] for h in b.order))
+    assert verify_chain(a) == reference_verify_blocks(PARAMS, b.blocks.values())
 
 
 def test_random_chain_files_cover_every_case(tmp_path):
@@ -319,7 +322,7 @@ def test_random_chain_files_cover_every_case(tmp_path):
             continue
         store = loaded.store
         replay = ChainStore(PARAMS, store.blocks[store.genesis_hash])
-        for h in store.order[1:]:
+        for h in list(store.blocks)[1:]:
             replay.append_block(store.blocks[h])
         repooled += len(replay.mempool) > 0
         stateless += len(store.blocks) > len(store.states)
@@ -391,11 +394,11 @@ def test_second_genesis_record_fails_verification(tmp_path):
     path = tmp_path / "chain.dat"
     path.write_bytes(_file_bytes(sequence + [_forged_child(other)]))
     new, ref = load(str(path), params), reference_load(str(path), params)
-    assert new.store.order == ref.store.order
+    assert list(new.store.blocks) == list(ref.store.blocks)
     assert new.store.states.keys() == ref.store.states.keys()
     assert header_hash(other.header) not in new.store.states
     assert verify_chain(new.store) == VerifyResult(False, 0, "PrevHash")
-    assert reference_verify_blocks(params, (ref.store.blocks[h] for h in ref.store.order)).ok
+    assert reference_verify_blocks(params, ref.store.blocks.values()).ok
 
 
 def test_replay_keeps_no_mempool(tmp_path, monkeypatch):
@@ -422,7 +425,66 @@ def test_replay_keeps_no_mempool(tmp_path, monkeypatch):
         assert calls == [] and len(loaded.store.mempool) == 0
         store = loaded.store
         live = ChainStore(PARAMS, store.blocks[store.genesis_hash], Mempool())
-        for h in store.order[1:]:
+        for h in list(store.blocks)[1:]:
             live.append_block(store.blocks[h])
         reorganizing += bool(calls)
     assert reorganizing >= 5
+
+
+# ---------------------------------------------------------------------------
+# Hardening: random byte mutations of a valid chain file
+# ---------------------------------------------------------------------------
+
+# an undamaged file: 18 records over side branches, with a reorganization
+VALID_FILE = random_chain_file(2)
+
+
+def _reseal(data: bytearray) -> None:
+    """Rewrite the checksum of every record the length fields still frame,
+    so a mutation inside a record reaches the decoder and the replay."""
+    offset = 6
+    while offset + 4 <= len(data):
+        (length,) = struct.unpack_from(">I", data, offset)
+        end = offset + 4 + length
+        if end + 4 > len(data):
+            return
+        data[end : end + 4] = sha256(bytes(data[offset + 4 : end]))[:4]
+        offset = end + 4
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    flips=st.lists(st.tuples(st.integers(0, len(VALID_FILE) - 1), st.integers(1, 255)),
+                   min_size=1, max_size=4),
+    cut=st.none() | st.integers(0, len(VALID_FILE)),
+    reseal=st.booleans(),
+)
+def test_mutated_chain_file_fails_to_load_or_verifies_cleanly(flips, cut, reseal):
+    """load either raises ChainFileError or returns a store whose
+    verify_chain result is well-formed: Ok with no height or reason, or
+    broken at a height with a reason."""
+    data = bytearray(VALID_FILE)
+    for position, mask in flips:
+        data[position] ^= mask
+    if cut is not None:
+        del data[cut:]
+    if reseal:
+        _reseal(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chain.dat")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            loaded = load(path, PARAMS)
+        except ChainFileError as exc:
+            assert 0 <= exc.offset <= len(data)
+            return
+    assert loaded.truncated_at is None or 6 <= loaded.truncated_at < len(data)
+    result = verify_chain(loaded.store)
+    assert type(result) is VerifyResult
+    if result.ok:
+        assert result.height is None and result.reason is None
+    else:
+        assert result.ok is False
+        assert isinstance(result.height, int) and result.height >= 0
+        assert isinstance(result.reason, str) and result.reason

@@ -3,16 +3,22 @@ on stderr, and the documented exit codes (0 ok, 1 not found, 2 verification
 failure, 3 I/O or corruption, 4 configuration error)."""
 
 import argparse
+import contextlib
+import io
 import importlib
+import multiprocessing.pool
 import os
 import re
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlib import Path
 
@@ -27,7 +33,7 @@ from chainsim.chain import (
 )
 from chainsim.cli import EXIT_VERIFY, CliError, _append_local_block, _load_store, main
 from chainsim.contracts import derive_contract_address
-from chainsim.crypto import derive_address, keypair_generate, sha256
+from chainsim.crypto import Address, derive_address, keypair_generate, sha256
 from chainsim.ledger import Transaction, TxOutput, Validity
 from chainsim.netsim import run_scenario
 from chainsim.scenario import load_scenario
@@ -224,6 +230,19 @@ def test_puzzle_rejects_impossible_difficulty(capsys):
     assert code == 4 and "error:" in err
 
 
+def test_puzzle_answered_in_the_first_chunk_starts_no_pool(capsys, monkeypatch):
+    """The benchmark's operator command: its answer lies inside the nonces
+    scanned in-process, so no worker pool is ever constructed."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", no_pool)
+    code, out, _ = run_cli(capsys, "puzzle", "blockchain", 5, 0)
+    assert code == 0
+    assert out.startswith("nonce=311895 digest=00000") and " attempts=311896 " in out
+
+
 # -- chain management ----------------------------------------------------------------
 
 
@@ -386,10 +405,34 @@ def test_rejected_local_block_exits_verify_with_reason(capsys, tmp_path, data_di
     store = _load_store(args)
     store.policy = lambda block: Validity(False, "Policy", "every block refused")
     with pytest.raises(CliError) as err:
-        _append_local_block(args, store, [])
+        _append_local_block(args, store, [], keypair_generate(bytes.fromhex(SEED_HEX)))
     assert err.value.code == EXIT_VERIFY == 2
     assert err.value.message == "block rejected: Policy every block refused"
     assert (data_dir / "chain.dat").read_bytes() == chain_bytes
+
+
+def test_literal_pow_chain_grows_past_its_retarget_heights(capsys, tmp_path, data_dir):
+    """A local PoW chain retargets every 16 blocks, and blocks stamped one
+    tick apart against a spacing of 10 quarter the target each time.  Each
+    block is mined against the target its own height must meet, so the
+    chain keeps growing past the retarget heights 16, 32 and 48."""
+    address = keygen(capsys, data_dir, "op")
+    params = tmp_path / "params.yaml"
+    params.write_text(f"allocation:\n  - [{address}, 500]\npow: {{target_bits: 252}}\n")
+    code, _, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "init", "--params", params)
+    assert code == 0
+    source = tmp_path / "counter.asm"
+    source.write_text(COUNTER_ASM)
+    code, out, _ = run_cli(capsys, "asm", source)
+    binary = out.split("out=")[1].strip()
+    for height in range(1, 51):
+        code, out, err = run_cli(capsys, "--data-dir", data_dir, "deploy", binary, "--fee", 1)
+        assert (code, err) == (0, ""), height
+        assert out.endswith(f" height={height}\n")
+    code, out, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "verify")
+    assert (code, out) == (0, "Ok\n")
+    args = argparse.Namespace(data_dir=str(data_dir), key=None, verbose=False)
+    assert _load_store(args).tip_state().pow_params.target == 1 << (252 - 2 * 3)
 
 
 def test_call_unknown_contract_not_found(capsys, tmp_path, data_dir):
@@ -673,7 +716,175 @@ def test_chain_init_rejects_subsidy_beyond_maximum_supply(capsys, tmp_path, data
     assert code == 0
 
 
+@pytest.mark.parametrize("role", ["full", "lightweight", None])
+def test_sim_hash_share_off_a_publisher_is_config_error(capsys, tmp_path, role):
+    """A hash share drives only a publisher's PoW race; on any other node
+    it was parsed and then ignored."""
+    node = "{name: w, hash_share: 0.5}" if role is None else f"{{name: w, role: {role}, hash_share: 0.5}}"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(ONE_NODE.replace("consensus:", f"  - {node}\nconsensus:"))
+    code, out, err = run_cli(capsys, "sim", bad, "--out", tmp_path / "r")
+    assert (code, out) == (4, "")
+    assert "nodes[1].hash_share: must be 0 unless the role is publishing" in err.splitlines()
+    assert not (tmp_path / "r").exists()
+    bad.write_text(ONE_NODE.replace("consensus:", f"  - {node.replace('0.5', '0.0')}\nconsensus:"))
+    code, _, _ = run_cli(capsys, "sim", bad, "--out", tmp_path / "r")
+    assert code == 0
+
+
 def test_sim_missing_scenario_is_io_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sim", tmp_path / "ghost.cfg", "--out", tmp_path / "r")
     assert code == 3
     assert "not found" in err
+
+
+# -- hardening: fuzzed argv -------------------------------------------------------------
+
+
+OPERATOR = derive_address(keypair_generate(bytes.fromhex(SEED_HEX)).public_key).hex()
+CONTRACT = derive_contract_address(Address.from_hex(OPERATOR), 0).hex()
+
+
+@pytest.fixture(scope="module")
+def operator_files(tmp_path_factory):
+    """A directory to copy for each fuzzed command: a funded chain with one
+    contract in the default data directory, a copy under tampered/ whose
+    deploy block no longer matches its data hash, one under torn/ with a
+    record that fails its checksum and a truncated key store, contract
+    source and bytecode, a params file and a short scenario."""
+    root = tmp_path_factory.mktemp("operator")
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["keygen", "--seed", SEED_HEX, "--label", "op"]) == 0
+            (root / "params.yaml").write_text(f"allocation:\n  - [{OPERATOR}, 500]\n")
+            (root / "counter.asm").write_text(COUNTER_ASM)
+            (root / "one.cfg").write_text(ONE_NODE.replace("duration: 200", "duration: 40"))
+            assert main(["chain", "init", "--params", "params.yaml"]) == 0
+            assert main(["asm", "counter.asm", "-o", "counter.bin"]) == 0
+            assert main(["deploy", "counter.bin", "--fee", "2"]) == 0
+            assert f"contract={CONTRACT} " in out.getvalue()
+    finally:
+        os.chdir(cwd)
+    chain = (root / "chainsim-data" / "chain.dat").read_bytes()
+    (genesis_length,) = struct.unpack_from(">I", chain, 6)
+    start = 6 + 4 + genesis_length + 4  # the deploy block's record
+    (length,) = struct.unpack_from(">I", chain, start)
+    record = bytearray(chain[start + 4 : start + 4 + length])
+    record[50] ^= 0xFF  # in the data hash
+    shutil.copytree(root / "chainsim-data", root / "tampered")
+    (root / "tampered" / "chain.dat").write_bytes(
+        chain[: start + 4] + bytes(record) + sha256(bytes(record))[:4])
+    shutil.copytree(root / "chainsim-data", root / "torn")
+    (root / "torn" / "chain.dat").write_bytes(chain[:start + 20] + b"\xff" + chain[start + 21 :])
+    (root / "torn" / "keys.dat").write_bytes(b"\x01\x00\x00\x00\x05")
+    return root
+
+
+NAMES = ("chainsim-data", "tampered", "torn", "params.yaml", "counter.asm", "counter.bin",
+         "one.cfg", "ghost", "chainsim-data/chain.dat", "out")
+WORDS = st.sampled_from((
+    "keygen", "balance", "chain", "init", "verify", "tip", "inspect", "sim", "asm", "deploy",
+    "call", "--data-dir", "--seed", "--label", "--params", "--out", "--fee", "--key", "-o",
+    "-v", "--help", "op", "", "-", "--", "0", "1", "-1", "18446744073709551616", "11" * 32, "zz",
+    *NAMES,
+))
+TOKEN = WORDS | st.integers(-(2**70), 2**70).map(str) | st.text(max_size=6).filter(
+    lambda t: t != "puzzle")
+INT = st.sampled_from(("0", "1", "2", "5", "-1", "600")) | st.integers(-(2**70), 2**70).map(str)
+NAME = st.sampled_from(NAMES)
+
+
+def _argv(*parts):
+    """Concatenate strategies that each give a list of tokens."""
+    return st.tuples(*parts).map(lambda lists: [t for tokens in lists for t in tokens])
+
+
+def _one(strategy):
+    return strategy.map(lambda token: [token])
+
+
+def _maybe(*parts):
+    return st.just([]) | _argv(*parts)
+
+
+def _commands():
+    """Each subcommand with arguments of the right shape and values that
+    are right, wrong or missing, sometimes followed by stray tokens."""
+    account = st.sampled_from((OPERATOR, CONTRACT, OPERATOR[:-2] + "00", "zz")) | TOKEN
+    key = _maybe(st.just(["--key"]), _one(st.sampled_from(("op", "ghost"))))
+    fee = _argv(st.just(["--fee"]), _one(INT))
+    commands = st.one_of(
+        _argv(st.just(["keygen"]), _maybe(st.just(["--seed"]), _one(st.sampled_from(
+            ("11" * 32, "22" * 32, "11" * 31, "zz")))), _maybe(st.just(["--label"]), _one(TOKEN))),
+        _argv(st.just(["balance"]), _one(account)),
+        _argv(st.just(["chain"]), _one(st.sampled_from(("init", "verify", "tip", "inspect", "x"))),
+              _maybe(st.just(["--params"]), _one(NAME))),
+        _argv(st.just(["sim"]), _one(NAME), _maybe(st.just(["--out"]), _one(NAME)),
+              _maybe(st.just(["--seed"]), _one(INT))),
+        _argv(st.just(["asm"]), _one(NAME), _maybe(st.just(["-o"]), _one(NAME))),
+        _argv(st.just(["deploy"]), _one(st.just("counter.bin") | NAME), fee, key),
+        _argv(st.just(["call"]), _one(account), st.lists(INT, max_size=3), fee, key),
+    )
+    return _argv(commands, st.just([]) | st.lists(TOKEN, max_size=2))
+
+
+# The puzzle with at most 3 zeros, or with an end nonce at most 5,000 past
+# its start, so that no draw can scan without bound.
+PUZZLE = st.one_of(
+    _argv(st.just(["puzzle"]), _one(st.text(max_size=6)), _one(st.integers(-2, 3).map(str)),
+          _one(st.integers(-3, 2**64).map(str))),
+    st.integers(-3, 2**64).flatmap(lambda start: _argv(
+        st.just(["puzzle"]), _one(st.text(max_size=6)), _one(st.integers(-2, 70).map(str)),
+        st.just([str(start)]), _one(st.integers(-3, 5_000).map(lambda n: str(start + n))))),
+)
+DATA_DIR = st.sampled_from(("tampered", "torn", "fresh")) | NAME
+GLOBAL = _argv(_maybe(st.just(["--data-dir"]), _one(DATA_DIR)), _maybe(st.just(["-v"])))
+
+
+ARGV = st.sampled_from(("tokens", "command", "command", "command", "puzzle")).flatmap(
+    lambda shape: st.lists(TOKEN, max_size=8) if shape == "tokens"
+    else _argv(GLOBAL, PUZZLE) if shape == "puzzle"
+    else _argv(GLOBAL, _commands()))
+
+
+def _run_in_copy(root, argv) -> tuple[int, str]:
+    """main(argv) in a fresh copy of root: the exit code and stderr."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(root, tmp, dirs_exist_ok=True)
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                return main(argv), err.getvalue()
+        finally:
+            os.chdir(cwd)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["call", CONTRACT, "7", "--fee", "2"], 0),
+    (["deploy", "counter.bin", "--fee", "600"], 1),  # no output that large
+    (["--data-dir", "tampered", "chain", "verify"], 2),
+    (["--data-dir", "torn", "call", CONTRACT, "--fee", "2"], 3),
+    (["--data-dir", "torn", "keygen"], 3),
+    (["asm", "chainsim-data/chain.dat"], 4),  # bytes that are not UTF-8
+    (["sim", "chainsim-data/chain.dat", "--out", "r"], 4),
+    (["chain", "init", "--params", "chainsim-data/chain.dat"], 4),
+])
+def test_operator_command_exit_code(operator_files, argv, expected):
+    code, err = _run_in_copy(operator_files, argv)
+    assert code == expected, err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=ARGV)
+def test_fuzzed_argv_exits_with_a_documented_code(operator_files, argv):
+    """Any argv ends in one of the exit codes 0-4, never in an exception,
+    run in a fresh copy of the operator directory.  Puzzles are kept to at
+    most 3 zeros or an end nonce, so none scans without bound."""
+    code, err = _run_in_copy(operator_files, argv)
+    assert code in (0, 1, 2, 3, 4), (argv, code)
+    assert "Traceback" not in err

@@ -1,9 +1,12 @@
 import hashlib
+import struct
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainsim import crypto
 from chainsim.crypto import (
     Address,
     HashStream,
@@ -94,6 +97,30 @@ def test_puzzle_sharded_scan_matches_single_scan():
             best = part
     assert best.nonce == single.nonce
     assert best.digest == single.digest
+
+
+def test_pooled_puzzle_finds_the_lowest_nonce_and_leaves_no_worker(monkeypatch):
+    """Past the first chunk the scan runs in a worker pool, here over
+    4,096-nonce chunks: the answer is the serial scan's, and no worker is
+    left when the call returns, whether a nonce was found or the range
+    ran out."""
+    monkeypatch.setattr(crypto, "PUZZLE_CHUNK", 4096)
+    sol = solve_string_puzzle("pool", 4, 0)
+    assert sol.nonce == 67_883  # in the 17th chunk
+    assert (sol.nonce, sol.digest) == crypto._scan(b"pool", 4, 0, 1 << 20)
+    assert sol.attempts == sol.nonce + 1
+    assert multiprocessing.active_children() == []
+    assert solve_string_puzzle("pool", 4, 0, end_nonce=sol.nonce) is None
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_puzzle_reads_chunks_in_order(monkeypatch):
+    """With 256-nonce chunks, answers lie in many chunks that the workers
+    finish out of order; the lowest nonce still wins."""
+    monkeypatch.setattr(crypto, "PUZZLE_CHUNK", 256)
+    for prefix in ("a", "b", "c"):
+        sol = solve_string_puzzle(prefix, 3, 300)
+        assert (sol.nonce, sol.digest) == crypto._scan(prefix.encode(), 3, 300, 1 << 20)
 
 
 def test_puzzle_rejects_bad_arguments():
@@ -285,5 +312,20 @@ def test_keystore_rejects_truncated_file(tmp_path):
     path = tmp_path / "keys.dat"
     save_keystore(path, [KeystoreRecord(SEED_A, USER_ADDRESS_VERSION, "a")])
     path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(KeystoreError):
+        load_keystore(path)
+
+
+@pytest.mark.parametrize("raw", [
+    b"\x01",  # no record count
+    b"\x01" + struct.pack(">II", 1, 5) + bytes(5) + b"\x00" + struct.pack(">I", 1) + b"a",
+    b"\x01" + struct.pack(">II", 1, 32) + bytes(32) + b"\x00" + struct.pack(">I", 1) + b"\xff",
+    b"\x01" + struct.pack(">II", 1, 32) + bytes(32) + b"\x00" + struct.pack(">I", 5) + b"ab",
+], ids=["count", "seed-length", "label-not-utf8", "label-truncated"])
+def test_keystore_rejects_malformed_records(tmp_path, raw):
+    """The first three once escaped as struct.error, a ValueError from
+    keypair_generate, or UnicodeDecodeError; the last loaded as label "ab"."""
+    path = tmp_path / "keys.dat"
+    path.write_bytes(raw)
     with pytest.raises(KeystoreError):
         load_keystore(path)

@@ -31,7 +31,13 @@ from chainsim.scenario import parse_scenario
 
 class ReferenceSimulation(Simulation):
     """The simulator with the flood gossip it had before no-op deliveries
-    were dropped."""
+    were dropped.  It keeps the per-node set of relayed blocks the simulator
+    once had and asserts that a node never gossips a block twice, which is
+    why the simulator needs no such set."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.relayed = {name: set() for name in self.nodes}
 
     def peers_of(self, name, tick):
         return [
@@ -42,9 +48,8 @@ class ReferenceSimulation(Simulation):
 
     def _gossip_block(self, node, block, extra_delay=0):
         h = header_hash(block.header)
-        if h in node.relayed:
-            return
-        node.relayed.add(h)
+        assert h not in self.relayed[node.name], (node.name, h.hex())
+        self.relayed[node.name].add(h)
         for peer_name in self.peers_of(node.name, self.now):
             peer = self.nodes[peer_name]
             delay = self._latency() + extra_delay
@@ -185,7 +190,6 @@ def _end_state(sim) -> dict:
             set(node.store.blocks) if node.store else set(node.headers),
             list(node.store.mempool._entries) if node.store else None,
             node.tx_relayed,
-            node.relayed,
         )
         for name, node in sim.nodes.items()
     }

@@ -97,11 +97,7 @@ class ReferenceSimulation(Simulation):
             rule_version=self._rule_version_for(node, height),
             parent_hash=parent,
         )
-        state = node.store.states[parent]
-        target = state.pow_params.target if state.pow_params else None
-        return cons.attach_proof(
-            candidate, self.model, keypair=node.keypair, target=target, poet_cert=poet_cert
-        )
+        return cons.attach_proof(candidate, self.model, keypair=node.keypair, poet_cert=poet_cert)
 
     def chain_agreement(self):
         names = self.full_nodes

@@ -552,7 +552,8 @@ def _parse_chain(c: _Checker, raw, consensus) -> ChainParams:
 # maximum supply, a delivery scheduled in the past, payments with no second
 # node, overlapping up-intervals counted twice, a timestamp beyond 64 bits,
 # an infinite PoET wait.  Partition entries now have a key table, so their
-# unknown keys are reported instead of ignored.
+# unknown keys are reported instead of ignored.  A hash share on a node that
+# is not publishing was parsed and then ignored; it is now an error.
 NEW_BOUND = re.compile(
     r"fork\.new_rule_version: must be between 0 and 65535"
     r"|chain\.block_subsidy: must be at most 4611686018427387904"
@@ -562,6 +563,7 @@ NEW_BOUND = re.compile(
     r"|nodes\[\d+\]\.online\[\d+\]: overlaps nodes\[\d+\]\.online\[\d+\]"
     r"|duration: must be at most 18446744073709551615"
     r"|nodes\[\d+\]\.hash_share: must be at most 1"
+    r"|nodes\[\d+\]\.hash_share: must be 0 unless the role is publishing"
     r"|consensus\.mean_wait: must be at most 18446744073709551615"
     r"|topology\.partitions\[\d+\]\..*: unknown key"
 )
