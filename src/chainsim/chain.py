@@ -1,15 +1,18 @@
 """Blocks, hash chaining, chain storage, and longest-chain fork choice.
 
-A ChainStore indexes every accepted block by header hash and keeps the full
-post-state (UTXO set, contract registry, stake bookkeeping, current PoW
-target) per block, so side branches validate without replaying from genesis.
-Fork choice is block count with a strict-inequality switch: on equal length
-the first-seen tip is kept.  Reorganizations below the highest checkpoint are
-rejected outright.
+A ChainStore indexes every accepted block by header hash and keeps one
+materialised state (UTXO set, contract registry, stake bookkeeping, current
+PoW target), at its adopted tip, plus a small undo record per block, in the
+manner of Bitcoin Core's per-block undo data.  A block on the tip is walked
+in place; a side branch is validated on a copy of the tip state rewound over
+undo records to the fork point and walked forward along the branch, so its
+cost follows the depth of the fork, not the height of the chain.  Fork
+choice is block count with a strict-inequality switch: on equal length the
+first-seen tip is kept.
 
 ChainStore.append_block is the one place that indexes a block and stores its
-state: chain-file loading (load) and replay verification (verify_blocks) go
-through it too.
+undo record: chain-file loading (load) and replay verification
+(verify_blocks) go through it too.
 """
 
 from __future__ import annotations
@@ -211,6 +214,52 @@ class ChainState:
         )
 
 
+@dataclass
+class BlockUndo:
+    """What taking a block back off its post-state needs beyond the block,
+    whose transactions name the outpoints it spent and created (a spent
+    entry stays in the set, so UtxoSet.revert loses nothing).
+
+    ``applied`` counts the leading transactions applied, all of them once
+    the block is stored.  ``writes`` holds, in write order, (table, key,
+    prior value, new value) for each slot the block set in the registry (a
+    deployed contract, or a called one), deploy_counts or stake_resets; a
+    prior of None means the slot was empty.
+    """
+
+    pow_params: object  # the branch PowParams after this block (None outside PoW)
+    applied: int = 0
+    issued: int = 0
+    fees: int = 0
+    writes: list[tuple[str, object, object, object]] = field(default_factory=list)
+
+
+def _revert_block(state: ChainState, block: Block, undo: BlockUndo, pow_params) -> None:
+    """Take block back off state, and give it pow_params (the parent's)."""
+    for tx in reversed(block.transactions[: undo.applied]):
+        state.utxo.revert(tx)
+    for table, key, prior, _ in reversed(undo.writes):
+        if prior is None:
+            del getattr(state, table)[key]
+        else:
+            getattr(state, table)[key] = prior
+    state.issued -= undo.issued
+    state.fees -= undo.fees
+    state.pow_params = pow_params
+
+
+def _redo_block(state: ChainState, block: Block, undo: BlockUndo) -> None:
+    """Walk a stored block forward again on its parent's state, from its
+    undo record, with no check and no contract run."""
+    for tx in block.transactions:
+        state.utxo.apply(tx, block.header.height)
+    for table, key, _, new in undo.writes:
+        getattr(state, table)[key] = new
+    state.issued += undo.issued
+    state.fees += undo.fees
+    state.pow_params = undo.pow_params
+
+
 def is_stake_model(params: ChainParams) -> bool:
     """True for the proof-of-stake models, where stake is locked and selects
     the publisher."""
@@ -225,8 +274,10 @@ def _walk_transactions(
     height: int,
     params: ChainParams,
     coinbase_expected: bool,
+    undo: BlockUndo,
 ) -> Validity:
-    """Validate and apply a block's transactions in order, mutating state.
+    """Validate and apply a block's transactions in order, mutating state and
+    recording each change in undo, up to the first invalid transaction.
 
     Covers the ledger rules plus the chain-level ones: contract deploys must
     parse, calls must target a known contract and execute with gas = fee x
@@ -259,44 +310,63 @@ def _walk_transactions(
         if state.utxo.get((tx.tx_id, 0)) is not None:
             return _invalid("DuplicateTransaction", f"transaction {index}")
         fee = state.utxo.apply(tx, height)
+        undo.applied += 1
         if tx.kind == TxKind.COINBASE:
             state.issued += tx.output_value
+            undo.issued += tx.output_value
         else:
             state.fees += fee
+            undo.fees += fee
         if tx.kind == TxKind.CONTRACT_DEPLOY:
             creator = derive_address(tx.inputs[0].public_key)
-            count = state.deploy_counts.get(creator.to_bytes(), 0)
-            contracts.registry_deploy(state.registry, creator, count, tx.payload)
-            state.deploy_counts[creator.to_bytes()] = count + 1
+            key = creator.to_bytes()
+            count = state.deploy_counts.get(key)
+            account = contracts.registry_deploy(state.registry, creator, count or 0, tx.payload)
+            state.deploy_counts[key] = (count or 0) + 1
+            undo.writes += [("registry", account.address.to_bytes(), None, account),
+                            ("deploy_counts", key, count, (count or 0) + 1)]
         elif tx.kind == TxKind.CONTRACT_CALL:
-            gas_limit = fee * contracts.GAS_PER_FEE_UNIT
-            contracts.registry_call(state.registry[call_target], call_words, gas_limit)
+            # copy on write: an account is not changed once the call that
+            # made it returns, so undo records can share accounts
+            prior = state.registry[call_target]
+            state.registry[call_target] = account = prior.clone()
+            undo.writes.append(("registry", call_target, prior, account))
+            contracts.registry_call(account, call_words, fee * contracts.GAS_PER_FEE_UNIT)
     return VALID
 
 
 def _block_fees(txs: tuple[Transaction, ...], utxo: UtxoSet) -> int | None:
-    """Total fees if every input resolves against the evolving view, else None.
+    """Total fees if every input resolves as txs are applied in order to
+    utxo, else None; every applied transaction is reverted before returning.
 
-    Applies txs to a copy of utxo, so it costs a full copy.  Only
-    make_candidate and a block whose walk failed need it: a block that walks
-    cleanly takes its fees from the walk.
+    Only make_candidate and a block whose walk failed need it: a block that
+    walks cleanly takes its fees from the walk.
     """
-    view = utxo.copy()
+    applied: list[Transaction] = []
     try:
-        return sum(view.apply(tx, 0) for tx in txs)
+        fees = 0
+        for tx in txs:
+            fees += utxo.apply(tx, 0)
+            applied.append(tx)
+        return fees
     except (KeyError, ValueError):
         return None
+    finally:
+        for tx in reversed(applied):
+            utxo.revert(tx)
 
 
 def validate_and_apply(
     block: Block,
     parent_header: BlockHeader,
-    parent_state: ChainState,
+    state: ChainState,
     params: ChainParams,
     header_at: Callable[[int], BlockHeader | None],
-) -> tuple[ChainState | None, Validity]:
-    """Full block validation in fixed rule order, returning the post-state.
+) -> tuple[BlockUndo | None, Validity]:
+    """Full block validation in fixed rule order on the parent's post-state.
 
+    A valid block turns state into its own post-state and returns the undo
+    record that takes it back; an invalid one leaves state as it was.
     header_at(height) resolves ancestors on the block's own branch (needed for
     the retarget window of branch_pow_params).
     """
@@ -317,9 +387,9 @@ def validate_and_apply(
     if len(data) > params.max_block_data_bytes:
         return None, _invalid("Oversize", f"{len(data)} > {params.max_block_data_bytes}")
 
-    pow_params = branch_pow_params(params, parent_state, header.height, header_at)
+    pow_params = branch_pow_params(params, state, header.height, header_at)
     stakes = (
-        consensus.stake_view(parent_state.utxo, header.height, parent_state.stake_resets)
+        consensus.stake_view(state.utxo, header.height, state.stake_resets)
         if is_stake_model(params)
         else ()
     )
@@ -335,22 +405,20 @@ def validate_and_apply(
         return None, _invalid("Coinbase", "exactly one coinbase, first in the block")
 
     # ExcessReward outranks a walk failure whenever every input resolves on
-    # the parent's set.  A clean walk yields the fees; only a failed one needs
-    # _block_fees to tell.
-    state = parent_state.clone()
-    state.pow_params = pow_params
-    v = _walk_transactions(block.transactions, state, header.height, params, True)
-    if v:
-        fees = state.fees - parent_state.fees
-    else:
-        fees = _block_fees(block.transactions, parent_state.utxo)
+    # the parent's set.  A clean walk yields the fees; only a failed one,
+    # taken back first, needs _block_fees to tell.
+    undo = BlockUndo(pow_params)
+    parent_pow_params, state.pow_params = state.pow_params, pow_params
+    v = _walk_transactions(block.transactions, state, header.height, params, True, undo)
     reward = coinbases[0].output_value
-    if fees is not None and reward > params.block_subsidy + fees:
-        return None, _invalid("ExcessReward", f"{reward} > {params.block_subsidy} + {fees}")
-    if not v:
+    if not v or reward > params.block_subsidy + undo.fees:
+        _revert_block(state, block, undo, parent_pow_params)
+        fees = undo.fees if v else _block_fees(block.transactions, state.utxo)
+        if fees is not None and reward > params.block_subsidy + fees:
+            return None, _invalid("ExcessReward", f"{reward} > {params.block_subsidy} + {fees}")
         return None, v
-    _apply_stake_resets(block, state, stakes, params, header.height)
-    return state, VALID
+    _apply_stake_resets(block, state, stakes, params, header.height, undo)
+    return undo, VALID
 
 
 def branch_pow_params(
@@ -377,7 +445,8 @@ def branch_pow_params(
 
 
 def _apply_stake_resets(
-    block: Block, state: ChainState, stakes: Iterable, params: ChainParams, height: int
+    block: Block, state: ChainState, stakes: Iterable, params: ChainParams, height: int,
+    undo: BlockUndo,
 ) -> None:
     """Coin-age: restart the age of the winner's mature stake, judged on the
     parent state's stake view."""
@@ -391,6 +460,8 @@ def _apply_stake_resets(
     threshold = params.consensus.age_threshold
     for entry in stakes:
         if entry.address == winner and entry.age >= threshold:
+            prior = state.stake_resets.get(entry.outpoint)
+            undo.writes.append(("stake_resets", entry.outpoint, prior, height))
             state.stake_resets[entry.outpoint] = height
 
 
@@ -401,7 +472,8 @@ def _genesis_state(genesis: Block, params: ChainParams) -> tuple[ChainState, Val
     state = ChainState(UtxoSet())
     if isinstance(params.consensus, consensus.PowParams):
         state.pow_params = params.consensus
-    return state, _walk_transactions(genesis.transactions, state, 0, params, True)
+    undo = BlockUndo(state.pow_params)
+    return state, _walk_transactions(genesis.transactions, state, 0, params, True, undo)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +501,8 @@ class VerifyResult:
 
 
 class ChainStore:
-    """Block index plus adopted-tip bookkeeping for one node."""
+    """Block index, one undo record per validated block, and the
+    materialised state at the adopted tip, for one node."""
 
     def __init__(
         self,
@@ -449,9 +522,12 @@ class ChainStore:
             raise ValueError(f"invalid genesis: {v.reason} {v.detail}".strip())
         self.genesis_hash = header_hash(genesis.header)
         self.blocks: dict[bytes, Block] = {self.genesis_hash: genesis}
+        # a block kept by _install_raw without validation has no record
+        self.undo: dict[bytes, BlockUndo] = {self.genesis_hash: BlockUndo(state.pow_params)}
+        # the materialised states: the tip's, and at most one other, kept by
+        # state_at until the tip moves
         self.states: dict[bytes, ChainState] = {self.genesis_hash: state}
         self.tip_hash = self.genesis_hash
-        self.checkpoints: dict[int, bytes] = {}
         self._adopted_tx_heights: dict[bytes, int] = {
             t.tx_id: 0 for t in genesis.transactions
         }
@@ -469,24 +545,53 @@ class ChainStore:
     def tip_state(self) -> ChainState:
         return self.states[self.tip_hash]
 
+    def state_at(self, block_hash: bytes) -> ChainState:
+        """The post-state of a validated block.  A caller may walk it and
+        revert the walk, but leaves it as found.
+
+        Besides the tip's, the store keeps the last other state it built
+        until the tip moves, so that a side branch growing block by block (a
+        secret chain, or one released to peers) is not rebuilt for each
+        block.  A state is built on a copy of the tip's, rewound over undo
+        records to the fork point and walked forward along the branch from
+        them.
+        """
+        state = self.states.get(block_hash)
+        if state is not None:
+            return state
+        tip_state = self.tip_state()
+        state = tip_state.clone()
+        down, up = self._fork_paths(self.tip_hash, block_hash)
+        for h in down:
+            block = self.blocks[h]
+            parent_pow_params = self.undo[block.header.prev_header_hash].pow_params
+            _revert_block(state, block, self.undo[h], parent_pow_params)
+        for h in reversed(up):
+            _redo_block(state, self.blocks[h], self.undo[h])
+        self.states = {self.tip_hash: tip_state, block_hash: state}
+        return state
+
+    def _fork_paths(self, a: bytes, b: bytes) -> tuple[list[bytes], list[bytes]]:
+        """The hashes above the common ancestor of blocks a and b on a's
+        branch and on b's, each newest first."""
+        down: list[bytes] = []
+        up: list[bytes] = []
+        while a != b:
+            if self.blocks[a].header.height >= self.blocks[b].header.height:
+                down.append(a)
+                a = self.blocks[a].header.prev_header_hash
+            else:
+                up.append(b)
+                b = self.blocks[b].header.prev_header_hash
+        return down, up
+
     def get_block(self, block_hash: bytes) -> Block | None:
         return self.blocks.get(block_hash)
 
-    def path_to_genesis(self, block_hash: bytes) -> list[bytes]:
-        """Hashes from genesis up to and including block_hash."""
-        path = []
-        h = block_hash
-        while True:
-            path.append(h)
-            block = self.blocks[h]
-            if block.header.height == 0:
-                break
-            h = block.header.prev_header_hash
-        path.reverse()
-        return path
-
     def adopted_path(self) -> list[bytes]:
-        return self.path_to_genesis(self.tip_hash)
+        """Hashes from genesis up to and including the tip."""
+        down, _ = self._fork_paths(self.tip_hash, self.genesis_hash)
+        return [self.genesis_hash] + down[::-1]
 
     def ancestor_at(self, block_hash: bytes, height: int) -> bytes | None:
         h = block_hash
@@ -517,69 +622,63 @@ class ChainStore:
         parent = self.blocks.get(parent_hash)
         if parent is None:
             return AppendResult(REJECTED, _invalid("UnknownParent"))
-        if self.checkpoints:
-            cp_height = max(self.checkpoints)
-            if block.header.height <= cp_height:
-                return AppendResult(REJECTED, _invalid("Checkpoint"))
-            anchored = self.ancestor_at(parent_hash, cp_height)
-            if anchored != self.checkpoints[cp_height]:
-                return AppendResult(REJECTED, _invalid("Checkpoint"))
         if self.policy is not None:
             v = self.policy(block)
             if not v:
                 return AppendResult(REJECTED, v)
-        parent_state = self.states.get(parent_hash)
-        if parent_state is None:
+        if parent_hash not in self.undo:
             return AppendResult(REJECTED, _invalid("UnknownParentState"))
-        state, v = validate_and_apply(
-            block, parent.header, parent_state, self.params, self.branch_header_at(parent_hash)
+        state = self.state_at(parent_hash)
+        undo, v = validate_and_apply(
+            block, parent.header, state, self.params, self.branch_header_at(parent_hash)
         )
         if not v:
             return AppendResult(REJECTED, v)
 
         self.blocks[h] = block
-        self.states[h] = state
+        self.undo[h] = undo
 
-        if block.header.height <= self.tip_height:
-            return AppendResult(NEW_SIDE_BRANCH)
         if parent_hash == self.tip_hash:
             self.tip_hash = h
+            self.states = {h: state}
             for t in block.transactions:
                 self._adopted_tx_heights[t.tx_id] = block.header.height
             if self.mempool:  # None during replay; an empty pool has nothing to drop
                 self.mempool.remove_confirmed(block.transactions)
                 self.mempool.drop_conflicting(state.utxo, not is_stake_model(self.params))
             return AppendResult(EXTENDED)
-        return self._reorganize(h)
+        del self.states[parent_hash]  # the kept side-branch state is now the block's
+        self.states[h] = state
+        if block.header.height <= self.tip_height:
+            return AppendResult(NEW_SIDE_BRANCH)
+        return self._reorganize(h, state)
 
-    def _reorganize(self, new_tip: bytes) -> AppendResult:
-        old_path = self.adopted_path()
-        new_path = self.path_to_genesis(new_tip)
-        fork_height = 0
-        for old, new in zip(old_path, new_path):
-            if old != new:
-                break
-            fork_height += 1
-        orphaned = [self.blocks[h] for h in old_path[fork_height:]]
-        adopted = [self.blocks[h] for h in new_path[fork_height:]]
+    def _reorganize(self, new_tip: bytes, state: ChainState) -> AppendResult:
+        """Adopt new_tip, whose post-state is state, and drop the old tip's.
+        The confirmation index changes over the orphaned and adopted blocks
+        only."""
+        down, up = self._fork_paths(self.tip_hash, new_tip)
+        orphaned = [self.blocks[h] for h in reversed(down)]
+        adopted = [self.blocks[h] for h in reversed(up)]
         self.tip_hash = new_tip
-        self._adopted_tx_heights = {}
-        for h in new_path:
-            height = self.blocks[h].header.height
-            for t in self.blocks[h].transactions:
-                self._adopted_tx_heights[t.tx_id] = height
+        self.states = {new_tip: state}
+        for b in orphaned:
+            for t in b.transactions:
+                self._adopted_tx_heights.pop(t.tx_id, None)
+        for b in adopted:
+            for t in b.transactions:
+                self._adopted_tx_heights[t.tx_id] = b.header.height
         if self.mempool is not None:
             allow_locked = not is_stake_model(self.params)
-            utxo = self.tip_state().utxo
             confirmed = {t.tx_id for b in adopted for t in b.transactions}
             for b in adopted:
                 self.mempool.remove_confirmed(b.transactions)
             orphaned_txs = [t for b in orphaned for t in b.transactions]
-            self.mempool.reinsert(orphaned_txs, utxo, confirmed, allow_locked)
-            self.mempool.drop_conflicting(utxo, allow_locked)
+            self.mempool.reinsert(orphaned_txs, state.utxo, confirmed, allow_locked)
+            self.mempool.drop_conflicting(state.utxo, allow_locked)
         return AppendResult(REORGANIZED, orphaned=orphaned, adopted=adopted)
 
-    # -- confirmation and checkpoints ----------------------------------------
+    # -- confirmation ----------------------------------------------------------
 
     def is_confirmed(self, tx_id: bytes) -> bool:
         height = self._adopted_tx_heights.get(tx_id)
@@ -590,20 +689,12 @@ class ChainStore:
     def confirmation_height(self, tx_id: bytes) -> int | None:
         return self._adopted_tx_heights.get(tx_id)
 
-    def set_checkpoint(self, height: int) -> None:
-        if height > self.tip_height - self.params.confirmation_depth:
-            raise ValueError("checkpoint must sit at least k blocks below the tip")
-        anchored = self.ancestor_at(self.tip_hash, height)
-        if anchored is None:
-            raise ValueError("no adopted block at that height")
-        self.checkpoints[height] = anchored
-
     # -- raw install (file loading) -------------------------------------------
 
     def _install_raw(self, block: Block) -> None:
         """append_block, except that a block rejected for any reason but
-        Duplicate is still indexed, with no state: verify_chain sees the
-        corrupt entry, yet it is never adopted or built on."""
+        Duplicate is still indexed, with no undo record: verify_chain sees
+        the corrupt entry, yet it is never adopted or built on."""
         result = self.append_block(block)
         if result.status == REJECTED and result.reason != "Duplicate":
             h = header_hash(block.header)
@@ -622,7 +713,7 @@ class ChainStore:
         """Assemble an unproven block on top of a parent (default: the tip)."""
         parent_hash = parent_hash if parent_hash is not None else self.tip_hash
         parent = self.blocks[parent_hash]
-        fees = _block_fees(tuple(txs), self.states[parent_hash].utxo)
+        fees = _block_fees(tuple(txs), self.state_at(parent_hash).utxo)
         if fees is None:
             raise ValueError("candidate transactions do not resolve")
         height = parent.header.height + 1
@@ -682,7 +773,7 @@ def verify_blocks(params: ChainParams, blocks: Iterable[Block]) -> VerifyResult:
             if header.height > 0:
                 parent_hash = header.prev_header_hash
                 v = validate_and_apply(
-                    block, store.blocks[parent_hash].header, store.states[parent_hash],
+                    block, store.blocks[parent_hash].header, store.state_at(parent_hash).clone(),
                     params, store.branch_header_at(parent_hash),
                 )[1]
         if not v:

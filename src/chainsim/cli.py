@@ -509,8 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("puzzle", help="solve the leading-zeros hash puzzle")
     p.add_argument("prefix")
     p.add_argument("zeros", type=int)
-    p.add_argument("start", type=int)
-    p.add_argument("end", type=int, nargs="?", default=None)
+    p.add_argument("start", type=int, help="first nonce to try, below 2**63")
+    p.add_argument("end", type=int, nargs="?", default=None,
+                   help="stop before this nonce, at most 2**63 (default 2**63)")
     p.set_defaults(func=cmd_puzzle)
 
     p = sub.add_parser("chain", help="manage the local chain file")

@@ -103,23 +103,6 @@ class PoetParams:
             raise ValueError("elapsed-time consensus needs at least one publisher")
 
 
-MODEL_KEYS = {
-    "pow": PowParams,
-    "pos_chain": PosChainParams,
-    "pos_coinage": PosCoinAgeParams,
-    "round_robin": RoundRobinParams,
-    "poa": PoaParams,
-    "poet": PoetParams,
-}
-
-
-def model_key(params: object) -> str:
-    for key, cls in MODEL_KEYS.items():
-        if isinstance(params, cls):
-            return key
-    raise ValueError(f"unknown consensus params {type(params).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Proof of work
 # ---------------------------------------------------------------------------
@@ -247,15 +230,6 @@ def round_robin_publisher(
 
 def poa_select(params: PoaParams, rand: float) -> Address | None:
     return _weighted_pick(_aggregate(params.authorities.items()), rand)
-
-
-def poa_adjust(params: PoaParams, address: Address, delta: int) -> PoaParams:
-    """Reputation feedback, clamped to [0, r_max]."""
-    if address not in params.authorities:
-        raise KeyError(f"unknown authority {address.hex()}")
-    updated = dict(params.authorities)
-    updated[address] = min(max(updated[address] + delta, 0), params.r_max)
-    return replace(params, authorities=updated)
 
 
 # ---------------------------------------------------------------------------

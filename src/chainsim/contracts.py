@@ -273,14 +273,6 @@ def assemble(text: str) -> bytes:
     return blob
 
 
-def disassemble(blob: bytes) -> str:
-    lines = []
-    for op, operand in parse_bytecode(blob):
-        name = MNEMONICS[op]
-        lines.append(name if operand is None else f"{name} {operand}")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Contract accounts
 # ---------------------------------------------------------------------------

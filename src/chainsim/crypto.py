@@ -13,6 +13,7 @@ import hashlib
 import multiprocessing
 import os
 import struct
+from collections import deque
 from dataclasses import dataclass
 from math import log
 
@@ -41,11 +42,6 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def sha256_hex(data: bytes) -> str:
-    """Digest displayed as the usual 64-character lowercase hex string."""
-    return sha256(data).hex()
-
-
 # ---------------------------------------------------------------------------
 # Nonce puzzles
 # ---------------------------------------------------------------------------
@@ -72,12 +68,44 @@ def _scan(prefix: bytes, difficulty: int, start: int, stop: int):
     return None
 
 
-def _scan_chunk(args):
-    return _scan(*args)
-
-
 # nonces per chunk; a puzzle answered in the first chunk starts no worker
 PUZZLE_CHUNK = 1 << 20
+# nonces lie in [0, MAX_NONCE): the scan's end when no end nonce is given
+MAX_NONCE = 1 << 63
+
+
+def _pooled_scan(prefix: bytes, difficulty: int, start: int, stop: int):
+    """_scan over [start, stop) in PUZZLE_CHUNK chunks on one spawned worker
+    per CPU, two chunks per worker in flight, results read in chunk order.
+
+    If a worker dies, as when spawn cannot re-import the caller's __main__
+    (a script read from stdin, or one with no __main__ guard), the pool
+    breaks and the chunks not yet read are scanned in this process.
+    """
+    # imported here: at module level it adds about 15 ms to every start-up
+    # (python -X importtime, 2-CPU VM)
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    workers = os.cpu_count() or 1
+    starts = iter(range(start, stop, PUZZLE_CHUNK))
+    window: deque = deque()
+    try:
+        # spawned, not forked: the caller may have threads
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
+            found = None
+            while found is None:
+                while len(window) < 2 * workers and (s := next(starts, None)) is not None:
+                    window.append(pool.submit(_scan, prefix, difficulty, s, min(s + PUZZLE_CHUNK, stop)))
+                if not window:
+                    break
+                found = window.popleft().result()
+                start = min(start + PUZZLE_CHUNK, stop)  # the first chunk not yet read
+            for future in window:
+                future.cancel()
+            return found
+    except BrokenProcessPool:
+        return _scan(prefix, difficulty, start, stop)
 
 
 def solve_string_puzzle(
@@ -90,29 +118,29 @@ def solve_string_puzzle(
     ``difficulty`` leading zero hex digits.
 
     The nonce is rendered as unpadded base-10 ASCII appended to ``prefix``.
-    Returns None when ``end_nonce`` is exhausted.  The first PUZZLE_CHUNK
-    nonces are scanned in this process.  Only when they hold no answer is the
-    rest of the range cut into ordered chunks of that size and scanned by a
-    pool of one worker process per CPU.  Chunk results are read in order and
-    the pool is stopped at the first hit, so the answer is always the lowest
-    solving nonce in the range, and no worker outlives the call.
+    Nonces lie below MAX_NONCE = 2**63, the end when ``end_nonce`` is None;
+    a start at or past it, or an end past it, raises ValueError.  Returns
+    None when the range is exhausted.  The first PUZZLE_CHUNK nonces are
+    scanned in this process.  Only when they hold no answer is the rest of
+    the range scanned in ordered chunks of that size by one worker process
+    per CPU (_pooled_scan).  Chunk results are read in order and the pool is
+    shut down at the first hit, so the answer is always the lowest solving
+    nonce in the range, and no worker outlives the call.
     """
     if not 0 <= difficulty <= 64:
         raise ValueError("difficulty must be in [0, 64]")
     if start_nonce < 0:
         raise ValueError("start_nonce must be non-negative")
+    if start_nonce >= MAX_NONCE:
+        raise ValueError("start_nonce must be below 2**63")
+    if end_nonce is not None and end_nonce > MAX_NONCE:
+        raise ValueError("end_nonce must be at most 2**63")
     prefix_bytes = prefix.encode()
-    stop = end_nonce if end_nonce is not None else (1 << 63)
+    stop = end_nonce if end_nonce is not None else MAX_NONCE
     first_stop = min(start_nonce + PUZZLE_CHUNK, stop)
     found = _scan(prefix_bytes, difficulty, start_nonce, first_stop)
     if found is None and first_stop < stop:
-        tasks = (
-            (prefix_bytes, difficulty, s, min(s + PUZZLE_CHUNK, stop))
-            for s in range(first_stop, stop, PUZZLE_CHUNK)
-        )
-        # spawned, not forked: the caller may have threads; terminated on exit
-        with multiprocessing.get_context("spawn").Pool(os.cpu_count()) as pool:
-            found = next((r for r in pool.imap(_scan_chunk, tasks) if r is not None), None)
+        found = _pooled_scan(prefix_bytes, difficulty, first_stop, stop)
     if found is None:
         return None
     nonce, digest = found

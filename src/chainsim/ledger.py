@@ -3,16 +3,17 @@
 Amounts are integers in a smallest indivisible unit.  A transaction's fee is
 the surplus of resolved input value over output value; the block publisher
 claims fees through its coinbase.  UtxoSet.apply is the one place a
-transaction's inputs are spent and its outputs added: the chain store, the
-block verifier, block-fee pre-computation, mempool selection and the
-simulator's genesis builder all go through it.
+transaction's inputs are spent and its outputs added, and UtxoSet.revert the
+one place they are taken back: the chain store (which walks one set per
+node back and forth), block-fee pre-computation and mempool selection go
+through the pair, the block verifier and the genesis builder through apply.
 
 Each UtxoSet carries a paid-to index (address -> outpoints) that is
 append-only and shared with every copy: a superset of the outpoints the set
 holds for an address, so readers filter it through UtxoSet.get.  Each set
 also memoises spendable_outpoint answers by (address, needed), None
-included; UtxoSet.add and UtxoSet.spend clear that memo, and a copy starts
-with an empty one of its own.
+included; add, spend and revert clear that memo, and a copy starts with an
+empty one of its own.
 """
 
 from __future__ import annotations
@@ -180,17 +181,16 @@ class UtxoSet:
     covers spent entries as well as live ones.
 
     A paid-to index maps each address to outpoints paying it.  It is
-    append-only and shared by reference between a set and every copy made
-    from it, so it holds each outpoint that any of them ever added: a
-    superset of this set's outpoints for the address.  Readers of paid_to
-    filter through get(); an outpoint (tx_id, index) fixes its output, so
-    one this set holds pays the address it is indexed under.
+    append-only (revert leaves it) and shared by reference between a set and
+    every copy made from it, so it holds each outpoint that any of them ever
+    added: a superset of this set's outpoints for the address.  Readers of
+    paid_to filter through get(); an outpoint (tx_id, index) fixes its
+    output, so one this set holds pays the address it is indexed under.
 
     The spendable memo maps (address, needed) to spendable_outpoint's answer
-    for this set.  add and spend clear it, since either can change an answer;
-    copy gives the twin an empty memo of its own, so one set's answers never
-    reach another.  A chain state's set is not mutated once stored, so its
-    memo lasts until the node's tip moves.
+    for this set.  add, spend and revert clear it, since each can change an
+    answer; copy gives the twin an empty memo of its own, so one set's
+    answers never reach another.
     """
 
     def __init__(self, entries: dict[Outpoint, UtxoEntry] | None = None):
@@ -222,34 +222,52 @@ class UtxoSet:
         self._paid_to.setdefault(output.recipient, set()).add(outpoint)
         self._spendable.clear()
 
-    def spend(self, outpoint: Outpoint, height: int) -> int:
-        """Mark a live entry spent and return its amount."""
+    def spend(self, outpoint: Outpoint, height: int) -> None:
+        """Mark a live entry spent."""
         entry = self._entries[outpoint]
         if not entry.live:
             raise ValueError("outpoint already spent")
         self._entries[outpoint] = replace(entry, spent_height=height)
         self._spendable.clear()
-        return entry.output.amount
 
     def apply(self, tx: Transaction, height: int) -> int:
         """Spend every input and add every output of tx at height (output 0
         of a STAKE is locked); return the fee, 0 for a coinbase.
 
         Checks no rule: validate_transaction does that.  Raises KeyError for
-        an unknown input and ValueError for a spent input or an output that is
-        already present, possibly after changing part of the set.
+        an unknown input and ValueError for a spent input, an input named
+        twice or an output that is already present, and then leaves the set
+        as it was.
         """
-        value_in = sum(self.spend(inp.outpoint, height) for inp in tx.inputs)
+        entries = self._entries
+        spent = [entries[inp.outpoint] for inp in tx.inputs]  # KeyError: unknown input
         tx_id = tx.tx_id
+        if (not all(entry.live for entry in spent)
+                or len({inp.outpoint for inp in tx.inputs}) < len(spent)
+                or any((tx_id, i) in entries for i in range(len(tx.outputs)))):
+            raise ValueError("input spent or named twice, or output already present")
+        for inp in tx.inputs:
+            self.spend(inp.outpoint, height)
         for i, out in enumerate(tx.outputs):
             self.add((tx_id, i), out, tx.kind == TxKind.STAKE and i == 0, height)
+        value_in = sum(entry.output.amount for entry in spent)
         return 0 if tx.kind == TxKind.COINBASE else value_in - tx.output_value
+
+    def revert(self, tx: Transaction) -> None:
+        """Take back apply(tx, ...): remove tx's outputs and make its inputs
+        live again.  Transactions are reverted newest first, so none of tx's
+        outputs is spent when it is."""
+        entries = self._entries
+        tx_id = tx.tx_id
+        for i in range(len(tx.outputs)):
+            del entries[(tx_id, i)]
+        for inp in tx.inputs:
+            outpoint = inp.outpoint
+            entries[outpoint] = replace(entries[outpoint], spent_height=None)
+        self._spendable.clear()
 
     def live_entries(self) -> Iterable[tuple[Outpoint, UtxoEntry]]:
         return ((op, e) for op, e in self._entries.items() if e.live)
-
-    def total_live(self) -> int:
-        return sum(e.output.amount for _, e in self.live_entries())
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -350,19 +368,6 @@ def validate_transaction(tx: Transaction, utxo: UtxoSet, allow_locked: bool = Fa
             return _invalid("DuplicateOutpoint")
         seen.add(inp.outpoint)
     return VALID
-
-
-def transaction_fee(tx: Transaction, utxo: UtxoSet) -> int:
-    """Resolved input value minus output value; coinbase fee is zero."""
-    if tx.kind == TxKind.COINBASE:
-        return 0
-    value_in = 0
-    for inp in tx.inputs:
-        entry = utxo.get(inp.outpoint)
-        if entry is None:
-            raise TxBuildError(f"unknown outpoint {inp.source_tx.hex()[:16]}:{inp.source_index}")
-        value_in += entry.output.amount
-    return value_in - tx.output_value
 
 
 # ---------------------------------------------------------------------------
@@ -537,17 +542,22 @@ class Mempool:
 
     def take(self, max_bytes: int, utxo: UtxoSet, allow_locked: bool = False) -> list[Transaction]:
         """Select transactions for a block, respecting a serialized-size budget
-        and sequential validity (pool entries may chain off each other)."""
-        view = utxo.copy()
+        and sequential validity (pool entries may chain off each other).
+        Each pick is applied to utxo, so that later entries see it, and every
+        pick is reverted before returning."""
         picked: list[Transaction] = []
         budget = max_bytes
-        for tx in self._entries.values():
-            size = len(tx.serialize())
-            if size > budget:
-                continue
-            if not validate_transaction(tx, view, allow_locked):
-                continue
-            view.apply(tx, 0)
-            picked.append(tx)
-            budget -= size
+        try:
+            for tx in self._entries.values():
+                size = len(tx.serialize())
+                if size > budget:
+                    continue
+                if not validate_transaction(tx, utxo, allow_locked):
+                    continue
+                utxo.apply(tx, 0)
+                picked.append(tx)
+                budget -= size
+        finally:
+            for tx in reversed(picked):
+                utxo.revert(tx)
         return picked

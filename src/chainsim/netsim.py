@@ -484,8 +484,8 @@ class Simulation:
         node.mine_gen += 1
         parent = self._mining_parent(node)
         node.mining_parent = parent
-        state = node.store.states[parent]
-        target = state.pow_params.target if state.pow_params else self.model.target
+        pow_params = node.store.undo[parent].pow_params
+        target = pow_params.target if pow_params else self.model.target
         rate = node.hash_rate * (target / 2.0**256)
         if rate <= 0:
             return
@@ -534,7 +534,7 @@ class Simulation:
                 if self.nodes[n].online(self.now) and self.reachable(node.name, n, self.now)
             }
             return cons.round_robin_publisher(self.model, height, live) == node.address
-        state = node.store.states[tip]
+        state = node.store.state_at(tip)
         stakes = (
             cons.stake_view(state.utxo, height, state.stake_resets)
             if self.stake_model
@@ -586,7 +586,7 @@ class Simulation:
     # -- block production --------------------------------------------------------
 
     def _mempool_selection(self, node: SimNode, parent: bytes, budget: int) -> list[Transaction]:
-        state = node.store.states[parent]
+        state = node.store.state_at(parent)
         txs = node.store.mempool.take(budget, state.utxo, not self.stake_model)
         if (
             self.adversary

@@ -22,7 +22,9 @@ from chainsim.chain import (
     validate_and_apply,
     verify_blocks,
     verify_chain,
+    BlockUndo,
     _block_fees,
+    _revert_block,
     _walk_transactions,
 )
 from chainsim.crypto import HashStream, derive_address, keypair_generate, sha256, sign
@@ -213,7 +215,7 @@ def test_repeated_coinbase_is_rejected_without_touching_the_store():
     block1, result = extend(store)
     assert result.status == EXTENDED
     tip, utxo_digest = store.tip_hash, store.tip_state().utxo.digest()
-    states = dict(store.states)
+    before = store.tip_state().clone()
 
     repeat = forge(store, block1.transactions)
     result = store.append_block(repeat)
@@ -222,7 +224,7 @@ def test_repeated_coinbase_is_rejected_without_touching_the_store():
     assert result.validity.detail == "transaction 0"
     assert store.tip_hash == tip
     assert store.tip_state().utxo.digest() == utxo_digest
-    assert store.states == states
+    assert store.states == {tip: before}
 
 
 def _fee_check_block(case: str):
@@ -265,7 +267,8 @@ def _fees_first_reference(block: Block, parent_state, params: ChainParams):
     if fees is not None and reward > params.block_subsidy + fees:
         return None, Validity(False, "ExcessReward", f"{reward} > {params.block_subsidy} + {fees}")
     state = parent_state.clone()
-    v = _walk_transactions(block.transactions, state, block.header.height, params, True)
+    v = _walk_transactions(block.transactions, state, block.header.height, params, True,
+                           BlockUndo(None))
     return (state if v else None), v
 
 
@@ -305,18 +308,19 @@ def test_folded_fee_check_matches_fees_first_reference(plan, extra, coinbase_pic
     coinbase = genesis if coinbase_pick == 0 else make_coinbase([(B_ADDR, reward)], 1)
     block = forge(store, [coinbase] + txs)
 
-    parent_state = store.tip_state()
-    parent_digest = parent_state.utxo.digest()
-    got_state, got = validate_and_apply(
-        block, store.tip.header, parent_state, store.params,
-        store.branch_header_at(store.tip_hash),
+    state = store.tip_state()
+    parent = state.clone()
+    want_state, want = _fees_first_reference(block, parent, store.params)
+    assert state == parent
+    undo, got = validate_and_apply(
+        block, store.tip.header, state, store.params, store.branch_header_at(store.tip_hash),
     )
-    want_state, want = _fees_first_reference(block, parent_state, store.params)
     assert (got.ok, got.reason, got.detail) == (want.ok, want.reason, want.detail)
     if got.ok:
-        assert got_state.utxo.digest() == want_state.utxo.digest()
-        assert (got_state.issued, got_state.fees) == (want_state.issued, want_state.fees)
-    assert parent_state.utxo.digest() == parent_digest
+        assert state == want_state and state.utxo.digest() == want_state.utxo.digest()
+        _revert_block(state, block, undo, parent.pow_params)
+    # a rejected block leaves the state as it was, and an accepted one reverts to it
+    assert state == parent and state.utxo.digest() == parent.utxo.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +441,7 @@ def test_reorganized_state_equals_clean_replay():
 
 
 # ---------------------------------------------------------------------------
-# confirmation and checkpoints
+# confirmation
 # ---------------------------------------------------------------------------
 
 
@@ -454,49 +458,6 @@ def test_confirmation_depth_boundary():
     assert not store.is_confirmed(tx.tx_id)  # five on top
     extend(store, timestamp=7)
     assert store.is_confirmed(tx.tx_id)  # six on top
-
-
-def test_checkpoint_rules():
-    store = fresh_store(confirmation_depth=2)
-    forkpoint_hash = None
-    for i in range(1, 6):
-        block, _ = extend(store, timestamp=i)
-        if i == 3:
-            forkpoint_hash = header_hash(block.header)
-
-    with pytest.raises(ValueError):
-        store.set_checkpoint(4)  # above tip - k
-    store.set_checkpoint(3)
-
-    # a competing branch below the checkpoint is refused outright
-    parent = store.ancestor_at(store.tip_hash, 2)
-    rival = store.make_candidate(B_ADDR, [], 9, parent_hash=parent)
-    result = store.append_block(rival)
-    assert result.status == REJECTED
-    assert result.reason == "Checkpoint"
-
-    # extending the checkpointed chain is unaffected
-    _, ok = extend(store, timestamp=9)
-    assert ok.status == EXTENDED
-    assert store.checkpoints[3] == forkpoint_hash
-
-
-def test_confirmed_stays_confirmed_under_checkpoint():
-    store = fresh_store([(A_ADDR, 10)], confirmation_depth=2)
-    fund = store.tip.transactions[0]
-    tx = build_transaction([(fund.tx_id, 0)], [(B_ADDR, 10)], 0, [ALICE],
-                           store.tip_state().utxo)
-    extend(store, [tx], timestamp=1)
-    for i in range(2, 5):
-        extend(store, timestamp=i)
-    assert store.is_confirmed(tx.tx_id)
-    store.set_checkpoint(1)
-
-    # a longer rival branch cannot cross the checkpoint and unconfirm it
-    genesis_hash = store.adopted_path()[0]
-    rival = store.make_candidate(B_ADDR, [], 50, parent_hash=genesis_hash)
-    assert store.append_block(rival).reason == "Checkpoint"
-    assert store.is_confirmed(tx.tx_id)
 
 
 # ---------------------------------------------------------------------------

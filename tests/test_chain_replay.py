@@ -5,7 +5,9 @@ reference below is the earlier loader (its own _install_raw and a
 confirmation-index rebuild) and verifier (its own block index, state map and
 ancestor walk), written as functions.  Over random chain files and random
 single-byte block mutants the two must agree, except for the one deliberate
-change pinned in test_second_genesis_record_fails_verification.
+change pinned in test_second_genesis_record_fails_verification.  The
+reference loader fills a ReferenceStore (test_state_store), which keeps a
+state per block, and every state of a loaded or replayed store must match it.
 """
 
 import os
@@ -45,6 +47,7 @@ from chainsim.crypto import derive_address, keypair_generate, sha256
 from chainsim.ledger import Mempool, build_transaction, make_coinbase
 
 from test_acceptance import _signed_payment_chain
+from test_state_store import ReferenceStore, assert_same_states
 
 ALICE = keypair_generate(bytes(range(32)))
 BOB = keypair_generate(bytes(range(1, 33)))
@@ -94,9 +97,8 @@ def reference_verify_blocks(params, blocks):
                         return None
                 return b.header if b.header.height == height else None
 
-            state, v = validate_and_apply(
-                block, parent.header, states[header_hash(parent.header)], params, header_at
-            )
+            state = states[header_hash(parent.header)].clone()
+            _, v = validate_and_apply(block, parent.header, state, params, header_at)
             if not v:
                 return VerifyResult(False, header.height, v.reason)
         h = header_hash(header)
@@ -114,9 +116,9 @@ def reference_install_raw(store, block):
     parent = store.blocks.get(parent_hash)
     parent_state = store.states.get(parent_hash)
     if parent is not None and parent_state is not None:
-        state, v = validate_and_apply(
-            block, parent.header, parent_state, store.params,
-            store.branch_header_at(parent_hash),
+        state = parent_state.clone()
+        _, v = validate_and_apply(
+            block, parent.header, state, store.params, store.branch_header_at(parent_hash),
         )
         if v:
             store.states[h] = state
@@ -165,7 +167,7 @@ def reference_load(path, params):
     if blocks[0].header.height != 0:
         raise ChainFileError(6, "first record is not a genesis block")
     try:
-        store = ChainStore(params, genesis=blocks[0])
+        store = ReferenceStore(params, genesis=blocks[0])
     except ValueError as exc:
         raise ChainFileError(6, str(exc)) from None
     for block in blocks[1:]:
@@ -194,7 +196,7 @@ def _file_bytes(blocks) -> bytes:
 def _valid_child(store, rng, parent_hash) -> Block:
     """A signed block on parent_hash paying 0-2 of the genesis outputs still
     live on that branch, so sibling branches carry conflicting payments."""
-    utxo = store.states[parent_hash].utxo
+    utxo = store.state_at(parent_hash).utxo
     fund = store.blocks[store.genesis_hash].transactions[0]
     live = [i for i in range(len(fund.outputs)) if utxo.get((fund.tx_id, i)).live]
     picks = rng.sample(live, min(len(live), rng.randrange(3)))
@@ -264,6 +266,15 @@ def random_chain_file(seed: int) -> bytes:
     return bytes(data)
 
 
+def _appended(params, blocks):
+    """A store and a reference store fed the same blocks through append_block."""
+    store = ChainStore(params, blocks[0])
+    reference = ReferenceStore(params, blocks[0])
+    for block in blocks[1:]:
+        assert store.append_block(block).validity == reference.append_block(block).validity
+    return store, reference
+
+
 def _load_either(loader, path):
     try:
         return loader(str(path), PARAMS)
@@ -298,11 +309,7 @@ def test_load_matches_reference(tmp_path, seed):
     a, b = new.store, ref.store
     assert list(a.blocks) == list(b.blocks)
     assert a.blocks == b.blocks
-    assert a.states.keys() == b.states.keys()
-    for h, state in b.states.items():
-        assert a.states[h].utxo.digest() == state.utxo.digest()
-        assert a.states[h] == state
-    assert a.tip_hash == b.tip_hash
+    assert_same_states(a, b)
     assert _confirmation_heights(a) == _confirmation_heights(b)
     assert len(a.mempool) == 0
     assert verify_chain(a) == reference_verify_blocks(PARAMS, b.blocks.values())
@@ -325,7 +332,7 @@ def test_random_chain_files_cover_every_case(tmp_path):
         for h in list(store.blocks)[1:]:
             replay.append_block(store.blocks[h])
         repooled += len(replay.mempool) > 0
-        stateless += len(store.blocks) > len(store.states)
+        stateless += len(store.blocks) > len(store.undo)
         truncated += loaded.truncated_at is not None
         ok = verify_chain(store).ok
         verified += ok
@@ -355,6 +362,8 @@ def test_verify_matches_reference_on_single_byte_mutants():
             sequences.append(blocks[: idx + 1] + [mutant] + blocks[idx + 1 :])
         for sequence in sequences:
             assert verify_blocks(params, sequence) == reference_verify_blocks(params, sequence)
+            if idx > 0 and reached % 25 == 0:
+                assert_same_states(*_appended(params, sequence))
     assert reached >= 1000
 
 
@@ -395,8 +404,8 @@ def test_second_genesis_record_fails_verification(tmp_path):
     path.write_bytes(_file_bytes(sequence + [_forged_child(other)]))
     new, ref = load(str(path), params), reference_load(str(path), params)
     assert list(new.store.blocks) == list(ref.store.blocks)
-    assert new.store.states.keys() == ref.store.states.keys()
-    assert header_hash(other.header) not in new.store.states
+    assert new.store.undo.keys() == ref.store.states.keys()
+    assert header_hash(other.header) not in new.store.undo
     assert verify_chain(new.store) == VerifyResult(False, 0, "PrevHash")
     assert reference_verify_blocks(params, ref.store.blocks.values()).ok
 

@@ -6,7 +6,7 @@ import argparse
 import contextlib
 import io
 import importlib
-import multiprocessing.pool
+import concurrent.futures
 import os
 import re
 import shutil
@@ -230,6 +230,14 @@ def test_puzzle_rejects_impossible_difficulty(capsys):
     assert code == 4 and "error:" in err
 
 
+def test_puzzle_rejects_a_start_at_the_nonce_bound(capsys):
+    code, out, err = run_cli(capsys, "puzzle", "x", 0, 2**63)
+    assert (code, out) == (4, "")
+    assert "start_nonce must be below 2**63" in err
+    code, out, _ = run_cli(capsys, "puzzle", "x", 0, 2**63 - 1)
+    assert code == 0 and out.startswith(f"nonce={2**63 - 1} ")
+
+
 def test_puzzle_answered_in_the_first_chunk_starts_no_pool(capsys, monkeypatch):
     """The benchmark's operator command: its answer lies inside the nonces
     scanned in-process, so no worker pool is ever constructed."""
@@ -237,7 +245,7 @@ def test_puzzle_answered_in_the_first_chunk_starts_no_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", no_pool)
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", no_pool)
     code, out, _ = run_cli(capsys, "puzzle", "blockchain", 5, 0)
     assert code == 0
     assert out.startswith("nonce=311895 digest=00000") and " attempts=311896 " in out

@@ -23,9 +23,7 @@ from chainsim.consensus import (
     StakeEntry,
     attach_proof,
     expected_publisher,
-    model_key,
     parse_poet_certificate,
-    poa_adjust,
     poa_select,
     poet_draw,
     poet_verify,
@@ -252,12 +250,7 @@ def test_poa_weighted_selection_and_zero_reputation():
     assert abs(counts[ADDR_A] - 7500) <= 3 * 43 + 1  # sigma = sqrt(n*.75*.25)
 
 
-def test_poa_adjust_clamps():
-    params = PoaParams(authorities={ADDR_A: 50}, r_max=100)
-    assert poa_adjust(params, ADDR_A, -200).authorities[ADDR_A] == 0
-    assert poa_adjust(params, ADDR_A, 200).authorities[ADDR_A] == 100
-    with pytest.raises(KeyError):
-        poa_adjust(params, ADDR_B, 1)
+def test_poa_select_needs_a_positive_reputation():
     assert poa_select(PoaParams(authorities={ADDR_A: 0}), 0.3) is None
 
 
@@ -377,15 +370,6 @@ def test_literal_pow_rejects_tagged_headers():
     tagged = replace(template(), consensus_tag=b"x")
     ok, why = verify_header_proof(params, tagged, ProofContext(target=params.target))
     assert not ok and "tag" in why
-
-
-def test_model_keys_cover_all_params():
-    assert model_key(PowParams(target=1 << 200)) == "pow"
-    assert model_key(PosChainParams()) == "pos_chain"
-    assert model_key(PosCoinAgeParams()) == "pos_coinage"
-    assert model_key(RoundRobinParams(publishers=(ADDR_A,))) == "round_robin"
-    assert model_key(PoaParams(authorities={ADDR_A: 1})) == "poa"
-    assert model_key(PoetParams(publishers=(ADDR_A,), mean_wait=1.0, seed=0)) == "poet"
 
 
 def test_pow_params_validation():

@@ -1,6 +1,9 @@
 import hashlib
 import struct
 import multiprocessing
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,6 @@ from chainsim.crypto import (
     load_keystore,
     save_keystore,
     sha256,
-    sha256_hex,
     sign,
     solve_string_puzzle,
     uniform_from_digest,
@@ -37,10 +39,10 @@ SEED_B = bytes(range(1, 33))
 
 
 def test_sha256_known_answers():
-    assert sha256_hex(b"1") == "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"
-    assert sha256_hex(b"2") == "d4735e3a265e16eee03f59718b9b5d03019c07d8b6c51f90da3a666eec13ab35"
-    assert sha256_hex(b"") == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    assert sha256_hex(b"abc") == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    assert sha256(b"1").hex() == "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"
+    assert sha256(b"2").hex() == "d4735e3a265e16eee03f59718b9b5d03019c07d8b6c51f90da3a666eec13ab35"
+    assert sha256(b"").hex() == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    assert sha256(b"abc").hex() == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
 
 @given(st.binary(max_size=256))
@@ -83,7 +85,7 @@ def test_puzzle_small_difficulty():
     assert sol.attempts == sol.nonce + 1
     # no earlier nonce qualifies
     for nonce in range(sol.nonce):
-        assert not sha256_hex(b"blockchain%d" % nonce).startswith("00")
+        assert not sha256(b"blockchain%d" % nonce).hex().startswith("00")
 
 
 def test_puzzle_sharded_scan_matches_single_scan():
@@ -123,11 +125,33 @@ def test_pooled_puzzle_reads_chunks_in_order(monkeypatch):
         assert (sol.nonce, sol.digest) == crypto._scan(prefix.encode(), 3, 300, 1 << 20)
 
 
+def test_pooled_puzzle_falls_back_in_process_when_its_workers_die():
+    """A script read from stdin cannot be re-imported by a spawned worker, so
+    every worker dies at start-up; the scan finishes in the caller's process
+    with the same answer instead of hanging."""
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(crypto.__file__).parent.parent)!r})",
+        "from chainsim import crypto",
+        "crypto.PUZZLE_CHUNK = 256",
+        "print(crypto.solve_string_puzzle('a', 3, 300).nonce)",
+    ])
+    run = subprocess.run([sys.executable, "-"], input=script, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) == crypto._scan(b"a", 3, 300, 1 << 20)[0]
+
+
 def test_puzzle_rejects_bad_arguments():
     with pytest.raises(ValueError):
         solve_string_puzzle("x", 65, 0)
     with pytest.raises(ValueError):
         solve_string_puzzle("x", 1, -1)
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        solve_string_puzzle("x", 0, 2**63)
+    with pytest.raises(ValueError, match=r"at most 2\*\*63"):
+        solve_string_puzzle("x", 0, 0, end_nonce=2**63 + 1)
+    assert solve_string_puzzle("x", 0, 2**63 - 1).nonce == 2**63 - 1
 
 
 # ---------------------------------------------------------------------------

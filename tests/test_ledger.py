@@ -30,7 +30,6 @@ from chainsim.ledger import (
     deserialize_transaction,
     make_coinbase,
     spendable_outpoint,
-    transaction_fee,
     validate_transaction,
 )
 
@@ -48,6 +47,10 @@ def funded_utxo(*grants: tuple[Address, int]) -> tuple[UtxoSet, Transaction]:
     utxo = UtxoSet()
     utxo.apply(coinbase, 0)
     return utxo, coinbase
+
+
+def total_live(utxo: UtxoSet) -> int:
+    return sum(entry.output.amount for _, entry in utxo.live_entries())
 
 
 def applied(txs, utxo: UtxoSet, height: int) -> UtxoSet:
@@ -92,7 +95,7 @@ def test_unknown_outpoint_and_key_mismatch_rejected():
 def test_fee_is_input_minus_output():
     utxo, fund = funded_utxo((A_ADDR, 10))
     tx = build_transaction([(fund.tx_id, 0)], [(B_ADDR, 7)], 2, [ALICE], utxo)
-    assert transaction_fee(tx, utxo) == 2
+    assert utxo.copy().apply(tx, 1) == 2
     assert sum(o.amount for o in tx.outputs) == 8
 
 
@@ -251,6 +254,23 @@ def test_apply_raises_on_unresolvable_input():
         after.apply(again, 2)
 
 
+def test_a_failed_apply_changes_nothing_and_revert_undoes_apply():
+    utxo, fund = funded_utxo((A_ADDR, 5), (A_ADDR, 6))
+    before = utxo.copy()
+    pay = build_transaction([(fund.tx_id, 0), (fund.tx_id, 1)], [(B_ADDR, 9)], 2, [ALICE], utxo)
+    half_known = replace(pay, inputs=pay.inputs[:1] + (replace(pay.inputs[1], source_tx=b"\x11" * 32),))
+    twice = replace(pay, inputs=pay.inputs[:1] * 2)
+    with pytest.raises(KeyError):
+        utxo.apply(half_known, 1)
+    with pytest.raises(ValueError):
+        utxo.apply(twice, 1)
+    assert utxo == before
+    assert utxo.apply(pay, 1) == 2
+    utxo.revert(pay)
+    assert utxo == before and utxo.digest() == before.digest()
+    assert spendable_outpoint(utxo, A_ADDR, 6) == (fund.tx_id, 1)
+
+
 def _unproven_block(store: ChainStore, txs) -> Block:
     """A block on the tip carrying a subsidy-only coinbase and then txs."""
     parent = store.tip.header
@@ -298,7 +318,8 @@ def test_chained_spend_within_one_block():
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_apply_over_a_block_equals_store_post_state(splits, seed):
     """Random single-block spend patterns: applying the block's transactions
-    to the parent's UTXO set gives the store's post-state, parent unchanged."""
+    to the parent's UTXO set gives the store's post-state, and reverting them
+    from that post-state, newest first, gives the parent's set back."""
     rng = HashStream(seed, "ledger-prop")
     store = ChainStore(
         ChainParams(genesis_allocation=((A_ADDR, 40), (B_ADDR, 40))), mempool=Mempool()
@@ -320,9 +341,13 @@ def test_apply_over_a_block_equals_store_post_state(splits, seed):
         view.apply(tx, 1)
         txs.append(tx)
     block = store.make_candidate(C_ADDR, txs, timestamp=1)
+    assert parent == before  # make_candidate walked the tip's set and took the walk back
     assert store.append_block(block).status == EXTENDED
-    assert applied(block.transactions, parent, 1) == store.tip_state().utxo
-    assert parent == before
+    post = store.tip_state().utxo
+    assert applied(block.transactions, before, 1) == post
+    for tx in reversed(block.transactions):
+        post.revert(tx)
+    assert post == before and post.digest() == before.digest()
 
 
 def test_conservation_across_blocks():
@@ -330,9 +355,9 @@ def test_conservation_across_blocks():
     tx = build_transaction([(fund.tx_id, 0)], [(B_ADDR, 20)], 3, [ALICE], utxo)
     after = applied([tx], utxo, 1)
     # fee leaves the live set until a publisher coinbase re-mints it
-    assert after.total_live() == 47
+    assert total_live(after) == 47
     reward = make_coinbase([(C_ADDR, 3)], 2)
-    assert applied([reward], after, 2).total_live() == 50
+    assert total_live(applied([reward], after, 2)) == 50
 
 
 # ---------------------------------------------------------------------------
