@@ -199,8 +199,6 @@ class ChainState:
     deploy_counts: dict[bytes, int] = field(default_factory=dict)
     stake_resets: dict[Outpoint, int] = field(default_factory=dict)
     pow_params: object = None  # PowParams with the branch-current target
-    issued: int = 0  # sum of all coinbase outputs
-    fees: int = 0  # sum of all fees paid to publishers
 
     def clone(self) -> "ChainState":
         return ChainState(
@@ -209,8 +207,6 @@ class ChainState:
             dict(self.deploy_counts),
             dict(self.stake_resets),
             self.pow_params,
-            self.issued,
-            self.fees,
         )
 
 
@@ -221,15 +217,15 @@ class BlockUndo:
     entry stays in the set, so UtxoSet.revert loses nothing).
 
     ``applied`` counts the leading transactions applied, all of them once
-    the block is stored.  ``writes`` holds, in write order, (table, key,
-    prior value, new value) for each slot the block set in the registry (a
-    deployed contract, or a called one), deploy_counts or stake_resets; a
-    prior of None means the slot was empty.
+    the block is stored, and ``fees`` sums their fees for the ExcessReward
+    check.  ``writes`` holds, in write order, (table, key, prior value, new
+    value) for each slot the block set in the registry (a deployed contract,
+    or a called one), deploy_counts or stake_resets; a prior of None means
+    the slot was empty.
     """
 
     pow_params: object  # the branch PowParams after this block (None outside PoW)
     applied: int = 0
-    issued: int = 0
     fees: int = 0
     writes: list[tuple[str, object, object, object]] = field(default_factory=list)
 
@@ -243,8 +239,6 @@ def _revert_block(state: ChainState, block: Block, undo: BlockUndo, pow_params) 
             del getattr(state, table)[key]
         else:
             getattr(state, table)[key] = prior
-    state.issued -= undo.issued
-    state.fees -= undo.fees
     state.pow_params = pow_params
 
 
@@ -255,8 +249,6 @@ def _redo_block(state: ChainState, block: Block, undo: BlockUndo) -> None:
         state.utxo.apply(tx, block.header.height)
     for table, key, _, new in undo.writes:
         getattr(state, table)[key] = new
-    state.issued += undo.issued
-    state.fees += undo.fees
     state.pow_params = undo.pow_params
 
 
@@ -283,7 +275,9 @@ def _walk_transactions(
     parse, calls must target a known contract and execute with gas = fee x
     GAS_PER_FEE_UNIT (failed executions keep the fee but revert writes), and
     no transaction may repeat one already in the state (DuplicateTransaction:
-    its output 0 exists), which apply would refuse by raising.
+    its output 0 exists), which apply would refuse by raising.  A coinbase's
+    payload must be its block's height (Coinbase), as in BIP 34, so that a
+    coinbase with no outputs cannot repeat either.
     """
     allow_locked = not is_stake_model(params)
     for index, tx in enumerate(txs):
@@ -309,14 +303,11 @@ def _walk_transactions(
                 return _invalid("BadCallData", f"transaction {index}: {exc}")
         if state.utxo.get((tx.tx_id, 0)) is not None:
             return _invalid("DuplicateTransaction", f"transaction {index}")
-        fee = state.utxo.apply(tx, height)
+        if tx.kind == TxKind.COINBASE and tx.payload != struct.pack(">Q", height):
+            return _invalid("Coinbase", f"transaction {index}: payload is not the height")
+        fee = state.utxo.apply(tx, height)  # 0 for a coinbase
         undo.applied += 1
-        if tx.kind == TxKind.COINBASE:
-            state.issued += tx.output_value
-            undo.issued += tx.output_value
-        else:
-            state.fees += fee
-            undo.fees += fee
+        undo.fees += fee
         if tx.kind == TxKind.CONTRACT_DEPLOY:
             creator = derive_address(tx.inputs[0].public_key)
             key = creator.to_bytes()

@@ -43,7 +43,6 @@ from .crypto import (
     solve_string_puzzle,
 )
 from .ledger import (
-    MAX_SUPPLY,
     Mempool,
     TxBuildError,
     TxKind,
@@ -53,7 +52,7 @@ from .ledger import (
     spendable_outpoint,
 )
 from .netsim import run_scenario, summary_row, write_reports
-from .scenario import MAX_SEED, ScenarioError, load_scenario
+from .scenario import MAX_SEED, ScenarioError, load_params, load_scenario
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -123,14 +122,27 @@ def _save_params(args, params: ChainParams) -> None:
     )
 
 
+def _read_config(load, path: str, what: str, *args):
+    """load(path, *args) for a scenario or params file.  A missing file exits
+    3; YAML that does not parse, or a config error, exits 4, and each config
+    error goes to stderr on a line of its own."""
+    try:
+        return load(path, *args)
+    except FileNotFoundError:
+        raise CliError(EXIT_IO, f"{what} file not found: {path}")
+    except yaml.YAMLError as exc:
+        raise CliError(EXIT_CONFIG, f"{what} file: {exc}")
+    except ScenarioError as exc:
+        for line in exc.errors:
+            print(line, file=sys.stderr)
+        raise CliError(EXIT_CONFIG, f"{len(exc.errors)} {what} error(s)")
+
+
 def _load_store(args) -> ChainStore:
     path = _chain_path(args)
     if not os.path.exists(path):
         raise CliError(EXIT_IO, f"no chain file at {path}")
-    params_path = os.path.join(args.data_dir, PARAMS_FILE)
-    if not os.path.exists(params_path):
-        raise CliError(EXIT_IO, f"no params file at {params_path}")
-    params = _parse_params_file(params_path)
+    params = _read_config(load_params, os.path.join(args.data_dir, PARAMS_FILE), "params")
     try:
         result = load(path, params)
     except ChainFileError as exc:
@@ -213,80 +225,9 @@ def cmd_puzzle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _params_ints(mapping: dict, prefix: str, bounds: dict) -> dict:
-    """The keys of bounds that mapping gives, each an integer (not a bool)
-    within its (minimum, maximum); a key left out keeps its dataclass
-    default.  A maximum of None means no maximum."""
-    values = {}
-    for key, (minimum, maximum) in bounds.items():
-        value = mapping.get(key)
-        if value is None:
-            continue
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, int)
-            or value < minimum
-            or maximum is not None and value > maximum
-        ):
-            limit = "" if maximum is None else f" and at most {maximum}"
-            raise CliError(
-                EXIT_CONFIG, f"{prefix}{key}: expected an integer of at least {minimum}{limit}"
-            )
-        values[key] = value
-    return values
-
-
-def _parse_params_file(path: str) -> ChainParams:
-    try:
-        with open(path, "rb") as fh:  # yaml decodes, and reports bytes that are not text
-            raw = yaml.safe_load(fh) or {}
-    except FileNotFoundError:
-        raise CliError(EXIT_IO, f"params file not found: {path}")
-    except yaml.YAMLError as exc:
-        raise CliError(EXIT_CONFIG, f"params file: {exc}")
-    if not isinstance(raw, dict):
-        raise CliError(EXIT_CONFIG, "params file must be a mapping")
-    allocation = []
-    for i, pair in enumerate(raw.get("allocation", []) or []):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise CliError(EXIT_CONFIG, f"allocation[{i}]: expected [address_hex, amount]")
-        try:
-            addr = Address.from_hex(str(pair[0]))
-        except ValueError as exc:
-            raise CliError(EXIT_CONFIG, f"allocation[{i}]: {exc}")
-        if isinstance(pair[1], bool) or not isinstance(pair[1], int) or pair[1] <= 0:
-            raise CliError(EXIT_CONFIG, f"allocation[{i}]: amount must be a positive integer")
-        allocation.append((addr, pair[1]))
-    if sum(amount for _, amount in allocation) > MAX_SUPPLY:
-        raise CliError(EXIT_CONFIG, f"allocation: total exceeds the maximum supply {MAX_SUPPLY}")
-    consensus = None
-    if "pow" in raw and raw["pow"] is not None:
-        pow_raw = raw["pow"]
-        if not isinstance(pow_raw, dict):
-            raise CliError(EXIT_CONFIG, "pow: expected a mapping")
-        bits = pow_raw.get("target_bits", 252)
-        if not isinstance(bits, int) or not 8 <= bits <= 255:
-            raise CliError(EXIT_CONFIG, "pow.target_bits: expected an integer in [8, 255]")
-        consensus = cons.PowParams(
-            target=1 << bits,
-            **_params_ints(
-                pow_raw, "pow.", {"retarget_interval": (1, None), "target_spacing": (1, None)}
-            ),
-        )
-    return ChainParams(
-        genesis_allocation=tuple(allocation),
-        consensus=consensus,
-        **_params_ints(raw, "", {
-            "confirmation_depth": (1, None),
-            "block_subsidy": (0, MAX_SUPPLY),
-            "max_block_data_bytes": (1, None),
-        }),
-    )
-
-
 def cmd_chain(args) -> int:
     if args.chain_cmd == "init":
-        params = _parse_params_file(args.params)
+        params = _read_config(load_params, args.params, "params")
         genesis = make_genesis(params)
         store = ChainStore(params, genesis, Mempool())
         _save_params(args, params)
@@ -329,16 +270,7 @@ def cmd_chain(args) -> int:
 def cmd_sim(args) -> int:
     if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
         raise CliError(EXIT_CONFIG, f"--seed must be between 0 and {MAX_SEED}")
-    try:
-        config = load_scenario(args.scenario, args.seed)
-    except FileNotFoundError:
-        raise CliError(EXIT_IO, f"scenario file not found: {args.scenario}")
-    except yaml.YAMLError as exc:
-        raise CliError(EXIT_CONFIG, f"scenario file: {exc}")
-    except ScenarioError as exc:
-        for line in exc.errors:
-            print(line, file=sys.stderr)
-        raise CliError(EXIT_CONFIG, f"{len(exc.errors)} scenario error(s)")
+    config = _read_config(load_scenario, args.scenario, "scenario", args.seed)
     result = run_scenario(config)
     write_reports(result, args.out)
     row = summary_row(result)

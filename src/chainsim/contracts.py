@@ -299,7 +299,9 @@ def derive_contract_address(creator: Address, deploy_index: int) -> Address:
 
 
 def clone_registry(registry: ContractRegistry) -> ContractRegistry:
-    return {addr: account.clone() for addr, account in registry.items()}
+    """A registry that shares registry's accounts: an account is copied
+    before a block's call writes to it, so a stored one never changes."""
+    return dict(registry)
 
 
 def registry_deploy(

@@ -1,4 +1,5 @@
-"""Scenario configuration: YAML files describing a network run.
+"""Scenario configuration: YAML files describing a network run, and the
+chain params file that ``chainsim chain init`` reads.
 
 Every error is reported with the key path that caused it, and all errors in a
 file are collected before raising, so a bad config surfaces its full damage in
@@ -15,7 +16,7 @@ import yaml
 
 from . import consensus as cons
 from .chain import ChainParams
-from .crypto import derive_address
+from .crypto import Address, derive_address
 from .ledger import MAX_SUPPLY
 from .netsim import (
     FULL,
@@ -159,6 +160,15 @@ CONSENSUS = {
 }
 MODELS = tuple(CONSENSUS)
 MODEL = {"model": Key(str, one_of(MODELS), required=True)}
+# The params file: a chain's genesis parameters, with literal PoW as its one
+# consensus model.
+PARAMS = {
+    **CHAIN,
+    "max_block_data_bytes": Key(int, at_least(1)),
+    "allocation": Key(list),
+    "pow": Key(dict),
+}
+PARAMS_POW = {**CONSENSUS["pow"], "target_bits": Key(int, between(8, 255), default=252)}
 
 _KIND_NAMES = {
     int: "an integer", float: "a number", str: "a string", dict: "a mapping", list: "a list"
@@ -228,14 +238,53 @@ class _Checker:
 # ---------------------------------------------------------------------------
 
 
-def load_scenario(path: str, seed: int | None = None) -> SimConfig:
-    """Parse a scenario file.  A seed other than None replaces the file's
-    before parsing, so everything derived from the seed (node keys, publisher
-    addresses, PoET's draw seed) follows it."""
+def _read_mapping(path: str) -> dict:
+    """The YAML document in the file at path, which must be a mapping."""
     with open(path, "rb") as fh:  # yaml decodes, and reports bytes that are not text
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise ScenarioError(["top level: expected a mapping"])
+    return raw
+
+
+def load_params(path: str) -> ChainParams:
+    """Parse a chain params file: the chain keys, a genesis allocation of
+    [address_hex, amount] pairs and an optional literal-PoW section."""
+    c = _Checker()
+    values = c.read(_read_mapping(path), "", PARAMS)
+    allocation = []
+    for i, pair in enumerate(values.pop("allocation", [])):
+        where = f"allocation[{i}]"
+        if not isinstance(pair, list) or len(pair) != 2:
+            c.fail(where, "expected [address_hex, amount]")
+            continue
+        try:
+            address = Address.from_hex(str(pair[0]))
+        except ValueError as exc:
+            c.fail(where, str(exc))
+            continue
+        if isinstance(pair[1], bool) or not isinstance(pair[1], int) or pair[1] <= 0:
+            c.fail(where, "amount must be a positive integer")
+            continue
+        allocation.append((address, pair[1]))
+    if sum(amount for _, amount in allocation) > MAX_SUPPLY:
+        c.fail("allocation", f"total exceeds the maximum supply {MAX_SUPPLY}")
+    pow_values = values.pop("pow", None)
+    if pow_values is not None:
+        pow_values = c.read(pow_values, "pow", PARAMS_POW)
+    if c.errors:
+        raise ScenarioError(c.errors)
+    consensus = None
+    if pow_values is not None:
+        consensus = cons.PowParams(target=1 << pow_values.pop("target_bits"), **pow_values)
+    return ChainParams(genesis_allocation=tuple(allocation), consensus=consensus, **values)
+
+
+def load_scenario(path: str, seed: int | None = None) -> SimConfig:
+    """Parse a scenario file.  A seed other than None replaces the file's
+    before parsing, so everything derived from the seed (node keys, publisher
+    addresses, PoET's draw seed) follows it."""
+    raw = _read_mapping(path)
     if seed is not None:
         raw["seed"] = seed
     return parse_scenario(raw)

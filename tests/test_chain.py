@@ -227,6 +227,26 @@ def test_repeated_coinbase_is_rejected_without_touching_the_store():
     assert store.states == {tip: before}
 
 
+def test_repeated_empty_coinbase_is_rejected():
+    """A coinbase with no outputs has no output 0 for DuplicateTransaction to
+    find, so its payload must be its height.  Block 1's repeated at height 3
+    put one id twice on a branch, and a longer rival from block 2 then made
+    the confirmation index forget the copy at height 1."""
+    store = fresh_store(block_subsidy=0)
+    block1, _ = extend(store)
+    block2, _ = extend(store)
+    assert block1.transactions[0].outputs == ()
+    result = store.append_block(forge(store, block1.transactions))
+    assert (result.status, result.reason) == (REJECTED, "Coinbase")
+    assert result.validity.detail == "transaction 0: payload is not the height"
+    parent = header_hash(block2.header)
+    for _ in range(2):
+        block, result = extend(store, parent=parent, timestamp=10)
+        assert result.status == EXTENDED
+        parent = header_hash(block.header)
+    assert store.confirmation_height(block1.transactions[0].tx_id) == 1
+
+
 def _fee_check_block(case: str):
     """(store, block) for one row of the folded fee-check table: subsidy 50,
     one payment with fee 10 from a genesis output of 100."""

@@ -315,7 +315,8 @@ def test_chain_init_rejects_bad_integer_param(capsys, tmp_path, data_dir, key, b
         path.write_text(_params_text(address, {key: value}))
         code, out, err = run_cli(capsys, "--data-dir", data_dir, "chain", "init", "--params", path)
         assert (code, out) == (4, ""), value
-        assert err.startswith(f"error: {key}: expected an integer of at least "), value
+        assert re.fullmatch(rf"{re.escape(key)}: (expected an integer, got .+|must be .+)\n"
+                            r"error: 1 params error\(s\)\n", err), value
         assert not data_dir.exists()
 
 
@@ -341,7 +342,7 @@ def test_chain_init_rejects_allocation_beyond_maximum_supply(capsys, tmp_path, d
     path.write_text(f"allocation:\n  - [{address}, {2**62}]\n  - [{address}, 1]\n")
     code, _, err = run_cli(capsys, "--data-dir", data_dir, "chain", "init", "--params", path)
     assert code == 4
-    assert err == f"error: allocation: total exceeds the maximum supply {2**62}\n"
+    assert err == f"allocation: total exceeds the maximum supply {2**62}\nerror: 1 params error(s)\n"
     assert not data_dir.exists()
 
 
@@ -352,8 +353,54 @@ def test_chain_init_rejects_boolean_allocation(capsys, tmp_path, data_dir):
     path.write_text(f"allocation:\n  - [{address}, true]\n")
     code, out, err = run_cli(capsys, "--data-dir", data_dir, "chain", "init", "--params", path)
     assert (code, out) == (4, "")
-    assert err == "error: allocation[0]: amount must be a positive integer\n"
+    assert err == "allocation[0]: amount must be a positive integer\nerror: 1 params error(s)\n"
     assert not data_dir.exists()
+
+
+@pytest.mark.parametrize("text, error", [
+    ("confirmaton_depth: 3\n", "confirmaton_depth: unknown key"),
+    ("pow: {target_bitz: 9, retarget_interval: 4}\n", "pow.target_bitz: unknown key"),
+])
+def test_chain_init_rejects_unknown_param_key(capsys, tmp_path, data_dir, text, error):
+    """A misspelt key was dropped, and the chain took the key's default."""
+    address = keygen(capsys, tmp_path / "keys", "k")
+    path = tmp_path / "params.yaml"
+    path.write_text(f"allocation:\n  - [{address}, 500]\n{text}")
+    code, out, err = run_cli(capsys, "--data-dir", data_dir, "chain", "init", "--params", path)
+    assert (code, out) == (4, "")
+    assert err == f"{error}\nerror: 1 params error(s)\n"
+    assert not data_dir.exists()
+
+
+def test_chain_init_reports_every_params_error(capsys, tmp_path, data_dir):
+    path = tmp_path / "params.yaml"
+    path.write_text("confirmation_depth: 0\nallocation:\n  - [abcd, 5]\n  - 7\n"
+                    "pow: {target_bits: 300, target_spacing: x}\nsubsidy: 5\n")
+    code, out, err = run_cli(capsys, "--data-dir", data_dir, "chain", "init", "--params", path)
+    assert (code, out) == (4, "")
+    assert sorted(err.splitlines()) == sorted([
+        "subsidy: unknown key",
+        "confirmation_depth: must be at least 1",
+        "allocation[0]: address must be 25 bytes",
+        "allocation[1]: expected [address_hex, amount]",
+        "pow.target_bits: must be between 8 and 255",
+        "pow.target_spacing: expected an integer, got 'x'",
+        "error: 6 params error(s)",
+    ])
+    assert not data_dir.exists()
+
+
+def test_chain_commands_read_the_stored_params_file_with_the_same_checks(
+        capsys, tmp_path, data_dir):
+    init_funded_chain(capsys, tmp_path, data_dir)
+    with open(data_dir / "params.yaml", "a") as fh:
+        fh.write("confirmaton_depth: 3\n")
+    code, out, err = run_cli(capsys, "--data-dir", data_dir, "chain", "tip")
+    assert (code, out) == (4, "")
+    assert err == "confirmaton_depth: unknown key\nerror: 1 params error(s)\n"
+    (data_dir / "params.yaml").unlink()
+    code, _, err = run_cli(capsys, "--data-dir", data_dir, "chain", "tip")
+    assert code == 3 and "params file not found" in err
 
 
 def test_unknown_flag_maps_to_config_error(capsys):
@@ -717,7 +764,7 @@ def test_chain_init_rejects_subsidy_beyond_maximum_supply(capsys, tmp_path, data
         path.write_text(_params_text(address, {"block_subsidy": str(subsidy)}))
         code, out, err = run_cli(capsys, "--data-dir", data_dir, "chain", "init", "--params", path)
         assert (code, out) == (4, "")
-        assert err == f"error: block_subsidy: expected an integer of at least 0 and at most {2**62}\n"
+        assert err == f"block_subsidy: must be at most {2**62}\nerror: 1 params error(s)\n"
         assert not data_dir.exists()
     path.write_text(_params_text(address, {"block_subsidy": str(2**62)}))
     code, _, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "init", "--params", path)

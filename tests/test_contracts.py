@@ -21,6 +21,7 @@ from chainsim.contracts import (
     TRAP,
     WORD_MASK,
     assemble,
+    clone_registry,
     derive_contract_address,
     encode_bytecode,
     encode_call_payload,
@@ -254,6 +255,18 @@ def test_registry_deploy_and_call_commit_semantics():
     broke = registry_call(account, (), 0)
     assert broke.status == OUT_OF_GAS
     assert account.storage == {0: 2}
+
+
+def test_clone_registry_shares_accounts():
+    """A call copies an account before writing to it, so a registry copy
+    shares the accounts; only its slots are its own."""
+    registry = {}
+    first = registry_deploy(registry, CREATOR, 0, COUNTER)
+    clone = clone_registry(registry)
+    assert clone == registry and clone is not registry
+    assert clone[first.address.to_bytes()] is first
+    second = registry_deploy(clone, CREATOR, 1, COUNTER)
+    assert second.address.to_bytes() not in registry
 
 
 def test_call_payload_roundtrip():

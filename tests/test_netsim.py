@@ -61,8 +61,6 @@ def assert_conserved(result) -> None:
             continue
         expected = genesis_total + chain.block_subsidy * node.store.tip_height
         assert live_total(node.store) == expected, name
-        state = node.store.tip_state()
-        assert state.issued - state.fees == expected, name
 
 
 def full_tips(result) -> set[bytes]:

@@ -408,9 +408,9 @@ def test_values_at_the_new_bounds_are_accepted():
     assert parse_scenario(minimal(duration=2**64 - 1)).duration == 2**64 - 1
 
 
-def _readme_keys() -> set[str]:
+def _readme_keys(heading: str) -> set[str]:
     text = (REPO / "README.md").read_text()
-    section = text.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
     return {key + model for key, model in re.findall(r"^\| `([^`]+)`( \(\w+\))?", section, re.M)}
 
 
@@ -431,7 +431,14 @@ def test_readme_table_lists_every_key():
     for prefix, table in tables.items():
         model = re.fullmatch(r"consensus\.\((\w+)\)", prefix)
         keys |= {f"consensus.{key} ({model.group(1)})" if model else prefix + key for key in table}
-    readme = _readme_keys()
+    readme = _readme_keys("Scenario files")
+    assert keys - readme == set()
+    assert readme - keys == set()
+
+
+def test_readme_params_table_lists_every_key():
+    keys = set(scenario.PARAMS) | {f"pow.{key}" for key in scenario.PARAMS_POW}
+    readme = _readme_keys("Params files")
     assert keys - readme == set()
     assert readme - keys == set()
 
