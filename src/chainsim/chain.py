@@ -265,23 +265,23 @@ def _walk_transactions(
     state: ChainState,
     height: int,
     params: ChainParams,
-    coinbase_expected: bool,
     undo: BlockUndo,
 ) -> Validity:
     """Validate and apply a block's transactions in order, mutating state and
     recording each change in undo, up to the first invalid transaction.
 
-    Covers the ledger rules plus the chain-level ones: contract deploys must
-    parse, calls must target a known contract and execute with gas = fee x
-    GAS_PER_FEE_UNIT (failed executions keep the fee but revert writes), and
-    no transaction may repeat one already in the state (DuplicateTransaction:
-    its output 0 exists), which apply would refuse by raising.  A coinbase's
-    payload must be its block's height (Coinbase), as in BIP 34, so that a
-    coinbase with no outputs cannot repeat either.
+    Covers the ledger rules plus the chain-level ones: transaction 0, and no
+    other, is a coinbase (Coinbase); contract deploys must parse; calls must
+    target a known contract and execute with gas = fee x GAS_PER_FEE_UNIT
+    (failed executions keep the fee but revert writes); and no transaction
+    may repeat one already in the state (DuplicateTransaction: its output 0
+    exists), which apply would refuse by raising.  A coinbase's payload must
+    be its block's height (Coinbase), as in BIP 34, so that a coinbase with no
+    outputs cannot repeat either.
     """
     allow_locked = not is_stake_model(params)
     for index, tx in enumerate(txs):
-        if coinbase_expected and (tx.kind == TxKind.COINBASE) != (index == 0):
+        if (tx.kind == TxKind.COINBASE) != (index == 0):
             return _invalid("Coinbase", f"transaction {index}")
         v = validate_transaction(tx, state.utxo, allow_locked)
         if not v:
@@ -400,7 +400,7 @@ def validate_and_apply(
     # taken back first, needs _block_fees to tell.
     undo = BlockUndo(pow_params)
     parent_pow_params, state.pow_params = state.pow_params, pow_params
-    v = _walk_transactions(block.transactions, state, header.height, params, True, undo)
+    v = _walk_transactions(block.transactions, state, header.height, params, undo)
     reward = coinbases[0].output_value
     if not v or reward > params.block_subsidy + undo.fees:
         _revert_block(state, block, undo, parent_pow_params)
@@ -464,7 +464,7 @@ def _genesis_state(genesis: Block, params: ChainParams) -> tuple[ChainState, Val
     if isinstance(params.consensus, consensus.PowParams):
         state.pow_params = params.consensus
     undo = BlockUndo(state.pow_params)
-    return state, _walk_transactions(genesis.transactions, state, 0, params, True, undo)
+    return state, _walk_transactions(genesis.transactions, state, 0, params, undo)
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,8 @@ def cmd_deploy(args) -> int:
             code = fh.read()
     except FileNotFoundError:
         raise CliError(EXIT_IO, f"bytecode file not found: {args.bytecode}")
+    if not code:  # parses as no instructions, but a deploy needs a payload
+        raise CliError(EXIT_CONFIG, "bytecode: file is empty")
     try:
         contracts.parse_bytecode(code)
     except contracts.BytecodeError as exc:

@@ -19,7 +19,7 @@ empty one of its own.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Iterable, NamedTuple
 
@@ -52,7 +52,7 @@ class TxBuildError(Exception):
     insufficient funds."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxOutput:
     amount: int
     recipient: Address
@@ -61,7 +61,7 @@ class TxOutput:
         return struct.pack(">Q", self.amount) + self.recipient.to_bytes()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxInput:
     source_tx: bytes
     source_index: int
@@ -117,6 +117,18 @@ class Transaction:
         return cached
 
     @property
+    def outpoints(self) -> tuple[Outpoint, ...]:
+        """(tx_id, i) for each output i, built on first access and kept on
+        the instance as tx_id is.  Every node applies the same transaction
+        object, so all their UTXO sets key an output with one tuple."""
+        cached = self.__dict__.get("_outpoints")
+        if cached is None:
+            tx_id = self.tx_id
+            cached = tuple((tx_id, i) for i in range(len(self.outputs)))
+            object.__setattr__(self, "_outpoints", cached)
+        return cached
+
+    @property
     def output_value(self) -> int:
         return sum(o.amount for o in self.outputs)
 
@@ -162,7 +174,7 @@ def deserialize_transaction(buf: bytes, offset: int = 0) -> tuple[Transaction, i
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UtxoEntry:
     output: TxOutput
     locked: bool
@@ -241,15 +253,15 @@ class UtxoSet:
         """
         entries = self._entries
         spent = [entries[inp.outpoint] for inp in tx.inputs]  # KeyError: unknown input
-        tx_id = tx.tx_id
+        outpoints = tx.outpoints
         if (not all(entry.live for entry in spent)
                 or len({inp.outpoint for inp in tx.inputs}) < len(spent)
-                or any((tx_id, i) in entries for i in range(len(tx.outputs)))):
+                or any(outpoint in entries for outpoint in outpoints)):
             raise ValueError("input spent or named twice, or output already present")
         for inp in tx.inputs:
             self.spend(inp.outpoint, height)
-        for i, out in enumerate(tx.outputs):
-            self.add((tx_id, i), out, tx.kind == TxKind.STAKE and i == 0, height)
+        for i, (outpoint, out) in enumerate(zip(outpoints, tx.outputs)):
+            self.add(outpoint, out, tx.kind == TxKind.STAKE and i == 0, height)
         value_in = sum(entry.output.amount for entry in spent)
         return 0 if tx.kind == TxKind.COINBASE else value_in - tx.output_value
 
@@ -258,9 +270,8 @@ class UtxoSet:
         live again.  Transactions are reverted newest first, so none of tx's
         outputs is spent when it is."""
         entries = self._entries
-        tx_id = tx.tx_id
-        for i in range(len(tx.outputs)):
-            del entries[(tx_id, i)]
+        for outpoint in tx.outpoints:
+            del entries[outpoint]
         for inp in tx.inputs:
             outpoint = inp.outpoint
             entries[outpoint] = replace(entries[outpoint], spent_height=None)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import yaml
-
 from . import consensus as cons
 from .chain import ChainParams
 from .crypto import Address, derive_address
@@ -240,6 +238,8 @@ class _Checker:
 
 def _read_mapping(path: str) -> dict:
     """The YAML document in the file at path, which must be a mapping."""
+    import yaml  # only files need it; parse_scenario on a mapping does not
+
     with open(path, "rb") as fh:  # yaml decodes, and reports bytes that are not text
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):

@@ -287,8 +287,7 @@ def _fees_first_reference(block: Block, parent_state, params: ChainParams):
     if fees is not None and reward > params.block_subsidy + fees:
         return None, Validity(False, "ExcessReward", f"{reward} > {params.block_subsidy} + {fees}")
     state = parent_state.clone()
-    v = _walk_transactions(block.transactions, state, block.header.height, params, True,
-                           BlockUndo(None))
+    v = _walk_transactions(block.transactions, state, block.header.height, params, BlockUndo(None))
     return (state if v else None), v
 
 

@@ -508,6 +508,23 @@ def test_asm_reports_source_line_on_error(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_deploy_of_empty_bytecode_is_config_error(capsys, tmp_path, data_dir):
+    """An empty file is refused as bytecode, before any block is built: it
+    exits 4 like every other bad bytecode file, not 2 with a rejected block."""
+    init_funded_chain(capsys, tmp_path, data_dir)
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    chain_bytes = (data_dir / "chain.dat").read_bytes()
+    files = sorted(os.listdir(data_dir))
+    _, tip, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "tip")
+    code, out, err = run_cli(capsys, "--data-dir", data_dir, "deploy", empty, "--fee", 1)
+    assert (code, out) == (4, "")
+    assert err == "error: bytecode: file is empty\n"
+    assert (data_dir / "chain.dat").read_bytes() == chain_bytes
+    assert sorted(os.listdir(data_dir)) == files
+    assert run_cli(capsys, "--data-dir", data_dir, "chain", "tip")[1] == tip
+
+
 def test_deploy_without_keys_exits_not_found(capsys, tmp_path, data_dir):
     address = keygen(capsys, tmp_path / "elsewhere", "k")
     params = write_params(tmp_path, address)

@@ -169,6 +169,31 @@ def test_keypair_pinned_vector():
     assert pair.public_key.hex() == (
         "3b6a27bcceb6a42d62a3a8d02a6f0d73653215771de243a63ac048a18b59da29"
     )
+    # RFC 8032 section 7.1, test 1
+    seed = bytes.fromhex("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60")
+    assert keypair_generate(seed).public_key.hex() == (
+        "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a"
+    )
+
+
+def test_sign_builds_the_private_key_once_and_keeps_it_off_equality(monkeypatch):
+    real = crypto.Ed25519PrivateKey
+    built = []
+
+    class Counting:
+        @staticmethod
+        def from_private_bytes(raw):
+            built.append(raw)
+            return real.from_private_bytes(raw)
+
+    fresh = keypair_generate(SEED_A)
+    monkeypatch.setattr(crypto, "Ed25519PrivateKey", Counting)
+    pair = crypto.KeyPair(SEED_A, fresh.public_key)
+    sigs = [sign(pair, message) for message in (b"a", b"b", b"a")]
+    assert built == [SEED_A]
+    assert sigs[0] == sigs[2] and all(verify(pair.public_key, m, s)
+                                      for m, s in zip((b"a", b"b", b"a"), sigs))
+    assert pair == fresh and hash(pair) == hash(fresh) and repr(pair) == repr(fresh)
 
 
 def test_keypair_rejects_bad_seed_length():

@@ -24,6 +24,7 @@ from chainsim.ledger import (
     TxInput,
     TxKind,
     TxOutput,
+    UtxoEntry,
     UtxoSet,
     balance,
     build_transaction,
@@ -228,6 +229,30 @@ def test_apply_spends_inputs_adds_outputs_and_returns_fee():
     assert not any(after.get((tx.tx_id, i)).locked for i in range(2))
     assert after.get((tx.tx_id, 0)).created_height == 1
     assert utxo.get((fund.tx_id, 0)).live and utxo.get((tx.tx_id, 0)) is None
+
+
+def test_every_set_keys_an_output_with_the_transactions_outpoint():
+    """Sets that apply one transaction object share its outpoint tuples, so
+    n nodes hold one key per output rather than n."""
+    utxo, fund = funded_utxo((A_ADDR, 5))
+    tx = build_transaction([(fund.tx_id, 0)], [(B_ADDR, 3)], 1, [ALICE], utxo)
+    first, second = utxo.copy(), utxo.copy()
+    first.apply(tx, 1)
+    second.apply(tx, 1)
+    assert tx.outpoints == ((tx.tx_id, 0), (tx.tx_id, 1)) and tx.outpoints is tx.outpoints
+    for outpoint in tx.outpoints:
+        (key_1,) = [k for k in first._entries if k == outpoint]
+        (key_2,) = [k for k in second._entries if k == outpoint]
+        assert key_1 is key_2 is outpoint
+    first.revert(tx)
+    assert first == utxo
+
+
+def test_per_output_records_have_no_instance_dict():
+    entry = UtxoEntry(TxOutput(5, A_ADDR), False, 1)
+    for record in (entry, entry.output, A_ADDR, TxInput(b"\x11" * 32, 0, b"", b"")):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    assert replace(entry, spent_height=2).spent_height == 2
 
 
 def test_apply_locks_stake_output_zero_and_charges_coinbase_nothing():

@@ -1,5 +1,7 @@
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -569,3 +571,21 @@ def test_every_accepted_scenario_runs(raw):
     except ScenarioError:
         return
     run_scenario(config)
+
+
+def test_library_use_loads_neither_yaml_nor_multiprocessing():
+    """Parsing a scenario mapping and running it imports no YAML reader, no
+    process pool and no key serialization: each is loaded only by the code
+    that needs it (a scenario or params file, a puzzle past its first chunk)."""
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(scenario.__file__).parent.parent)!r})",
+        "from chainsim import netsim, scenario",
+        f"netsim.run_scenario(scenario.parse_scenario({minimal(duration=40)!r}))",
+        "names = ('yaml', 'multiprocessing', 'cryptography.hazmat.primitives.serialization')",
+        "print(sorted(name for name in names if name in sys.modules))",
+    ])
+    run = subprocess.run([sys.executable, "-"], input=script, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
