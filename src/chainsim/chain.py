@@ -5,10 +5,11 @@ materialised state (UTXO set, contract registry, stake bookkeeping, current
 PoW target), at its adopted tip, plus a small undo record per block, in the
 manner of Bitcoin Core's per-block undo data.  A block on the tip is walked
 in place; a side branch is validated on a copy of the tip state rewound over
-undo records to the fork point and walked forward along the branch, so its
-cost follows the depth of the fork, not the height of the chain.  Fork
-choice is block count with a strict-inequality switch: on equal length the
-first-seen tip is kept.
+undo records to the fork point, each block above it reconnected through
+validate_and_apply, so its cost follows the depth of the fork, not the
+height of the chain.  Fork choice is block count with a strict-inequality
+switch: on equal length the first-seen tip is kept, and extending the tip is
+a reorganization that orphans nothing.
 
 ChainStore.append_block is the one place that indexes a block and stores its
 undo record: chain-file loading (load) and replay verification
@@ -218,38 +219,28 @@ class BlockUndo:
 
     ``applied`` counts the leading transactions applied, all of them once
     the block is stored, and ``fees`` sums their fees for the ExcessReward
-    check.  ``writes`` holds, in write order, (table, key, prior value, new
-    value) for each slot the block set in the registry (a deployed contract,
-    or a called one), deploy_counts or stake_resets; a prior of None means
-    the slot was empty.
+    check.  ``writes`` holds, in write order, (table, key, prior value) for
+    each slot the block set in the registry (a deployed contract, or a
+    called one), deploy_counts or stake_resets; a prior of None means the
+    slot was empty.
     """
 
     pow_params: object  # the branch PowParams after this block (None outside PoW)
     applied: int = 0
     fees: int = 0
-    writes: list[tuple[str, object, object, object]] = field(default_factory=list)
+    writes: list[tuple[str, object, object]] = field(default_factory=list)
 
 
 def _revert_block(state: ChainState, block: Block, undo: BlockUndo, pow_params) -> None:
     """Take block back off state, and give it pow_params (the parent's)."""
     for tx in reversed(block.transactions[: undo.applied]):
         state.utxo.revert(tx)
-    for table, key, prior, _ in reversed(undo.writes):
+    for table, key, prior in reversed(undo.writes):
         if prior is None:
             del getattr(state, table)[key]
         else:
             getattr(state, table)[key] = prior
     state.pow_params = pow_params
-
-
-def _redo_block(state: ChainState, block: Block, undo: BlockUndo) -> None:
-    """Walk a stored block forward again on its parent's state, from its
-    undo record, with no check and no contract run."""
-    for tx in block.transactions:
-        state.utxo.apply(tx, block.header.height)
-    for table, key, _, new in undo.writes:
-        getattr(state, table)[key] = new
-    state.pow_params = undo.pow_params
 
 
 def is_stake_model(params: ChainParams) -> bool:
@@ -314,14 +305,14 @@ def _walk_transactions(
             count = state.deploy_counts.get(key)
             account = contracts.registry_deploy(state.registry, creator, count or 0, tx.payload)
             state.deploy_counts[key] = (count or 0) + 1
-            undo.writes += [("registry", account.address.to_bytes(), None, account),
-                            ("deploy_counts", key, count, (count or 0) + 1)]
+            undo.writes += [("registry", account.address.to_bytes(), None),
+                            ("deploy_counts", key, count)]
         elif tx.kind == TxKind.CONTRACT_CALL:
             # copy on write: an account is not changed once the call that
             # made it returns, so undo records can share accounts
             prior = state.registry[call_target]
             state.registry[call_target] = account = prior.clone()
-            undo.writes.append(("registry", call_target, prior, account))
+            undo.writes.append(("registry", call_target, prior))
             contracts.registry_call(account, call_words, fee * contracts.GAS_PER_FEE_UNIT)
     return VALID
 
@@ -452,7 +443,7 @@ def _apply_stake_resets(
     for entry in stakes:
         if entry.address == winner and entry.age >= threshold:
             prior = state.stake_resets.get(entry.outpoint)
-            undo.writes.append(("stake_resets", entry.outpoint, prior, height))
+            undo.writes.append(("stake_resets", entry.outpoint, prior))
             state.stake_resets[entry.outpoint] = height
 
 
@@ -513,7 +504,7 @@ class ChainStore:
             raise ValueError(f"invalid genesis: {v.reason} {v.detail}".strip())
         self.genesis_hash = header_hash(genesis.header)
         self.blocks: dict[bytes, Block] = {self.genesis_hash: genesis}
-        # a block kept by _install_raw without validation has no record
+        # a block load indexes without validation has no record
         self.undo: dict[bytes, BlockUndo] = {self.genesis_hash: BlockUndo(state.pow_params)}
         # the materialised states: the tip's, and at most one other, kept by
         # state_at until the tip moves
@@ -544,8 +535,9 @@ class ChainStore:
         until the tip moves, so that a side branch growing block by block (a
         secret chain, or one released to peers) is not rebuilt for each
         block.  A state is built on a copy of the tip's, rewound over undo
-        records to the fork point and walked forward along the branch from
-        them.
+        records to the fork point, and each block above it is reconnected
+        through validate_and_apply.  A stored block that fails there is a
+        fault of the store, and raises.
         """
         state = self.states.get(block_hash)
         if state is not None:
@@ -558,7 +550,13 @@ class ChainStore:
             parent_pow_params = self.undo[block.header.prev_header_hash].pow_params
             _revert_block(state, block, self.undo[h], parent_pow_params)
         for h in reversed(up):
-            _redo_block(state, self.blocks[h], self.undo[h])
+            block = self.blocks[h]
+            parent_hash = block.header.prev_header_hash
+            _, v = validate_and_apply(block, self.blocks[parent_hash].header, state,
+                                      self.params, self.branch_header_at(parent_hash))
+            if not v:
+                raise RuntimeError(f"stored block {h.hex()} fails on its parent's state:"
+                                   f" {v.reason} {v.detail}".rstrip())
         self.states = {self.tip_hash: tip_state, block_hash: state}
         return state
 
@@ -628,17 +626,7 @@ class ChainStore:
 
         self.blocks[h] = block
         self.undo[h] = undo
-
-        if parent_hash == self.tip_hash:
-            self.tip_hash = h
-            self.states = {h: state}
-            for t in block.transactions:
-                self._adopted_tx_heights[t.tx_id] = block.header.height
-            if self.mempool:  # None during replay; an empty pool has nothing to drop
-                self.mempool.remove_confirmed(block.transactions)
-                self.mempool.drop_conflicting(state.utxo, not is_stake_model(self.params))
-            return AppendResult(EXTENDED)
-        del self.states[parent_hash]  # the kept side-branch state is now the block's
+        del self.states[parent_hash]  # the parent's state is now the block's
         self.states[h] = state
         if block.header.height <= self.tip_height:
             return AppendResult(NEW_SIDE_BRANCH)
@@ -647,7 +635,7 @@ class ChainStore:
     def _reorganize(self, new_tip: bytes, state: ChainState) -> AppendResult:
         """Adopt new_tip, whose post-state is state, and drop the old tip's.
         The confirmation index changes over the orphaned and adopted blocks
-        only."""
+        only.  A new tip on the old one orphans nothing and reports Extended."""
         down, up = self._fork_paths(self.tip_hash, new_tip)
         orphaned = [self.blocks[h] for h in reversed(down)]
         adopted = [self.blocks[h] for h in reversed(up)]
@@ -667,6 +655,8 @@ class ChainStore:
             orphaned_txs = [t for b in orphaned for t in b.transactions]
             self.mempool.reinsert(orphaned_txs, state.utxo, confirmed, allow_locked)
             self.mempool.drop_conflicting(state.utxo, allow_locked)
+        if not orphaned:
+            return AppendResult(EXTENDED)
         return AppendResult(REORGANIZED, orphaned=orphaned, adopted=adopted)
 
     # -- confirmation ----------------------------------------------------------
@@ -679,17 +669,6 @@ class ChainStore:
 
     def confirmation_height(self, tx_id: bytes) -> int | None:
         return self._adopted_tx_heights.get(tx_id)
-
-    # -- raw install (file loading) -------------------------------------------
-
-    def _install_raw(self, block: Block) -> None:
-        """append_block, except that a block rejected for any reason but
-        Duplicate is still indexed, with no undo record: verify_chain sees
-        the corrupt entry, yet it is never adopted or built on."""
-        result = self.append_block(block)
-        if result.status == REJECTED and result.reason != "Duplicate":
-            h = header_hash(block.header)
-            self.blocks[h] = block
 
     # -- candidate assembly ---------------------------------------------------
 
@@ -811,7 +790,7 @@ def persist(store: ChainStore, path: str) -> None:
 
 
 def load(path: str, params: ChainParams) -> LoadResult:
-    """Rebuild a store from a chain file, each record through _install_raw.
+    """Rebuild a store from a chain file, each record through append_block.
 
     A file ending mid-record loads its intact prefix and reports the
     truncation offset; a checksum or decode failure raises with the offset of
@@ -865,6 +844,11 @@ def load(path: str, params: ChainParams) -> LoadResult:
         raise ChainFileError(6, str(exc)) from None
     store.mempool = None
     for block in blocks[1:]:
-        store._install_raw(block)
+        result = store.append_block(block)
+        # a block rejected for any reason but Duplicate is still indexed, with
+        # no undo record: verify_chain sees the corrupt entry, yet it is
+        # never adopted or built on
+        if result.status == REJECTED and result.reason != "Duplicate":
+            store.blocks[header_hash(block.header)] = block
     store.mempool = Mempool()
     return LoadResult(store, truncated_at)

@@ -227,6 +227,9 @@ def cmd_puzzle(args) -> int:
 
 def cmd_chain(args) -> int:
     if args.chain_cmd == "init":
+        path = _chain_path(args)
+        if os.path.exists(path):
+            raise CliError(EXIT_CONFIG, f"chain file already exists at {path}")
         params = _read_config(load_params, args.params, "params")
         genesis = make_genesis(params)
         store = ChainStore(params, genesis, Mempool())

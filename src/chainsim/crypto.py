@@ -22,7 +22,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-DIGEST_SIZE = 32
 ADDRESS_PAYLOAD_SIZE = 20
 ADDRESS_CHECKSUM_SIZE = 4
 ADDRESS_SIZE = 1 + ADDRESS_PAYLOAD_SIZE + ADDRESS_CHECKSUM_SIZE

@@ -294,7 +294,6 @@ class Simulation:
         self.config = config
         self.params = config.chain
         self.model = config.chain.consensus
-        self.seed = config.seed
         self.now = 0
         self._queue: list = []
         self._seq = 0
@@ -359,7 +358,9 @@ class Simulation:
                 for gi, group in enumerate(part.groups):
                     if name in group:
                         return pi * 100 + gi
-                return -1  # unlisted nodes are isolated during the partition
+                # an unlisted node is isolated during the partition: a group
+                # of its own, below every listed one
+                return self.order.index(name) - len(self.order)
         return 0
 
     def reachable(self, a: str, b: str, tick: int) -> bool:

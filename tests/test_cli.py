@@ -320,6 +320,25 @@ def test_chain_init_rejects_bad_integer_param(capsys, tmp_path, data_dir, key, b
         assert not data_dir.exists()
 
 
+def test_chain_init_refuses_an_existing_chain(capsys, tmp_path, data_dir):
+    """A second init replaced the chain with a fresh genesis, and exited 0."""
+    address = init_funded_chain(capsys, tmp_path, data_dir)
+    source = tmp_path / "counter.asm"
+    source.write_text(COUNTER_ASM)
+    binary = run_cli(capsys, "asm", source)[1].split("out=")[1].strip()
+    code, _, _ = run_cli(capsys, "--data-dir", data_dir, "deploy", binary, "--fee", 1)
+    assert code == 0
+    chain_bytes = (data_dir / "chain.dat").read_bytes()
+    params_bytes = (data_dir / "params.yaml").read_bytes()
+    params = write_params(tmp_path, address, amount=900)
+    code, out, err = run_cli(capsys, "--data-dir", data_dir, "chain", "init", "--params", params)
+    assert (code, out) == (4, "")
+    assert err == f"error: chain file already exists at {data_dir / 'chain.dat'}\n"
+    assert (data_dir / "chain.dat").read_bytes() == chain_bytes
+    assert (data_dir / "params.yaml").read_bytes() == params_bytes
+    assert run_cli(capsys, "--data-dir", data_dir, "chain", "tip")[1].startswith("height=1 ")
+
+
 def test_chain_init_accepts_integer_params_at_their_bounds(capsys, tmp_path, data_dir):
     address = keygen(capsys, tmp_path / "keys", "k")
     path = tmp_path / "params.yaml"

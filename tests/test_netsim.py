@@ -184,6 +184,22 @@ def test_partition_diverges_then_heals():
     assert_conserved(result)
 
 
+def test_nodes_left_out_of_every_group_are_isolated():
+    """Unlisted nodes shared one group, so they reached each other."""
+    raw = two_miner_raw(
+        nodes=[{"name": n, "role": "publishing", "hash_share": 1 / 3, "balance": 100}
+               for n in ("n0", "n1", "n2")],
+        topology={"latency": 1, "jitter": 0,
+                  "partitions": [{"start": 10, "end": 50, "groups": [["n0"]]}]},
+    )
+    sim = Simulation(prepare_config(parse_scenario(raw)))
+    for a, b in (("n1", "n2"), ("n0", "n1"), ("n0", "n2")):
+        assert not sim.reachable(a, b, 20)
+        assert sim.reachable(a, b, 50)
+    assert [sim.peers_of(n, 20) for n in ("n0", "n1", "n2")] == [[], [], []]
+    assert sim.peers_of("n1", 9) == ["n0", "n2"]
+
+
 # -- adversaries ---------------------------------------------------------------------
 
 
