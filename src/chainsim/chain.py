@@ -13,18 +13,21 @@ a reorganization that orphans nothing.
 
 ChainStore.append_block is the one place that indexes a block and stores its
 undo record: chain-file loading (load) and replay verification
-(verify_blocks) go through it too.
+(verify_blocks) go through it too.  persist writes beside the chain file a
+record of the prefix whose blocks passed validation, and load skips the
+signature checks, and only those, of the records within it, in the manner of
+Bitcoin Core's -assumevalid; verify_blocks never reads it.
 """
 
 from __future__ import annotations
 
-import os
+import hashlib
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 from . import contracts
-from .crypto import Address, derive_address, sha256
+from .crypto import Address, atomic_write, derive_address, sha256
 from .ledger import (
     MAX_SUPPLY,
     Mempool,
@@ -44,6 +47,7 @@ from .merkle import merkle_root
 GENESIS_PREV_HASH = b"\x00" * 32
 CHAIN_MAGIC = b"LGLB"
 CHAIN_FORMAT_VERSION = 1
+CHECKED_SUFFIX = ".checked"  # persist's checked-prefix record, beside the chain file
 
 EXTENDED = "Extended"
 NEW_SIDE_BRANCH = "NewSideBranch"
@@ -257,6 +261,7 @@ def _walk_transactions(
     height: int,
     params: ChainParams,
     undo: BlockUndo,
+    check_signatures: bool = True,
 ) -> Validity:
     """Validate and apply a block's transactions in order, mutating state and
     recording each change in undo, up to the first invalid transaction.
@@ -268,13 +273,14 @@ def _walk_transactions(
     may repeat one already in the state (DuplicateTransaction: its output 0
     exists), which apply would refuse by raising.  A coinbase's payload must
     be its block's height (Coinbase), as in BIP 34, so that a coinbase with no
-    outputs cannot repeat either.
+    outputs cannot repeat either.  check_signatures passes to
+    validate_transaction.
     """
     allow_locked = not is_stake_model(params)
     for index, tx in enumerate(txs):
         if (tx.kind == TxKind.COINBASE) != (index == 0):
             return _invalid("Coinbase", f"transaction {index}")
-        v = validate_transaction(tx, state.utxo, allow_locked)
+        v = validate_transaction(tx, state.utxo, allow_locked, check_signatures)
         if not v:
             return _invalid(v.reason, f"transaction {index}: {v.detail}".strip())
         if tx.kind == TxKind.CONTRACT_DEPLOY:
@@ -344,13 +350,16 @@ def validate_and_apply(
     state: ChainState,
     params: ChainParams,
     header_at: Callable[[int], BlockHeader | None],
+    check_signatures: bool = True,
 ) -> tuple[BlockUndo | None, Validity]:
     """Full block validation in fixed rule order on the parent's post-state.
 
     A valid block turns state into its own post-state and returns the undo
     record that takes it back; an invalid one leaves state as it was.
     header_at(height) resolves ancestors on the block's own branch (needed for
-    the retarget window of branch_pow_params).
+    the retarget window of branch_pow_params).  check_signatures=False skips
+    the transactions' signature checks and no other rule; only load passes
+    it, for records whose exact bytes passed them before.
     """
     from . import consensus
 
@@ -391,7 +400,8 @@ def validate_and_apply(
     # taken back first, needs _block_fees to tell.
     undo = BlockUndo(pow_params)
     parent_pow_params, state.pow_params = state.pow_params, pow_params
-    v = _walk_transactions(block.transactions, state, header.height, params, undo)
+    v = _walk_transactions(block.transactions, state, header.height, params, undo,
+                           check_signatures)
     reward = coinbases[0].output_value
     if not v or reward > params.block_subsidy + undo.fees:
         _revert_block(state, block, undo, parent_pow_params)
@@ -603,7 +613,7 @@ class ChainStore:
 
     # -- append -------------------------------------------------------------
 
-    def append_block(self, block: Block) -> AppendResult:
+    def append_block(self, block: Block, check_signatures: bool = True) -> AppendResult:
         h = header_hash(block.header)
         if h in self.blocks:
             return AppendResult(REJECTED, _invalid("Duplicate"))
@@ -619,7 +629,8 @@ class ChainStore:
             return AppendResult(REJECTED, _invalid("UnknownParentState"))
         state = self.state_at(parent_hash)
         undo, v = validate_and_apply(
-            block, parent.header, state, self.params, self.branch_header_at(parent_hash)
+            block, parent.header, state, self.params, self.branch_header_at(parent_hash),
+            check_signatures,
         )
         if not v:
             return AppendResult(REJECTED, v)
@@ -776,17 +787,52 @@ class LoadResult:
 
 
 def persist(store: ChainStore, path: str) -> None:
-    """Write all blocks in insertion order; atomic via temp file + rename."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(CHAIN_MAGIC)
-        fh.write(struct.pack(">H", CHAIN_FORMAT_VERSION))
-        for block in store.blocks.values():
-            record = block.serialize()
-            fh.write(struct.pack(">I", len(record)))
-            fh.write(record)
-            fh.write(sha256(record)[:4])
-    os.replace(tmp, path)
+    """Write all blocks in insertion order, then the checked-prefix record
+    beside the file, at path + CHECKED_SUFFIX; each file is written through
+    atomic_write.
+
+    The record vouches for the longest prefix of the file whose records all
+    hold blocks with an undo record, that is blocks that passed
+    validate_and_apply: it is that prefix's length as 8 big-endian bytes and
+    its sha256.  It vouches for exact bytes, not for one file, so a record
+    left beside another file is still true of any prefix it matches.
+    """
+    head = CHAIN_MAGIC + struct.pack(">H", CHAIN_FORMAT_VERSION)
+    prefix = hashlib.sha256(head)
+    checked = len(head)
+
+    def chunks():
+        nonlocal checked
+        yield head
+        vouched = True
+        for h, block in store.blocks.items():
+            body = block.serialize()
+            record = struct.pack(">I", len(body)) + body + sha256(body)[:4]
+            vouched = vouched and h in store.undo
+            if vouched:
+                prefix.update(record)
+                checked += len(record)
+            yield record
+
+    atomic_write(path, chunks())
+    atomic_write(path + CHECKED_SUFFIX, [struct.pack(">Q", checked) + prefix.digest()])
+
+
+def _checked_length(path: str, buf: bytes) -> int:
+    """How many leading bytes of buf, the chain file at path, the record
+    beside it vouches for: 0 when the record is missing, unreadable, not 40
+    bytes, longer than buf, or its digest does not match."""
+    try:
+        with open(path + CHECKED_SUFFIX, "rb") as fh:
+            record = fh.read(41)
+    except OSError:
+        return 0
+    if len(record) != 40:
+        return 0
+    (length,) = struct.unpack_from(">Q", record)
+    if length > len(buf) or hashlib.sha256(memoryview(buf)[:length]).digest() != record[8:]:
+        return 0
+    return length
 
 
 def load(path: str, params: ChainParams) -> LoadResult:
@@ -794,8 +840,12 @@ def load(path: str, params: ChainParams) -> LoadResult:
 
     A file ending mid-record loads its intact prefix and reports the
     truncation offset; a checksum or decode failure raises with the offset of
-    the bad record.  Semantic problems (bad signatures, broken proofs) are
-    verify_chain's job, not load's.  The replay keeps no pool, and the
+    the bad record.  A block that fails a rule is indexed with no undo
+    record, for verify_chain to report.  Records that end within the prefix
+    that persist's checked-prefix record vouches for skip their signature
+    checks, which depend on the record bytes alone, and every other rule
+    still runs; every other record, all of them when the record is missing
+    or does not match, is checked in full.  The replay keeps no pool, and the
     returned store's mempool starts empty, even when a reorganization inside
     the file orphaned transactions.
     """
@@ -808,8 +858,10 @@ def load(path: str, params: ChainParams) -> LoadResult:
     (version,) = struct.unpack_from(">H", buf, 4)
     if version != CHAIN_FORMAT_VERSION:
         raise ChainFileError(4, f"unsupported format version {version}")
+    checked = _checked_length(path, buf)
     offset = 6
     blocks: list[Block] = []
+    vouched_blocks = 0  # the leading blocks whose records end within the checked prefix
     truncated_at: int | None = None
     while offset < len(buf):
         start = offset
@@ -834,6 +886,8 @@ def load(path: str, params: ChainParams) -> LoadResult:
         if consumed != length:
             raise ChainFileError(start, "trailing bytes in record")
         blocks.append(block)
+        if offset <= checked:
+            vouched_blocks = len(blocks)
     if not blocks:
         raise ChainFileError(6, "no blocks in file")
     if blocks[0].header.height != 0:
@@ -843,8 +897,8 @@ def load(path: str, params: ChainParams) -> LoadResult:
     except ValueError as exc:
         raise ChainFileError(6, str(exc)) from None
     store.mempool = None
-    for block in blocks[1:]:
-        result = store.append_block(block)
+    for index, block in enumerate(blocks[1:], start=1):
+        result = store.append_block(block, check_signatures=index >= vouched_blocks)
         # a block rejected for any reason but Duplicate is still indexed, with
         # no undo record: verify_chain sees the corrupt entry, yet it is
         # never adopted or built on

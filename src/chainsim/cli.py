@@ -36,6 +36,7 @@ from .crypto import (
     KeystoreError,
     KeystoreRecord,
     USER_ADDRESS_VERSION,
+    atomic_write,
     derive_address,
     keypair_generate,
     load_keystore,
@@ -77,14 +78,6 @@ def _say(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
 def _chain_path(args) -> str:
     return os.path.join(args.data_dir, CHAIN_FILE)
 
@@ -116,9 +109,9 @@ def _save_params(args, params: ChainParams) -> None:
             "retarget_interval": params.consensus.retarget_interval,
             "target_spacing": params.consensus.target_spacing,
         }
-    _atomic_write(
+    atomic_write(
         os.path.join(args.data_dir, PARAMS_FILE),
-        yaml.safe_dump(data, sort_keys=True).encode(),
+        [yaml.safe_dump(data, sort_keys=True).encode()],
     )
 
 
@@ -155,11 +148,6 @@ def _load_store(args) -> ChainStore:
     return result.store
 
 
-def _persist_store(args, store: ChainStore) -> None:
-    os.makedirs(args.data_dir, exist_ok=True)
-    persist(store, _chain_path(args))
-
-
 # ---------------------------------------------------------------------------
 # keys and balances
 # ---------------------------------------------------------------------------
@@ -181,7 +169,6 @@ def cmd_keygen(args) -> int:
         raise CliError(EXIT_CONFIG, f"label {label!r} already exists")
     keypair = keypair_generate(entropy)
     records.append(KeystoreRecord(seed=entropy, address_version=USER_ADDRESS_VERSION, label=label))
-    os.makedirs(args.data_dir, exist_ok=True)
     save_keystore(_keys_path(args), records)
     print(f"label={label} address={derive_address(keypair.public_key).hex()}")
     return EXIT_OK
@@ -234,7 +221,7 @@ def cmd_chain(args) -> int:
         genesis = make_genesis(params)
         store = ChainStore(params, genesis, Mempool())
         _save_params(args, params)
-        _persist_store(args, store)
+        persist(store, _chain_path(args))
         print(f"height=0 tip={store.tip_hash.hex()}")
         return EXIT_OK
 
@@ -300,7 +287,7 @@ def cmd_asm(args) -> int:
     except contracts.AsmError as exc:
         raise CliError(EXIT_CONFIG, str(exc))
     out = args.output or os.path.splitext(args.source)[0] + ".bin"
-    _atomic_write(out, code)
+    atomic_write(out, [code])
     print(f"bytes={len(code)} out={out}")
     return EXIT_OK
 
@@ -349,7 +336,7 @@ def _append_local_block(args, store: ChainStore, txs, keypair) -> Block:
         raise CliError(
             EXIT_VERIFY, f"block rejected: {result.reason} {result.validity.detail}".strip()
         )
-    _persist_store(args, store)
+    persist(store, _chain_path(args))
     return block
 
 

@@ -15,6 +15,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from math import log
+from typing import Iterable
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -343,10 +344,25 @@ def save_keystore(path, records: list[KeystoreRecord]) -> None:
         out.append(rec.address_version)
         label = rec.label.encode()
         out += struct.pack(">I", len(label)) + label
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(bytes(out))
-    os.replace(tmp, path)
+    atomic_write(path, [bytes(out)])
+
+
+def atomic_write(path, chunks: Iterable[bytes]) -> None:
+    """Write chunks to path through a temp file named for this process and a
+    rename, so a reader finds the old file or the new one, never part of
+    one.  Makes the parent directory if it is missing, and removes the temp
+    file if the write fails."""
+    path = os.fspath(path)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_keystore(path) -> list[KeystoreRecord]:

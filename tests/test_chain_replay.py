@@ -497,3 +497,62 @@ def test_mutated_chain_file_fails_to_load_or_verifies_cleanly(flips, cut, reseal
         assert result.ok is False
         assert isinstance(result.height, int) and result.height >= 0
         assert isinstance(result.reason, str) and result.reason
+
+
+def _record_ends(data: bytes) -> list[int]:
+    offset = 6
+    ends = []
+    while offset < len(data):
+        (length,) = struct.unpack_from(">I", data, offset)
+        offset += 4 + length + 4
+        ends.append(offset)
+    return ends
+
+
+# Every record of VALID_FILE passes validation, so a checked-prefix record
+# may vouch for the file up to the end of any of them; its own, the one over
+# the whole file, is the last.  A mutant leaves a shorter prefix intact more
+# often, and only then does load skip any signature check.
+VALID_CHECKED = [struct.pack(">Q", end) + sha256(VALID_FILE[:end])
+                 for end in _record_ends(VALID_FILE)]
+
+
+def _load_outcome(path):
+    """The ChainFileError offset, or the loaded blocks, undo keys, tip,
+    truncation offset and verify_chain result."""
+    try:
+        loaded = load(path, PARAMS)
+    except ChainFileError as exc:
+        return exc.offset
+    store = loaded.store
+    return (list(store.blocks.items()), list(store.undo), store.tip_hash,
+            loaded.truncated_at, verify_chain(store))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    flips=st.lists(st.tuples(st.integers(0, len(VALID_FILE) - 1), st.integers(1, 255)),
+                   min_size=1, max_size=4),
+    cut=st.none() | st.integers(0, len(VALID_FILE)),
+    reseal=st.booleans(),
+    checked=st.sampled_from(VALID_CHECKED),
+)
+def test_mutated_chain_file_loads_the_same_beside_a_checked_record(flips, cut, reseal, checked):
+    """A checked-prefix record of VALID_FILE changes no mutant's outcome:
+    the same ChainFileError offset, or the same store and verify_chain
+    result, as with no record beside the file."""
+    data = bytearray(VALID_FILE)
+    for position, mask in flips:
+        data[position] ^= mask
+    if cut is not None:
+        del data[cut:]
+    if reseal:
+        _reseal(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chain.dat")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        alone = _load_outcome(path)
+        with open(path + ".checked", "wb") as fh:
+            fh.write(checked)
+        assert _load_outcome(path) == alone

@@ -33,7 +33,7 @@ from chainsim.chain import (
 )
 from chainsim.cli import EXIT_VERIFY, CliError, _append_local_block, _load_store, main
 from chainsim.contracts import derive_contract_address
-from chainsim.crypto import Address, derive_address, keypair_generate, sha256
+from chainsim.crypto import Address, _verify_cached, derive_address, keypair_generate, sha256
 from chainsim.ledger import Transaction, TxOutput, Validity
 from chainsim.netsim import run_scenario
 from chainsim.scenario import load_scenario
@@ -633,6 +633,95 @@ def test_truncated_chain_file_loads_prefix_with_warning(capsys, tmp_path, data_d
     assert code == 0
     assert "warning: trailing bytes" in err
     assert out.startswith("height=0 ")
+
+
+# -- the checked-prefix record beside chain.dat ----------------------------------------
+
+
+def _misses_of(capsys, data_dir, *argv):
+    """Exit code, stdout and signature-memo misses of one command, run on a
+    cleared memo as in a fresh process."""
+    _verify_cached.cache_clear()
+    code, out, _ = run_cli(capsys, "--data-dir", data_dir, *argv)
+    return code, out, _verify_cached.cache_info().misses
+
+
+def test_commands_check_only_signatures_no_command_checked_before(capsys, tmp_path, data_dir):
+    """Each command's load skips the signatures of the records an earlier
+    command validated: chain tip checks none, a call checks its own block's
+    input, and chain verify still checks every input on the chain."""
+    contract = deploy_counter(capsys, tmp_path, data_dir)
+    assert run_cli(capsys, "--data-dir", data_dir, "call", contract, "--fee", 2)[0] == 0
+
+    code, out, misses = _misses_of(capsys, data_dir, "chain", "tip")
+    assert (code, out.startswith("height=2 "), misses) == (0, True, 0)
+    code, out, misses = _misses_of(capsys, data_dir, "call", contract, "--fee", 2)
+    assert (code, out, misses) == (0, "status=Ok output=2 gas_used=12\n", 1)
+    store = _load_store(argparse.Namespace(data_dir=str(data_dir)))
+    inputs = sum(len(tx.inputs) for b in store.blocks.values() for tx in b.transactions)
+    assert inputs == 3  # the deploy and two calls
+    assert _misses_of(capsys, data_dir, "chain", "verify") == (0, "Ok\n", inputs)
+
+
+def _record_spans(raw: bytes) -> list[tuple[int, int]]:
+    """(start, end) of each block record's body in a chain file."""
+    spans = []
+    offset = 6
+    while offset < len(raw):
+        (length,) = struct.unpack_from(">I", raw, offset)
+        spans.append((offset + 4, offset + 4 + length))
+        offset += 4 + length + 4
+    return spans
+
+
+def test_tampered_signature_inside_the_checked_prefix_fails_as_without_the_record(
+    capsys, tmp_path, data_dir
+):
+    """A signature byte flipped inside the checked prefix, its record
+    resealed, loads and verifies exactly as it does with no record beside
+    it, and so does the file beside each malformed record."""
+    contract = deploy_counter(capsys, tmp_path, data_dir)
+    assert run_cli(capsys, "--data-dir", data_dir, "call", contract, "--fee", 2)[0] == 0
+    path = data_dir / "chain.dat"
+    checked = data_dir / "chain.dat.checked"
+    raw = path.read_bytes()
+    stale = checked.read_bytes()
+    assert stale == struct.pack(">Q", len(raw)) + sha256(raw)
+
+    start, end = _record_spans(raw)[1]
+    deploy = deserialize_block(raw[start:end])[0].transactions[1]
+    at = raw.index(deploy.inputs[0].signature, start, end)
+    data = bytearray(raw)
+    data[at] ^= 0x01
+    data[end : end + 4] = sha256(bytes(data[start:end]))[:4]
+    data = bytes(data)
+    path.write_bytes(data)
+
+    def outcome():
+        _verify_cached.cache_clear()
+        store = _load_store(argparse.Namespace(data_dir=str(data_dir)))
+        code, out, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "verify")
+        return list(store.blocks.items()), list(store.undo), store.tip_hash, code, out
+
+    checked.unlink()
+    alone = outcome()
+    assert alone[3:] == (2, "Broken height=1 reason=BadSignature\n")
+    assert not checked.exists()  # chain verify writes nothing
+    for record in (
+        stale,
+        b"",
+        stale[:39],
+        struct.pack(">Q", len(data)) + sha256(data) + b"\x00",
+        struct.pack(">Q", len(data) + 1) + sha256(data),
+        struct.pack(">Q", len(data)) + bytes(32),
+    ):
+        checked.write_bytes(record)
+        assert outcome() == alone, record
+
+    # chain verify trusts nothing: even a record that vouches for the
+    # tampered bytes leaves the bad signature to be found
+    checked.write_bytes(struct.pack(">Q", len(data)) + sha256(data))
+    assert outcome()[3:] == alone[3:]
 
 
 # -- simulator --------------------------------------------------------------------------
