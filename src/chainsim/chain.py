@@ -13,10 +13,11 @@ a reorganization that orphans nothing.
 
 ChainStore.append_block is the one place that indexes a block and stores its
 undo record: chain-file loading (load) and replay verification
-(verify_blocks) go through it too.  persist writes beside the chain file a
-record of the prefix whose blocks passed validation, and load skips the
-signature checks, and only those, of the records within it, in the manner of
-Bitcoin Core's -assumevalid; verify_blocks never reads it.
+(verify_blocks, which chain verify feeds every record read_chain_file
+decodes) go through it too.  persist writes beside the chain file a record of
+the prefix whose blocks passed validation, and load skips the signature
+checks, and only those, of the records within it, in the manner of Bitcoin
+Core's -assumevalid; read_chain_file and verify_blocks never read it.
 """
 
 from __future__ import annotations
@@ -468,6 +469,16 @@ def _genesis_state(genesis: Block, params: ChainParams) -> tuple[ChainState, Val
     return state, _walk_transactions(genesis.transactions, state, 0, params, undo)
 
 
+def _founding_state(genesis: Block, params: ChainParams) -> ChainState:
+    """genesis's post-state, or ValueError when genesis cannot found a store."""
+    if genesis.header.height != 0 or genesis.header.prev_header_hash != GENESIS_PREV_HASH:
+        raise ValueError("genesis must have height 0 and a zero previous hash")
+    state, v = _genesis_state(genesis, params)
+    if not v:
+        raise ValueError(f"invalid genesis: {v.reason} {v.detail}".strip())
+    return state
+
+
 # ---------------------------------------------------------------------------
 # Store
 # ---------------------------------------------------------------------------
@@ -507,11 +518,7 @@ class ChainStore:
         self.mempool: Mempool | None = mempool if mempool is not None else Mempool()
         self.policy: Callable[[Block], Validity] | None = None
         genesis = genesis if genesis is not None else make_genesis(params)
-        if genesis.header.height != 0 or genesis.header.prev_header_hash != GENESIS_PREV_HASH:
-            raise ValueError("genesis must have height 0 and a zero previous hash")
-        state, v = _genesis_state(genesis, params)
-        if not v:
-            raise ValueError(f"invalid genesis: {v.reason} {v.detail}".strip())
+        state = _founding_state(genesis, params)
         self.genesis_hash = header_hash(genesis.header)
         self.blocks: dict[bytes, Block] = {self.genesis_hash: genesis}
         # a block load indexes without validation has no record
@@ -764,11 +771,6 @@ def verify_blocks(params: ChainParams, blocks: Iterable[Block]) -> VerifyResult:
     return VerifyResult(True)
 
 
-def verify_chain(store: ChainStore) -> VerifyResult:
-    """Re-verify every stored block in insertion order, ignoring cached state."""
-    return verify_blocks(store.params, store.blocks.values())
-
-
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
@@ -783,6 +785,14 @@ class ChainFileError(Exception):
 @dataclass
 class LoadResult:
     store: ChainStore
+    truncated_at: int | None = None
+
+
+@dataclass
+class ChainFile:
+    data: bytes
+    blocks: list[Block]
+    ends: list[int]  # the offset just past each block's record
     truncated_at: int | None = None
 
 
@@ -835,20 +845,11 @@ def _checked_length(path: str, buf: bytes) -> int:
     return length
 
 
-def load(path: str, params: ChainParams) -> LoadResult:
-    """Rebuild a store from a chain file, each record through append_block.
-
-    A file ending mid-record loads its intact prefix and reports the
-    truncation offset; a checksum or decode failure raises with the offset of
-    the bad record.  A block that fails a rule is indexed with no undo
-    record, for verify_chain to report.  Records that end within the prefix
-    that persist's checked-prefix record vouches for skip their signature
-    checks, which depend on the record bytes alone, and every other rule
-    still runs; every other record, all of them when the record is missing
-    or does not match, is checked in full.  The replay keeps no pool, and the
-    returned store's mempool starts empty, even when a reorganization inside
-    the file orphaned transactions.
-    """
+def read_chain_file(path: str, params: ChainParams) -> ChainFile:
+    """Decode the chain file at path, for load and chain verify.  A file
+    ending mid-record yields its intact prefix and the truncation offset; a
+    bad magic or version, checksum or block, no blocks, or a first block that
+    cannot found a store raises ChainFileError with the fault's offset."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != CHAIN_MAGIC:
@@ -858,26 +859,19 @@ def load(path: str, params: ChainParams) -> LoadResult:
     (version,) = struct.unpack_from(">H", buf, 4)
     if version != CHAIN_FORMAT_VERSION:
         raise ChainFileError(4, f"unsupported format version {version}")
-    checked = _checked_length(path, buf)
     offset = 6
     blocks: list[Block] = []
-    vouched_blocks = 0  # the leading blocks whose records end within the checked prefix
+    ends: list[int] = []
     truncated_at: int | None = None
     while offset < len(buf):
         start = offset
-        if offset + 4 > len(buf):
+        length = int.from_bytes(buf[offset : offset + 4], "big")
+        offset += 4 + length + 4  # the length field, the record, its checksum
+        if offset > len(buf):  # also when the length field itself is cut short
             truncated_at = start
             break
-        (length,) = struct.unpack_from(">I", buf, offset)
-        offset += 4
-        if offset + length + 4 > len(buf):
-            truncated_at = start
-            break
-        record = buf[offset : offset + length]
-        offset += length
-        checksum = buf[offset : offset + 4]
-        offset += 4
-        if sha256(record)[:4] != checksum:
+        record = buf[start + 4 : offset - 4]
+        if sha256(record)[:4] != buf[offset - 4 : offset]:
             raise ChainFileError(start, "record checksum mismatch")
         try:
             block, consumed = deserialize_block(record)
@@ -886,23 +880,38 @@ def load(path: str, params: ChainParams) -> LoadResult:
         if consumed != length:
             raise ChainFileError(start, "trailing bytes in record")
         blocks.append(block)
-        if offset <= checked:
-            vouched_blocks = len(blocks)
+        ends.append(offset)
     if not blocks:
         raise ChainFileError(6, "no blocks in file")
     if blocks[0].header.height != 0:
         raise ChainFileError(6, "first record is not a genesis block")
     try:
-        store = ChainStore(params, genesis=blocks[0])
+        _founding_state(blocks[0], params)
     except ValueError as exc:
         raise ChainFileError(6, str(exc)) from None
+    return ChainFile(buf, blocks, ends, truncated_at)
+
+
+def load(path: str, params: ChainParams) -> LoadResult:
+    """Rebuild a store from the records read_chain_file decodes, each
+    through append_block.
+
+    A block that fails a rule stays indexed with no undo record, so that
+    persist writes it back, and is never adopted or built on.  Records that
+    end within the prefix that persist's checked-prefix record vouches for
+    skip their signature checks, which depend on the record bytes alone, and
+    every other rule still runs; every other record, all of them when the
+    record is missing or does not match, is checked in full.  The replay
+    keeps no pool, and the returned store's mempool starts empty, even when a
+    reorganization inside the file orphaned transactions.
+    """
+    chain_file = read_chain_file(path, params)
+    checked = _checked_length(path, chain_file.data)
+    store = ChainStore(params, genesis=chain_file.blocks[0])
     store.mempool = None
-    for index, block in enumerate(blocks[1:], start=1):
-        result = store.append_block(block, check_signatures=index >= vouched_blocks)
-        # a block rejected for any reason but Duplicate is still indexed, with
-        # no undo record: verify_chain sees the corrupt entry, yet it is
-        # never adopted or built on
+    for block, end in zip(chain_file.blocks[1:], chain_file.ends[1:]):
+        result = store.append_block(block, check_signatures=end > checked)
         if result.status == REJECTED and result.reason != "Duplicate":
             store.blocks[header_hash(block.header)] = block
     store.mempool = Mempool()
-    return LoadResult(store, truncated_at)
+    return LoadResult(store, chain_file.truncated_at)

@@ -29,7 +29,8 @@ from .chain import (
     load,
     make_genesis,
     persist,
-    verify_chain,
+    read_chain_file,
+    verify_blocks,
 )
 from .crypto import (
     Address,
@@ -131,21 +132,20 @@ def _read_config(load, path: str, what: str, *args):
         raise CliError(EXIT_CONFIG, f"{len(exc.errors)} {what} error(s)")
 
 
-def _load_store(args) -> ChainStore:
+def _read_chain(args, read):
+    """The stored params and read(path, params), load or read_chain_file."""
     path = _chain_path(args)
     if not os.path.exists(path):
         raise CliError(EXIT_IO, f"no chain file at {path}")
     params = _read_config(load_params, os.path.join(args.data_dir, PARAMS_FILE), "params")
-    try:
-        result = load(path, params)
-    except ChainFileError as exc:
-        raise CliError(EXIT_IO, f"chain file: {exc}")
+    result = read(path, params)
     if result.truncated_at is not None:
-        print(
-            f"warning: trailing bytes at offset {result.truncated_at} ignored",
-            file=sys.stderr,
-        )
-    return result.store
+        print(f"warning: trailing bytes at offset {result.truncated_at} ignored", file=sys.stderr)
+    return params, result
+
+
+def _load_store(args) -> ChainStore:
+    return _read_chain(args, load)[1].store
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +225,16 @@ def cmd_chain(args) -> int:
         print(f"height=0 tip={store.tip_hash.hex()}")
         return EXIT_OK
 
-    store = _load_store(args)
     if args.chain_cmd == "verify":
-        result = verify_chain(store)
+        params, chain_file = _read_chain(args, read_chain_file)
+        result = verify_blocks(params, chain_file.blocks)
         if result.ok:
             print("Ok")
             return EXIT_OK
         print(f"broken at height {result.height}: {result.reason}", file=sys.stderr)
         print(f"Broken height={result.height} reason={result.reason}")
         return EXIT_VERIFY
+    store = _load_store(args)
     if args.chain_cmd == "tip":
         print(f"height={store.tip_height} tip={store.tip_hash.hex()}")
         return EXIT_OK
@@ -488,7 +489,7 @@ def main(argv=None) -> int:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code
     except ChainFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: chain file: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,6 @@ from chainsim.chain import (
     transactions_merkle_root,
     validate_and_apply,
     verify_blocks,
-    verify_chain,
     BlockUndo,
     _block_fees,
     _revert_block,
@@ -496,7 +495,7 @@ def build_chain(store: ChainStore, length: int) -> list[Block]:
 def test_verify_untampered_chain_ok():
     store = fresh_store()
     build_chain(store, 50)
-    result = verify_chain(store)
+    result = verify_blocks(store.params, store.blocks.values())
     assert result.ok and result.height is None
 
 
@@ -553,7 +552,7 @@ def test_persist_load_roundtrip_100_blocks(tmp_path):
     loaded = load(str(path), store.params)
     assert loaded.truncated_at is None
     assert loaded.store.tip_hash == store.tip_hash
-    assert verify_chain(loaded.store).ok
+    assert verify_blocks(loaded.store.params, loaded.store.blocks.values()).ok
     assert loaded.store.tip_state().utxo == store.tip_state().utxo
 
 

@@ -38,10 +38,10 @@ from chainsim.chain import (
     header_hash,
     load,
     make_genesis,
+    read_chain_file,
     transactions_merkle_root,
     validate_and_apply,
     verify_blocks,
-    verify_chain,
 )
 from chainsim.crypto import derive_address, keypair_generate, sha256
 from chainsim.ledger import Mempool, build_transaction, make_coinbase
@@ -312,7 +312,30 @@ def test_load_matches_reference(tmp_path, seed):
     assert_same_states(a, b)
     assert _confirmation_heights(a) == _confirmation_heights(b)
     assert len(a.mempool) == 0
-    assert verify_chain(a) == reference_verify_blocks(PARAMS, b.blocks.values())
+    assert verify_blocks(a.params, a.blocks.values()) == reference_verify_blocks(PARAMS, b.blocks.values())
+
+
+def test_verify_of_the_decoded_records_matches_verify_of_the_loaded_store(tmp_path):
+    """chain verify replays the records read_chain_file decodes, once, where
+    it used to verify the blocks of the store load built.  Over the random
+    chain files the two agree: the same ChainFileError offset and message,
+    or the same verdict.  No file repeats a header with other transaction
+    bytes, the one record load drops and the replay judges."""
+    loadable = 0
+    for seed in range(200):
+        path = tmp_path / f"{seed}.dat"
+        path.write_bytes(random_chain_file(seed))
+        ref = _load_either(reference_load, path)
+        decoded = _load_either(read_chain_file, path)
+        if isinstance(ref, ChainFileError):
+            assert isinstance(decoded, ChainFileError)
+            assert (decoded.offset, str(decoded)) == (ref.offset, str(ref))
+            continue
+        loadable += 1
+        assert decoded.truncated_at == ref.truncated_at
+        store = load(str(path), PARAMS).store
+        assert verify_blocks(PARAMS, decoded.blocks) == verify_blocks(PARAMS, store.blocks.values())
+    assert loadable == 179
 
 
 def test_random_chain_files_cover_every_case(tmp_path):
@@ -334,7 +357,7 @@ def test_random_chain_files_cover_every_case(tmp_path):
         repooled += len(replay.mempool) > 0
         stateless += len(store.blocks) > len(store.undo)
         truncated += loaded.truncated_at is not None
-        ok = verify_chain(store).ok
+        ok = verify_blocks(store.params, store.blocks.values()).ok
         verified += ok
         unverified += not ok
     assert repooled >= 2 and stateless >= 20 and truncated >= 2
@@ -406,7 +429,7 @@ def test_second_genesis_record_fails_verification(tmp_path):
     assert list(new.store.blocks) == list(ref.store.blocks)
     assert new.store.undo.keys() == ref.store.states.keys()
     assert header_hash(other.header) not in new.store.undo
-    assert verify_chain(new.store) == VerifyResult(False, 0, "PrevHash")
+    assert verify_blocks(new.store.params, new.store.blocks.values()) == VerifyResult(False, 0, "PrevHash")
     assert reference_verify_blocks(params, ref.store.blocks.values()).ok
 
 
@@ -430,7 +453,7 @@ def test_replay_keeps_no_mempool(tmp_path, monkeypatch):
         loaded = _load_either(load, path)
         if isinstance(loaded, ChainFileError):
             continue
-        verify_chain(loaded.store)
+        verify_blocks(loaded.store.params, loaded.store.blocks.values())
         assert calls == [] and len(loaded.store.mempool) == 0
         store = loaded.store
         live = ChainStore(PARAMS, store.blocks[store.genesis_hash], Mempool())
@@ -470,7 +493,7 @@ def _reseal(data: bytearray) -> None:
 )
 def test_mutated_chain_file_fails_to_load_or_verifies_cleanly(flips, cut, reseal):
     """load either raises ChainFileError or returns a store whose
-    verify_chain result is well-formed: Ok with no height or reason, or
+    verify_blocks result is well-formed: Ok with no height or reason, or
     broken at a height with a reason."""
     data = bytearray(VALID_FILE)
     for position, mask in flips:
@@ -489,7 +512,7 @@ def test_mutated_chain_file_fails_to_load_or_verifies_cleanly(flips, cut, reseal
             assert 0 <= exc.offset <= len(data)
             return
     assert loaded.truncated_at is None or 6 <= loaded.truncated_at < len(data)
-    result = verify_chain(loaded.store)
+    result = verify_blocks(loaded.store.params, loaded.store.blocks.values())
     assert type(result) is VerifyResult
     if result.ok:
         assert result.height is None and result.reason is None
@@ -519,14 +542,14 @@ VALID_CHECKED = [struct.pack(">Q", end) + sha256(VALID_FILE[:end])
 
 def _load_outcome(path):
     """The ChainFileError offset, or the loaded blocks, undo keys, tip,
-    truncation offset and verify_chain result."""
+    truncation offset and verify_blocks result."""
     try:
         loaded = load(path, PARAMS)
     except ChainFileError as exc:
         return exc.offset
     store = loaded.store
     return (list(store.blocks.items()), list(store.undo), store.tip_hash,
-            loaded.truncated_at, verify_chain(store))
+            loaded.truncated_at, verify_blocks(store.params, store.blocks.values()))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -539,7 +562,7 @@ def _load_outcome(path):
 )
 def test_mutated_chain_file_loads_the_same_beside_a_checked_record(flips, cut, reseal, checked):
     """A checked-prefix record of VALID_FILE changes no mutant's outcome:
-    the same ChainFileError offset, or the same store and verify_chain
+    the same ChainFileError offset, or the same store and verify_blocks
     result, as with no record beside the file."""
     data = bytearray(VALID_FILE)
     for position, mask in flips:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from pathlib import Path
 
+from chainsim import chain
 from chainsim.chain import (
     Block,
     BlockHeader,
@@ -722,6 +723,90 @@ def test_tampered_signature_inside_the_checked_prefix_fails_as_without_the_recor
     # tampered bytes leaves the bad signature to be found
     checked.write_bytes(struct.pack(">Q", len(data)) + sha256(data))
     assert outcome()[3:] == alone[3:]
+
+
+# -- chain verify replays the file's own records --------------------------------------
+
+
+def _append_resigned_block_1(path) -> None:
+    """Append a record that repeats block 1's header with one byte of its
+    deploy's input signature flipped, the record checksum resealed.  The
+    signature lies outside tx_id, so the header hash is block 1's."""
+    raw = path.read_bytes()
+    start, end = _record_spans(raw)[1]
+    body = bytearray(raw[start:end])
+    deploy = deserialize_block(bytes(body))[0].transactions[1]
+    body[body.index(deploy.inputs[0].signature)] ^= 0x01
+    body = bytes(body)
+    assert header_hash(deserialize_block(body)[0].header) == header_hash(
+        deserialize_block(raw[start:end])[0].header)
+    path.write_bytes(raw + struct.pack(">I", len(body)) + body + sha256(body)[:4])
+
+
+def test_chain_verify_judges_a_record_that_repeats_a_header(capsys, tmp_path, data_dir):
+    """load drops a record that repeats an earlier header, so chain tip is
+    unchanged; chain verify judges it, and its signature fails."""
+    deploy_counter(capsys, tmp_path, data_dir)
+    _, tip, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "tip")
+    _append_resigned_block_1(data_dir / "chain.dat")
+    code, out, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "verify")
+    assert (code, out) == (2, "Broken height=1 reason=BadSignature\n")
+    assert run_cli(capsys, "--data-dir", data_dir, "chain", "tip")[:2] == (0, tip)
+
+
+def test_chain_verify_replays_each_record_once_and_reads_no_checked_record(
+    capsys, tmp_path, data_dir, monkeypatch
+):
+    """One validate_and_apply per block after genesis, and the checked-prefix
+    record beside the file is never read."""
+    contract = deploy_counter(capsys, tmp_path, data_dir)
+    for _ in range(2):
+        assert run_cli(capsys, "--data-dir", data_dir, "call", contract, "--fee", 2)[0] == 0
+    records = len(_record_spans((data_dir / "chain.dat").read_bytes()))
+    calls = []
+    validate_and_apply = chain.validate_and_apply
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return validate_and_apply(*args, **kwargs)
+
+    def unread(*args):
+        raise AssertionError("the checked-prefix record was read")
+
+    monkeypatch.setattr(chain, "validate_and_apply", counted)
+    monkeypatch.setattr(chain, "_checked_length", unread)
+    code, out, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "verify")
+    assert (code, out) == (0, "Ok\n")
+    assert len(calls) == records - 1 == 3
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("prev_hash", "genesis must have height 0 and a zero previous hash"),
+    ("payload", "invalid genesis: Coinbase transaction 0: payload is not the height"),
+])
+def test_genesis_record_that_cannot_found_a_store_is_io_error(
+    capsys, tmp_path, data_dir, fault, message
+):
+    """A height-0 first record that cannot found a store exits 3 with the
+    offset of the record, from chain verify as from chain tip."""
+    init_funded_chain(capsys, tmp_path, data_dir)
+    path = data_dir / "chain.dat"
+    raw = path.read_bytes()
+    start, end = _record_spans(raw)[0]
+    genesis = deserialize_block(raw[start:end])[0]
+    txs, prev = genesis.transactions, genesis.header.prev_header_hash
+    if fault == "prev_hash":
+        prev = b"\x01" * 32
+    else:
+        coin = txs[0]
+        txs = (Transaction(coin.kind, coin.inputs, coin.outputs, b"x"),) + txs[1:]
+    header = BlockHeader(0, prev, transactions_merkle_root(txs), genesis.header.timestamp,
+                         len(block_data_bytes(txs)), 0, 0)
+    record = Block(header, txs).serialize()
+    path.write_bytes(raw[:6] + struct.pack(">I", len(record)) + record + sha256(record)[:4])
+    for command in ("verify", "tip"):
+        code, out, err = run_cli(capsys, "--data-dir", data_dir, "chain", command)
+        assert (code, out, err) == (3, "", f"error: chain file: byte 6: {message}\n")
 
 
 # -- simulator --------------------------------------------------------------------------
