@@ -345,6 +345,21 @@ def _block_fees(txs: tuple[Transaction, ...], utxo: UtxoSet) -> int | None:
             utxo.revert(tx)
 
 
+def _data_check(block: Block) -> Validity:
+    """The block's data against its header, genesis included: at least one
+    transaction and the Merkle root (DataHash), then the declared size
+    (Size)."""
+    header = block.header
+    if not block.transactions:
+        return _invalid("DataHash", "no transactions")
+    if header.data_hash != transactions_merkle_root(block.transactions):
+        return _invalid("DataHash")
+    size = len(block.data_bytes())
+    if header.size != size:
+        return _invalid("Size", f"declared {header.size}, actual {size}")
+    return VALID
+
+
 def validate_and_apply(
     block: Block,
     parent_header: BlockHeader,
@@ -369,15 +384,11 @@ def validate_and_apply(
         return None, _invalid("PrevHash")
     if header.height != parent_header.height + 1:
         return None, _invalid("Height", f"{header.height} after {parent_header.height}")
-    if not block.transactions:
-        return None, _invalid("DataHash", "no transactions")
-    if header.data_hash != transactions_merkle_root(block.transactions):
-        return None, _invalid("DataHash")
-    data = block.data_bytes()
-    if header.size != len(data):
-        return None, _invalid("Size", f"declared {header.size}, actual {len(data)}")
-    if len(data) > params.max_block_data_bytes:
-        return None, _invalid("Oversize", f"{len(data)} > {params.max_block_data_bytes}")
+    v = _data_check(block)
+    if not v:
+        return None, v
+    if header.size > params.max_block_data_bytes:
+        return None, _invalid("Oversize", f"{header.size} > {params.max_block_data_bytes}")
 
     pow_params = branch_pow_params(params, state, header.height, header_at)
     stakes = (
@@ -741,12 +752,9 @@ def verify_blocks(params: ChainParams, blocks: Iterable[Block]) -> VerifyResult:
     header = genesis.header
     if header.height != 0 or header.prev_header_hash != GENESIS_PREV_HASH:
         return VerifyResult(False, header.height, "PrevHash")
-    if not genesis.transactions:
-        return VerifyResult(False, 0, "DataHash")
-    if header.data_hash != transactions_merkle_root(genesis.transactions):
-        return VerifyResult(False, 0, "DataHash")
-    if header.size != len(genesis.data_bytes()):
-        return VerifyResult(False, 0, "Size")
+    v = _data_check(genesis)
+    if not v:
+        return VerifyResult(False, 0, v.reason)
     try:
         store = ChainStore(params, genesis)
     except ValueError:

@@ -7,18 +7,13 @@ transaction's inputs are spent and its outputs added, and UtxoSet.revert the
 one place they are taken back: the chain store (which walks one set per
 node back and forth), block-fee pre-computation and mempool selection go
 through the pair, the block verifier and the genesis builder through apply.
-
-Each UtxoSet carries a paid-to index (address -> outpoints) that is
-append-only and shared with every copy: a superset of the outpoints the set
-holds for an address, so readers filter it through UtxoSet.get.  Each set
-also memoises spendable_outpoint answers by (address, needed), None
-included; add, spend and revert clear that memo, and a copy starts with an
-empty one of its own.
+The pair also keeps each set's index of spendable outpoints (see UtxoSet).
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Iterable, NamedTuple
@@ -192,47 +187,42 @@ class UtxoSet:
     (SpentInput) from one that never existed (UnknownInput), and digest()
     covers spent entries as well as live ones.
 
-    A paid-to index maps each address to outpoints paying it.  It is
-    append-only (revert leaves it) and shared by reference between a set and
-    every copy made from it, so it holds each outpoint that any of them ever
-    added: a superset of this set's outpoints for the address.  Readers of
-    paid_to filter through get(); an outpoint (tx_id, index) fixes its
-    output, so one this set holds pays the address it is indexed under.
-
-    The spendable memo maps (address, needed) to spendable_outpoint's answer
-    for this set.  add, spend and revert clear it, since each can change an
-    answer; copy gives the twin an empty memo of its own, so one set's
-    answers never reach another.
+    _spendable maps each address to the outpoints of this set's live,
+    unlocked entries paying it, and to no others, in sorted order: an address
+    collects outputs too small to pay with, and spendable_outpoint, scanning
+    in order, stops at the first one large enough, which is the lowest.
     """
 
     def __init__(self, entries: dict[Outpoint, UtxoEntry] | None = None):
         self._entries: dict[Outpoint, UtxoEntry] = dict(entries or {})
-        self._paid_to: dict[Address, set[Outpoint]] = {}
-        self._spendable: dict[tuple[Address, int], Outpoint | None] = {}
-        for outpoint, entry in self._entries.items():
-            self._paid_to.setdefault(entry.output.recipient, set()).add(outpoint)
+        self._spendable: dict[Address, list[Outpoint]] = {}
+        for outpoint, entry in sorted(self._entries.items()):
+            if entry.live:
+                self._list(outpoint, entry)
 
     def copy(self) -> "UtxoSet":
         twin = UtxoSet.__new__(UtxoSet)
         twin._entries = dict(self._entries)
-        twin._paid_to = self._paid_to
-        twin._spendable = {}
+        twin._spendable = {address: list(ops) for address, ops in self._spendable.items()}
         return twin
 
     def get(self, outpoint: Outpoint) -> UtxoEntry | None:
         return self._entries.get(outpoint)
 
-    def paid_to(self, address: Address) -> Iterable[Outpoint]:
-        """Every outpoint this set holds that pays address, and possibly
-        outpoints it does not hold (see the class docstring)."""
-        return self._paid_to.get(address, ())
+    def _list(self, outpoint: Outpoint, entry: UtxoEntry) -> None:
+        if not entry.locked:
+            insort(self._spendable.setdefault(entry.output.recipient, []), outpoint)
+
+    def _unlist(self, outpoint: Outpoint, entry: UtxoEntry) -> None:
+        if not entry.locked:
+            outpoints = self._spendable[entry.output.recipient]
+            del outpoints[bisect_left(outpoints, outpoint)]
 
     def add(self, outpoint: Outpoint, output: TxOutput, locked: bool, height: int) -> None:
         if outpoint in self._entries:
             raise ValueError("outpoint already present")
-        self._entries[outpoint] = UtxoEntry(output, locked, height)
-        self._paid_to.setdefault(output.recipient, set()).add(outpoint)
-        self._spendable.clear()
+        self._entries[outpoint] = entry = UtxoEntry(output, locked, height)
+        self._list(outpoint, entry)
 
     def spend(self, outpoint: Outpoint, height: int) -> None:
         """Mark a live entry spent."""
@@ -240,7 +230,7 @@ class UtxoSet:
         if not entry.live:
             raise ValueError("outpoint already spent")
         self._entries[outpoint] = replace(entry, spent_height=height)
-        self._spendable.clear()
+        self._unlist(outpoint, entry)
 
     def apply(self, tx: Transaction, height: int) -> int:
         """Spend every input and add every output of tx at height (output 0
@@ -271,11 +261,11 @@ class UtxoSet:
         outputs is spent when it is."""
         entries = self._entries
         for outpoint in tx.outpoints:
-            del entries[outpoint]
+            self._unlist(outpoint, entries.pop(outpoint))
         for inp in tx.inputs:
             outpoint = inp.outpoint
-            entries[outpoint] = replace(entries[outpoint], spent_height=None)
-        self._spendable.clear()
+            entries[outpoint] = entry = replace(entries[outpoint], spent_height=None)
+            self._list(outpoint, entry)
 
     def live_entries(self) -> Iterable[tuple[Outpoint, UtxoEntry]]:
         return ((op, e) for op, e in self._entries.items() if e.live)
@@ -452,27 +442,12 @@ class Balance(NamedTuple):
 
 
 def spendable_outpoint(utxo: UtxoSet, address: Address, needed: int) -> Outpoint | None:
-    """The lowest live, unlocked outpoint paying address at least needed.
-
-    Answered from utxo's spendable memo when this set was asked the same
-    question since its last add or spend.
-    """
-    key = (address, needed)
-    memo = utxo._spendable
-    if key in memo:
-        return memo[key]
-    found = memo[key] = min(
-        (
-            outpoint
-            for outpoint in utxo.paid_to(address)
-            if (entry := utxo.get(outpoint)) is not None
-            and entry.live
-            and not entry.locked
-            and entry.output.amount >= needed
-        ),
-        default=None,
-    )
-    return found
+    """The lowest live, unlocked outpoint paying address at least needed."""
+    entries = utxo._entries
+    for outpoint in utxo._spendable.get(address, ()):
+        if entries[outpoint].output.amount >= needed:
+            return outpoint
+    return None
 
 
 def balance(address: Address, utxo: UtxoSet) -> Balance:

@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainsim.chain import (
@@ -11,6 +11,7 @@ from chainsim.chain import (
     ChainStore,
     EXTENDED,
     REJECTED,
+    _block_fees,
     block_data_bytes,
     header_hash,
     transactions_merkle_root,
@@ -463,7 +464,7 @@ _utxo_ops = st.one_of(
     st.tuples(st.just("copy"), st.integers(0, 7)),
     # a new set from the live entries, through the constructor
     st.tuples(st.just("rebuild"), st.integers(0, 7)),
-    # ask one set one question between mutations, so its memo holds the answer
+    # ask one set one question between mutations, not only after each step
     st.tuples(st.just("query"), st.integers(0, 7), st.integers(0, 3), st.integers(0, 10)),
 )
 
@@ -471,12 +472,12 @@ _utxo_ops = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_utxo_ops, min_size=1, max_size=25))
 def test_spendable_outpoint_equals_brute_force_over_copies(ops):
-    """The paid-to index is shared by sibling copies and holds outpoints a
-    given set never had, and each set memoises its answers; spendable_outpoint
-    must still equal the scan of that set's own live entries, for every set
-    after every step.  Sets are asked before and after each mutation of
-    themselves and of their copies, so a memo that outlives an add or a spend,
-    or that a copy shares, gives a stale answer."""
+    """Each set keeps its own index of spendable outpoints, built by the
+    constructor, kept by add and spend, and copied by copy; spendable_outpoint
+    must equal the scan of that set's own live entries, for every set after
+    every step.  Sets are asked before and after each mutation of themselves
+    and of their copies, so an index that misses an add or a spend, or that a
+    copy shares, gives a stale answer."""
     addrs = list(_OWNERS)
     sets = [UtxoSet()]
     for height, (op, which, *rest) in enumerate(ops, start=1):
@@ -509,6 +510,103 @@ def test_spendable_outpoint_equals_brute_force_over_copies(ops):
         for each in sets:
             for address in addrs + [derive_address(b"nobody")]:
                 for needed in (0, 1, 5, 9):
+                    assert spendable_outpoint(each, address, needed) == \
+                        _brute_spendable(each, address, needed)
+
+
+def _spend_nth(utxo: UtxoSet, k: int, payee: Address, how: str, tag: bytes):
+    """A transaction spending utxo's k-th live outpoint, paying 1 to payee:
+    a locked outpoint for "unstake", else an unlocked one; None if there is
+    none.  "stake" locks output 0, and "burn" pays it all as fee."""
+    live = sorted(o for o, e in utxo.live_entries() if e.locked == (how == "unstake"))
+    if not live:
+        return None
+    source = live[k % len(live)]
+    entry = utxo.get(source)
+    pay, fee = [(payee, 1)], 0
+    if how == "burn":
+        pay, fee = [], entry.output.amount
+    return build_transaction(
+        [source], pay, fee, [_OWNERS[entry.output.recipient]], utxo,
+        kind=TxKind.STAKE if how == "stake" else TxKind.TRANSFER, payload=tag,
+    )
+
+
+_spend_kinds = st.sampled_from(["transfer", "stake", "burn", "unstake"])
+_revert_ops = st.one_of(
+    st.tuples(st.just("coinbase"), st.integers(0, 7),
+              st.lists(st.tuples(st.integers(0, 2), st.integers(1, 9)), min_size=1, max_size=3)),
+    st.tuples(st.just("spend"), st.integers(0, 7), st.integers(0, 20), st.integers(0, 2),
+              _spend_kinds),
+    # revert the newest transaction the set applied
+    st.tuples(st.just("revert"), st.integers(0, 7)),
+    st.tuples(st.just("copy"), st.integers(0, 7)),
+    # a new set from every entry, spent ones included, through the constructor
+    st.tuples(st.just("rebuild"), st.integers(0, 7)),
+    # pool chained transfers and take them within a byte budget
+    st.tuples(st.just("take"), st.integers(0, 7), st.lists(st.just("transfer"), max_size=4),
+              st.integers(0, 800)),
+    # _block_fees over chained spends, then one whose input is spent or unknown
+    st.tuples(st.just("fees"), st.integers(0, 7), st.lists(_spend_kinds, max_size=3),
+              st.booleans()),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_revert_ops, min_size=1, max_size=30))
+# a reverted unstake must leave its locked input out of the index
+@example([("coinbase", 0, [(0, 5)]), ("spend", 0, 0, 0, "stake"),
+          ("spend", 0, 0, 0, "unstake"), ("revert", 0)])
+@example([("coinbase", 0, [(0, 5)]), ("fees", 0, ["stake", "unstake"], True)])
+def test_spendable_outpoint_equals_brute_force_through_reverts(ops):
+    """revert takes outputs out of a set's index and puts its inputs back,
+    unless they are locked.  Apply and revert newest first, copy, and run the
+    trial walks that revert everything they apply (Mempool.take, and a
+    _block_fees walk that fails partway) over several sets; after every step
+    spendable_outpoint must equal the scan of each set's own live entries."""
+    addrs = list(_OWNERS)
+    sets, stacks = [UtxoSet()], [[]]
+    for step, (op, which, *rest) in enumerate(ops, start=1):
+        i = which % len(sets)
+        utxo, stack = sets[i], stacks[i]
+        tag = step.to_bytes(4, "big")
+        if op == "coinbase":
+            stack.append(make_coinbase([(addrs[a], amt) for a, amt in rest[0]], step))
+            utxo.apply(stack[-1], step)
+        elif op == "spend":
+            k, payee, how = rest
+            tx = _spend_nth(utxo, k, addrs[payee], how, tag)
+            if tx is not None:
+                utxo.apply(tx, step)
+                stack.append(tx)
+        elif op == "revert":
+            if stack:
+                utxo.revert(stack.pop())
+        elif op in ("copy", "rebuild"):
+            sets.append(utxo.copy() if op == "copy" else UtxoSet(dict(utxo._entries)))
+            stacks.append(list(stack))
+        else:
+            before = utxo.digest()
+            scratch, txs = utxo.copy(), []
+            for j, how in enumerate(rest[0]):
+                tx = _spend_nth(scratch, j, addrs[j % 3], how, tag + bytes([j]))
+                if tx is not None:
+                    txs.append(tx)
+                    scratch.apply(tx, step)
+            if op == "take":
+                pool, view = Mempool(), utxo.copy()
+                for tx in txs:
+                    assert pool.add(tx, view)
+                    view.apply(tx, step)
+                pool.take(rest[1], utxo)
+            else:
+                bad = txs[0] if txs and rest[1] else _spend_nth(
+                    funded_utxo((A_ADDR, 5))[0], 0, B_ADDR, "transfer", tag)
+                assert _block_fees(tuple(txs) + (bad,), utxo) is None
+            assert utxo.digest() == before
+        for each in sets:
+            for address in addrs + [derive_address(b"nobody")]:
+                for needed in (0, 1, 4, 9):
                     assert spendable_outpoint(each, address, needed) == \
                         _brute_spendable(each, address, needed)
 

@@ -31,7 +31,7 @@ from chainsim.chain import (
     validate_and_apply,
 )
 from chainsim.crypto import derive_address, keypair_generate
-from chainsim.ledger import TxKind, build_transaction
+from chainsim.ledger import TxKind, build_transaction, spendable_outpoint
 from chainsim.netsim import run_scenario
 from chainsim.scenario import parse_scenario
 
@@ -102,16 +102,35 @@ def replayed(store: ChainStore) -> ReferenceStore:
     return reference
 
 
+def assert_spendable_index(utxo) -> None:
+    """spendable_outpoint answers from the set's index as a scan of its live
+    entries does, for every address the set ever paid; state equality covers
+    the entries only, so a stale index shows here and nowhere else."""
+    live: dict = {}
+    for outpoint, entry in utxo.live_entries():
+        if not entry.locked:
+            live.setdefault(entry.output.recipient, []).append((outpoint, entry.output.amount))
+    for address in {entry.output.recipient for entry in utxo._entries.values()}:
+        for needed in (0, 1, 4, 9):
+            want = min((op for op, amount in live.get(address, ()) if amount >= needed),
+                       default=None)
+            assert spendable_outpoint(utxo, address, needed) == want
+
+
 def assert_same_states(store: ChainStore, reference: ReferenceStore) -> None:
-    """Every block store validated has the reference's state, and the tips
-    and confirmation heights agree."""
+    """Every block store validated has the reference's state, with an index
+    of spendable outpoints that matches it, and the tips and confirmation
+    heights agree."""
     assert store.undo.keys() == reference.states.keys()
     assert store.tip_hash == reference.tip_hash
     for h, want in reference.states.items():
         got = store.state_at(h)
         assert got.utxo.digest() == want.utxo.digest()
         assert got == want
+        assert_spendable_index(got.utxo)
+        assert_spendable_index(want.utxo)
     assert store.tip_state() == reference.tip_state()
+    assert_spendable_index(store.tip_state().utxo)
     assert store._adopted_tx_heights == reference._adopted_tx_heights
 
 
