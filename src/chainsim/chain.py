@@ -251,8 +251,6 @@ def _revert_block(state: ChainState, block: Block, undo: BlockUndo, pow_params) 
 def is_stake_model(params: ChainParams) -> bool:
     """True for the proof-of-stake models, where stake is locked and selects
     the publisher."""
-    from . import consensus
-
     return isinstance(params.consensus, (consensus.PosChainParams, consensus.PosCoinAgeParams))
 
 
@@ -348,16 +346,27 @@ def _block_fees(txs: tuple[Transaction, ...], utxo: UtxoSet) -> int | None:
 def _data_check(block: Block) -> Validity:
     """The block's data against its header, genesis included: at least one
     transaction and the Merkle root (DataHash), then the declared size
-    (Size)."""
-    header = block.header
-    if not block.transactions:
-        return _invalid("DataHash", "no transactions")
-    if header.data_hash != transactions_merkle_root(block.transactions):
-        return _invalid("DataHash")
-    size = len(block.data_bytes())
-    if header.size != size:
-        return _invalid("Size", f"declared {header.size}, actual {size}")
-    return VALID
+    (Size).
+
+    Computed on first call and kept on the instance, as header_hash is, so
+    every store that meets the same block checks it once, in the manner of
+    Bitcoin Core's CBlock::fChecked: the result depends on the block alone,
+    and dataclasses.replace builds a new instance without it.  Not a
+    dataclass field, so equality, hashing and repr ignore it.
+    """
+    v = block.__dict__.get("_data_check")
+    if v is None:
+        header = block.header
+        if not block.transactions:
+            v = _invalid("DataHash", "no transactions")
+        elif header.data_hash != transactions_merkle_root(block.transactions):
+            v = _invalid("DataHash")
+        elif header.size != (size := len(block.data_bytes())):
+            v = _invalid("Size", f"declared {header.size}, actual {size}")
+        else:
+            v = VALID
+        object.__setattr__(block, "_data_check", v)
+    return v
 
 
 def validate_and_apply(
@@ -377,8 +386,6 @@ def validate_and_apply(
     the transactions' signature checks and no other rule; only load passes
     it, for records whose exact bytes passed them before.
     """
-    from . import consensus
-
     header = block.header
     if header.prev_header_hash != header_hash(parent_header):
         return None, _invalid("PrevHash")
@@ -436,8 +443,6 @@ def branch_pow_params(
     every miner call this.  Each retarget_interval-th height retargets from
     the last retarget_interval gaps between the headers below it, which
     header_at resolves on the branch."""
-    from . import consensus
-
     pow_params = parent_state.pow_params
     model = params.consensus
     if isinstance(model, consensus.PowParams) and height % model.retarget_interval == 0:
@@ -454,8 +459,6 @@ def _apply_stake_resets(
 ) -> None:
     """Coin-age: restart the age of the winner's mature stake, judged on the
     parent state's stake view."""
-    from . import consensus
-
     if not isinstance(params.consensus, consensus.PosCoinAgeParams):
         return
     winner = consensus.proof_publisher(block.header)
@@ -471,8 +474,6 @@ def _apply_stake_resets(
 
 def _genesis_state(genesis: Block, params: ChainParams) -> tuple[ChainState, Validity]:
     """State after the genesis block's transactions, on an empty UTXO set."""
-    from . import consensus
-
     state = ChainState(UtxoSet())
     if isinstance(params.consensus, consensus.PowParams):
         state.pow_params = params.consensus
@@ -923,3 +924,9 @@ def load(path: str, params: ChainParams) -> LoadResult:
             store.blocks[header_hash(block.header)] = block
     store.mempool = Mempool()
     return LoadResult(store, chain_file.truncated_at)
+
+
+# Last, because consensus imports Block, BlockHeader and header_hash from
+# this module: bound here, it finds them defined whichever module is
+# imported first.
+from . import consensus

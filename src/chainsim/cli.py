@@ -15,8 +15,6 @@ import secrets
 import sys
 import time
 
-import yaml
-
 from . import consensus as cons
 from . import contracts
 from .chain import (
@@ -98,6 +96,8 @@ def _load_records(args) -> list[KeystoreRecord]:
 
 
 def _save_params(args, params: ChainParams) -> None:
+    import yaml  # only the commands that read or write YAML need it
+
     data = {
         "confirmation_depth": params.confirmation_depth,
         "block_subsidy": params.block_subsidy,
@@ -120,6 +120,8 @@ def _read_config(load, path: str, what: str, *args):
     """load(path, *args) for a scenario or params file.  A missing file exits
     3; YAML that does not parse, or a config error, exits 4, and each config
     error goes to stderr on a line of its own."""
+    import yaml  # only the commands that read or write YAML need it
+
     try:
         return load(path, *args)
     except FileNotFoundError:

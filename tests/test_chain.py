@@ -1,7 +1,13 @@
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainsim import chain
 from chainsim.chain import (
     Block,
     BlockHeader,
@@ -140,6 +146,22 @@ def test_header_roundtrip_through_block_serialization():
     assert header_hash(decoded.header) == header_hash(block.header)
 
 
+@pytest.mark.parametrize("first", ["chainsim.chain", "chainsim.consensus"])
+def test_chain_and_consensus_import_in_either_order(first):
+    """chain binds consensus last, after what consensus imports from chain,
+    so a fresh interpreter can import either module first."""
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(chain.__file__).parent.parent)!r})",
+        f"import {first}",
+        "from chainsim import chain, consensus",
+        "assert chain.consensus is consensus and consensus.Block is chain.Block",
+    ])
+    run = subprocess.run([sys.executable, "-"], input=script, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 # ---------------------------------------------------------------------------
 # block validation
 # ---------------------------------------------------------------------------
@@ -158,6 +180,24 @@ def test_data_hash_mismatch_rejected():
     result = store.append_block(bad)
     assert result.status == REJECTED
     assert result.reason == "DataHash"
+
+
+def test_data_check_is_kept_on_the_block_instance_only():
+    """Two stores each reject the one block with a wrong Merkle root as
+    DataHash; its dataclasses.replace copy with the right root is checked
+    afresh and accepted by both, and a copy of that header over other
+    transactions is still rejected."""
+    stores = [fresh_store(), fresh_store()]
+    block = stores[0].make_candidate(B_ADDR, [], 1)
+    bad = replace(block, header=replace(block.header, data_hash=b"\x99" * 32))
+    for store in stores:
+        assert store.append_block(bad).reason == "DataHash"
+    good = replace(bad, header=replace(bad.header, data_hash=block.header.data_hash))
+    assert stores[0].append_block(good).status == EXTENDED
+    swapped = replace(good, transactions=stores[1].make_candidate(C_ADDR, [], 1).transactions)
+    assert header_hash(swapped.header) == header_hash(good.header)
+    assert stores[1].append_block(swapped).reason == "DataHash"
+    assert stores[1].append_block(good).status == EXTENDED
 
 
 def test_coinbase_reward_boundary():

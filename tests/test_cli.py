@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from pathlib import Path
 
-from chainsim import chain
+from chainsim import chain, crypto
 from chainsim.chain import (
     Block,
     BlockHeader,
@@ -34,7 +34,7 @@ from chainsim.chain import (
 )
 from chainsim.cli import EXIT_VERIFY, CliError, _append_local_block, _load_store, main
 from chainsim.contracts import derive_contract_address
-from chainsim.crypto import Address, _verify_cached, derive_address, keypair_generate, sha256
+from chainsim.crypto import Address, derive_address, keypair_generate, sha256
 from chainsim.ledger import Transaction, TxOutput, Validity
 from chainsim.netsim import run_scenario
 from chainsim.scenario import load_scenario
@@ -639,29 +639,46 @@ def test_truncated_chain_file_loads_prefix_with_warning(capsys, tmp_path, data_d
 # -- the checked-prefix record beside chain.dat ----------------------------------------
 
 
-def _misses_of(capsys, data_dir, *argv):
-    """Exit code, stdout and signature-memo misses of one command, run on a
-    cleared memo as in a fresh process."""
-    _verify_cached.cache_clear()
-    code, out, _ = run_cli(capsys, "--data-dir", data_dir, *argv)
-    return code, out, _verify_cached.cache_info().misses
+def _checks_of(capsys, monkeypatch, data_dir, *argv):
+    """Exit code, stdout and real Ed25519 checks of one command, run on a
+    cleared signature memo as in a fresh process."""
+    checks = []
+    uncached = crypto._verify_uncached
+
+    def counted(*args):
+        checks.append(args)
+        return uncached(*args)
+
+    crypto._verify_memo.clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(crypto, "_verify_uncached", counted)
+        code, out, _ = run_cli(capsys, "--data-dir", data_dir, *argv)
+    return code, out, len(checks)
 
 
-def test_commands_check_only_signatures_no_command_checked_before(capsys, tmp_path, data_dir):
+def test_commands_check_only_signatures_no_command_checked_before(
+    capsys, tmp_path, data_dir, monkeypatch
+):
     """Each command's load skips the signatures of the records an earlier
-    command validated: chain tip checks none, a call checks its own block's
-    input, and chain verify still checks every input on the chain."""
+    command validated: chain tip checks none, and a call checks none, for
+    its own input is one it signed.  With the checked-prefix record gone, a
+    call's load checks every input on the chain, and chain verify always
+    does."""
     contract = deploy_counter(capsys, tmp_path, data_dir)
     assert run_cli(capsys, "--data-dir", data_dir, "call", contract, "--fee", 2)[0] == 0
 
-    code, out, misses = _misses_of(capsys, data_dir, "chain", "tip")
-    assert (code, out.startswith("height=2 "), misses) == (0, True, 0)
-    code, out, misses = _misses_of(capsys, data_dir, "call", contract, "--fee", 2)
-    assert (code, out, misses) == (0, "status=Ok output=2 gas_used=12\n", 1)
+    code, out, checks = _checks_of(capsys, monkeypatch, data_dir, "chain", "tip")
+    assert (code, out.startswith("height=2 "), checks) == (0, True, 0)
+    code, out, checks = _checks_of(capsys, monkeypatch, data_dir, "call", contract, "--fee", 2)
+    assert (code, out, checks) == (0, "status=Ok output=2 gas_used=12\n", 0)
     store = _load_store(argparse.Namespace(data_dir=str(data_dir)))
     inputs = sum(len(tx.inputs) for b in store.blocks.values() for tx in b.transactions)
     assert inputs == 3  # the deploy and two calls
-    assert _misses_of(capsys, data_dir, "chain", "verify") == (0, "Ok\n", inputs)
+
+    (data_dir / "chain.dat.checked").unlink()
+    code, out, checks = _checks_of(capsys, monkeypatch, data_dir, "call", contract, "--fee", 2)
+    assert (code, out, checks) == (0, "status=Ok output=3 gas_used=12\n", inputs)
+    assert _checks_of(capsys, monkeypatch, data_dir, "chain", "verify") == (0, "Ok\n", inputs + 1)
 
 
 def _record_spans(raw: bytes) -> list[tuple[int, int]]:
@@ -699,7 +716,7 @@ def test_tampered_signature_inside_the_checked_prefix_fails_as_without_the_recor
     path.write_bytes(data)
 
     def outcome():
-        _verify_cached.cache_clear()
+        crypto._verify_memo.clear()
         store = _load_store(argparse.Namespace(data_dir=str(data_dir)))
         code, out, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "verify")
         return list(store.blocks.items()), list(store.undo), store.tip_hash, code, out

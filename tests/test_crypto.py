@@ -265,6 +265,65 @@ def test_verify_rejects_random_byte_strings():
         assert not verify(pair.public_key, b"abc", rng.bytes(64))
 
 
+def _flip(raw: bytes, index: int) -> bytes:
+    out = bytearray(raw)
+    out[index % len(out)] ^= 0x01
+    return bytes(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.binary(min_size=32, max_size=32), st.binary(min_size=1, max_size=80),
+       st.integers(0, 255))
+def test_sign_records_only_its_own_signature_as_valid(seed, message, index):
+    pair = keypair_generate(seed)
+    sig = sign(pair, message)
+    assert verify(pair.public_key, message, sig)
+    crypto._verify_memo.clear()
+    assert verify(pair.public_key, message, sig)  # a real check
+
+    # a one-byte flip is another triple, checked for real right after signing
+    sig = sign(pair, message)
+    assert not verify(pair.public_key, message, _flip(sig, index))
+    assert not verify(pair.public_key, _flip(message, index), sig)
+    assert not verify(_flip(pair.public_key, index), message, sig)
+
+    # recorded under the key that signed, not the field it was built with
+    mismatched = crypto.KeyPair(seed, keypair_generate(_flip(seed, index)).public_key)
+    assert not verify(mismatched.public_key, message, sign(mismatched, message))
+
+
+def test_verify_of_a_signature_signed_in_the_process_runs_no_check(monkeypatch):
+    checks = []
+    uncached = crypto._verify_uncached
+    monkeypatch.setattr(crypto, "_verify_uncached",
+                        lambda *args: checks.append(args) or uncached(*args))
+    crypto._verify_memo.clear()
+    pair = keypair_generate(SEED_A)
+    sig = sign(pair, bytearray(b"abc"))  # recorded under the message's bytes
+    assert verify(pair.public_key, b"abc", sig) and checks == []
+    assert not verify(pair.public_key, b"abd", sig) and len(checks) == 1
+    assert not verify(pair.public_key, b"abd", sig) and len(checks) == 1
+
+
+def test_memo_holds_at_most_verify_cache_size_entries_oldest_dropped_first(monkeypatch):
+    monkeypatch.setattr(crypto, "VERIFY_CACHE_SIZE", 4)
+    crypto._verify_memo.clear()
+    pair = keypair_generate(SEED_A)
+    messages = [b"%d" % i for i in range(10)]
+    sigs = [sign(pair, m) for m in messages]
+    assert len(crypto._verify_memo) == 4
+    for m, sig in zip(messages, sigs):
+        assert verify(pair.public_key, m, sig)
+        assert not verify(pair.public_key, m, bytes(64))
+        assert len(crypto._verify_memo) <= 4
+    assert list(crypto._verify_memo.items()) == [
+        ((pair.public_key, messages[8], sigs[8]), True),
+        ((pair.public_key, messages[8], bytes(64)), False),
+        ((pair.public_key, messages[9], sigs[9]), True),
+        ((pair.public_key, messages[9], bytes(64)), False),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # addresses
 # ---------------------------------------------------------------------------
