@@ -12,12 +12,12 @@ switch: on equal length the first-seen tip is kept, and extending the tip is
 a reorganization that orphans nothing.
 
 ChainStore.append_block is the one place that indexes a block and stores its
-undo record: chain-file loading (load) and replay verification
-(verify_blocks, which chain verify feeds every record read_chain_file
-decodes) go through it too.  persist writes beside the chain file a record of
-the prefix whose blocks passed validation, and load skips the signature
-checks, and only those, of the records within it, in the manner of Bitcoin
-Core's -assumevalid; read_chain_file and verify_blocks never read it.
+undo record, and _founding_state the one check of a genesis.  One replay
+judges each later record once, read two ways: load runs it to the end, and
+verify_blocks (which chain verify feeds every record read_chain_file decodes)
+stops at the first failing verdict.  persist writes beside the chain file a
+record of the prefix whose blocks passed validation; load alone reads it, and
+skips their signature checks, and only those, as Bitcoin Core's -assumevalid.
 """
 
 from __future__ import annotations
@@ -472,23 +472,24 @@ def _apply_stake_resets(
             state.stake_resets[entry.outpoint] = height
 
 
-def _genesis_state(genesis: Block, params: ChainParams) -> tuple[ChainState, Validity]:
-    """State after the genesis block's transactions, on an empty UTXO set."""
+def _founding_state(genesis: Block, params: ChainParams) -> ChainState:
+    """genesis's post-state on an empty UTXO set, after its shape (PrevHash),
+    its data (_data_check) and its transactions pass; else ValueError, whose
+    validity attribute holds the verdict."""
     state = ChainState(UtxoSet())
     if isinstance(params.consensus, consensus.PowParams):
         state.pow_params = params.consensus
-    undo = BlockUndo(state.pow_params)
-    return state, _walk_transactions(genesis.transactions, state, 0, params, undo)
-
-
-def _founding_state(genesis: Block, params: ChainParams) -> ChainState:
-    """genesis's post-state, or ValueError when genesis cannot found a store."""
     if genesis.header.height != 0 or genesis.header.prev_header_hash != GENESIS_PREV_HASH:
-        raise ValueError("genesis must have height 0 and a zero previous hash")
-    state, v = _genesis_state(genesis, params)
-    if not v:
-        raise ValueError(f"invalid genesis: {v.reason} {v.detail}".strip())
-    return state
+        v, message = _invalid("PrevHash"), "genesis must have height 0 and a zero previous hash"
+    else:
+        v = _data_check(genesis) and _walk_transactions(
+            genesis.transactions, state, 0, params, BlockUndo(state.pow_params))
+        if v:
+            return state
+        message = f"invalid genesis: {v.reason} {v.detail}".strip()
+    error = ValueError(message)
+    error.validity = v
+    raise error
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +527,7 @@ class ChainStore:
         mempool: Mempool | None = None,
     ):
         self.params = params
-        # None while load or verify_blocks replays blocks: no pool is kept
+        # None while _replay judges records: no pool is kept
         self.mempool: Mempool | None = mempool if mempool is not None else Mempool()
         self.policy: Callable[[Block], Validity] | None = None
         genesis = genesis if genesis is not None else make_genesis(params)
@@ -738,45 +739,48 @@ class ChainStore:
 # ---------------------------------------------------------------------------
 
 
-def verify_blocks(params: ChainParams, blocks: Iterable[Block]) -> VerifyResult:
-    """Check the genesis structure, then replay every later block through
-    append_block on a fresh store, stopping at the first rejection.
+def _replay(store: ChainStore, blocks: Iterable[Block], trusted: int = 0):
+    """Judge the blocks after store's genesis in order, on store with no pool,
+    yielding each with its Validity; the first ``trusted`` skip signature
+    checks.  An exact duplicate is skipped; one that repeats a header with
+    other transaction bytes (signatures lie outside tx_id) is judged on a
+    clone of its parent's state, if that passed; any other rejected block is
+    indexed without an undo record, so it is never adopted or built on."""
+    store.mempool = None
+    for index, block in enumerate(blocks):
+        check_signatures = index >= trusted
+        v = store.append_block(block, check_signatures).validity
+        if v.reason == "Duplicate":
+            if store.blocks[header_hash(block.header)] == block:
+                continue
+            parent_hash = block.header.prev_header_hash
+            if parent_hash in store.undo:
+                v = validate_and_apply(
+                    block, store.blocks[parent_hash].header, store.state_at(parent_hash).clone(),
+                    store.params, store.branch_header_at(parent_hash), check_signatures,
+                )[1]
+        elif not v:
+            store.blocks[header_hash(block.header)] = block
+        yield block, v
 
-    An unknown parent, or a height-0 block after the first, reports PrevHash.
-    An exact duplicate record is skipped; one that repeats a header with other
-    transaction bytes (signatures lie outside tx_id) is judged on its own.
-    """
+
+def verify_blocks(params: ChainParams, blocks: Iterable[Block]) -> VerifyResult:
+    """Found a store on the first block and judge every later one through
+    _replay, up to the first failing verdict; an unknown parent, or a
+    height-0 block after the first, reports PrevHash."""
     blocks = iter(blocks)
     genesis = next(blocks, None)
     if genesis is None:
         return VerifyResult(True)
-    header = genesis.header
-    if header.height != 0 or header.prev_header_hash != GENESIS_PREV_HASH:
-        return VerifyResult(False, header.height, "PrevHash")
-    v = _data_check(genesis)
-    if not v:
-        return VerifyResult(False, 0, v.reason)
     try:
         store = ChainStore(params, genesis)
-    except ValueError:
-        return VerifyResult(False, 0, _genesis_state(genesis, params)[1].reason)
-    store.mempool = None
-    for block in blocks:
-        header = block.header
-        v = store.append_block(block).validity
-        if v.reason == "Duplicate":
-            if store.blocks[header_hash(header)] == block:
-                continue
-            if header.height > 0:
-                parent_hash = header.prev_header_hash
-                v = validate_and_apply(
-                    block, store.blocks[parent_hash].header, store.state_at(parent_hash).clone(),
-                    params, store.branch_header_at(parent_hash),
-                )[1]
+    except ValueError as exc:
+        return VerifyResult(False, genesis.header.height, exc.validity.reason)
+    for block, v in _replay(store, blocks):
         if not v:
-            if v.reason == "UnknownParent" or header.height == 0:
-                return VerifyResult(False, header.height, "PrevHash")
-            return VerifyResult(False, header.height, v.reason)
+            height = block.header.height
+            reason = "PrevHash" if v.reason == "UnknownParent" or height == 0 else v.reason
+            return VerifyResult(False, height, reason)
     return VerifyResult(True)
 
 
@@ -802,6 +806,7 @@ class ChainFile:
     data: bytes
     blocks: list[Block]
     ends: list[int]  # the offset just past each block's record
+    store: ChainStore  # founded on the first block
     truncated_at: int | None = None
 
 
@@ -855,10 +860,10 @@ def _checked_length(path: str, buf: bytes) -> int:
 
 
 def read_chain_file(path: str, params: ChainParams) -> ChainFile:
-    """Decode the chain file at path, for load and chain verify.  A file
-    ending mid-record yields its intact prefix and the truncation offset; a
-    bad magic or version, checksum or block, no blocks, or a first block that
-    cannot found a store raises ChainFileError with the fault's offset."""
+    """Decode the chain file at path and found a store on its first block.  A
+    file ending mid-record yields its intact prefix and the truncation offset;
+    a bad magic or version, checksum or block, no blocks, or a first block
+    that cannot found a store raises ChainFileError with the fault's offset."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != CHAIN_MAGIC:
@@ -895,33 +900,26 @@ def read_chain_file(path: str, params: ChainParams) -> ChainFile:
     if blocks[0].header.height != 0:
         raise ChainFileError(6, "first record is not a genesis block")
     try:
-        _founding_state(blocks[0], params)
+        store = ChainStore(params, blocks[0])
     except ValueError as exc:
         raise ChainFileError(6, str(exc)) from None
-    return ChainFile(buf, blocks, ends, truncated_at)
+    return ChainFile(buf, blocks, ends, store, truncated_at)
 
 
 def load(path: str, params: ChainParams) -> LoadResult:
-    """Rebuild a store from the records read_chain_file decodes, each
-    through append_block.
-
-    A block that fails a rule stays indexed with no undo record, so that
-    persist writes it back, and is never adopted or built on.  Records that
-    end within the prefix that persist's checked-prefix record vouches for
-    skip their signature checks, which depend on the record bytes alone, and
-    every other rule still runs; every other record, all of them when the
-    record is missing or does not match, is checked in full.  The replay
-    keeps no pool, and the returned store's mempool starts empty, even when a
-    reorganization inside the file orphaned transactions.
-    """
+    """The store read_chain_file founds, every later record judged through
+    _replay: a block that fails a rule stays indexed, so persist writes it
+    back.  Records within the prefix that persist's checked-prefix record
+    vouches for skip their signature checks, which depend on the record bytes
+    alone, and no other rule; the rest are checked in full.  The mempool
+    starts empty, even when a reorganization in the file orphaned
+    transactions."""
     chain_file = read_chain_file(path, params)
     checked = _checked_length(path, chain_file.data)
-    store = ChainStore(params, genesis=chain_file.blocks[0])
-    store.mempool = None
-    for block, end in zip(chain_file.blocks[1:], chain_file.ends[1:]):
-        result = store.append_block(block, check_signatures=end > checked)
-        if result.status == REJECTED and result.reason != "Duplicate":
-            store.blocks[header_hash(block.header)] = block
+    trusted = sum(end <= checked for end in chain_file.ends[1:])
+    store = chain_file.store
+    for _ in _replay(store, chain_file.blocks[1:], trusted):
+        pass
     store.mempool = Mempool()
     return LoadResult(store, chain_file.truncated_at)
 

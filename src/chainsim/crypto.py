@@ -230,20 +230,21 @@ def _verify_uncached(public_key: bytes, message: bytes, signature: bytes) -> boo
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """True iff ``signature`` is valid for (public_key, message).
 
-    Malformed keys or signatures verify false rather than raising.  The
-    result is memoised in the process, valid or not, keyed by the exact
-    argument bytes, in a memo of at most VERIFY_CACHE_SIZE entries that
-    drops the oldest first.  sign records each signature it makes there, so
-    a signature made in this process is not checked while the memo holds
-    it; a fresh process checks every signature.  Verification is a pure
-    function, and a signature always verifies under the key that made it,
-    so a hit returns what a fresh check would.
+    Malformed keys or signatures verify false rather than raising.  When
+    all three arguments are bytes, the result is memoised in the process,
+    valid or not, in a memo of at most VERIFY_CACHE_SIZE entries that drops
+    the oldest first; other types, such as a memoryview, which equals its
+    bytes but is refused as a key, are checked without it.  sign records
+    each signature it makes there, so a signature made in this process is
+    not checked while the memo holds it; a fresh process checks every
+    signature.  Verification is a pure function, and a signature always
+    verifies under the key that made it, so a hit returns what a fresh check
+    would.
     """
-    key = (public_key, message, signature)
-    try:
-        result = _verify_memo.get(key)
-    except TypeError:  # an unhashable argument, such as a bytearray
+    if not (type(public_key) is type(message) is type(signature) is bytes):
         return _verify_uncached(public_key, message, signature)
+    key = (public_key, message, signature)
+    result = _verify_memo.get(key)
     if result is None:
         result = _verify_uncached(public_key, message, signature)
         _remember(key, result)

@@ -1,13 +1,16 @@
 """Chain-file loading and replay verification against a reference.
 
-load and verify_blocks replay blocks through ChainStore.append_block.  The
-reference below is the earlier loader (its own _install_raw and a
-confirmation-index rebuild) and verifier (its own block index, state map and
-ancestor walk), written as functions.  Over random chain files and random
-single-byte block mutants the two must agree, except for the one deliberate
-change pinned in test_second_genesis_record_fails_verification.  The
-reference loader fills a ReferenceStore (test_state_store), which keeps a
-state per block, and every state of a loaded or replayed store must match it.
+load and verify_blocks read one replay, which judges each record after the
+genesis once through ChainStore.append_block, on a store founded by the one
+genesis check: load runs it to the end, and verify_blocks stops at the first
+failing verdict.  The reference below is the earlier loader (its own
+_install_raw and a confirmation-index rebuild) and verifier (its own block
+index, state map, ancestor walk and genesis walk), written as functions.
+Over random chain files and random single-byte block mutants the two must
+agree, except for the one deliberate change pinned in
+test_second_genesis_record_fails_verification.  The reference loader fills a
+ReferenceStore (test_state_store), which keeps a state per block, and every
+state of a loaded or replayed store must match it.
 """
 
 import os
@@ -27,12 +30,14 @@ from chainsim.chain import (
     GENESIS_PREV_HASH,
     Block,
     BlockHeader,
+    BlockUndo,
     ChainFileError,
     ChainParams,
+    ChainState,
     ChainStore,
     LoadResult,
     VerifyResult,
-    _genesis_state,
+    _walk_transactions,
     block_data_bytes,
     deserialize_block,
     header_hash,
@@ -44,7 +49,7 @@ from chainsim.chain import (
     verify_blocks,
 )
 from chainsim.crypto import derive_address, keypair_generate, sha256
-from chainsim.ledger import Mempool, build_transaction, make_coinbase
+from chainsim.ledger import Mempool, UtxoSet, build_transaction, make_coinbase
 
 from test_acceptance import _signed_payment_chain
 from test_state_store import ReferenceStore, assert_same_states
@@ -81,7 +86,11 @@ def reference_verify_blocks(params, blocks):
                 return VerifyResult(False, 0, "DataHash")
             if header.size != len(block.data_bytes()):
                 return VerifyResult(False, 0, "Size")
-            state, v = _genesis_state(block, params)
+            state = ChainState(UtxoSet())
+            if isinstance(params.consensus, cons.PowParams):
+                state.pow_params = params.consensus
+            undo = BlockUndo(state.pow_params)
+            v = _walk_transactions(block.transactions, state, 0, params, undo)
             if not v:
                 return VerifyResult(False, 0, v.reason)
         else:

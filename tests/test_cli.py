@@ -799,31 +799,74 @@ def test_chain_verify_replays_each_record_once_and_reads_no_checked_record(
 
 @pytest.mark.parametrize("fault, message", [
     ("prev_hash", "genesis must have height 0 and a zero previous hash"),
+    ("data_hash", "invalid genesis: DataHash"),
     ("payload", "invalid genesis: Coinbase transaction 0: payload is not the height"),
 ])
 def test_genesis_record_that_cannot_found_a_store_is_io_error(
     capsys, tmp_path, data_dir, fault, message
 ):
-    """A height-0 first record that cannot found a store exits 3 with the
-    offset of the record, from chain verify as from chain tip."""
+    """A height-0 first record that cannot found a store, for its shape, its
+    data or its transactions, exits 3 with the offset of the record, from
+    chain verify as from chain tip."""
     init_funded_chain(capsys, tmp_path, data_dir)
     path = data_dir / "chain.dat"
     raw = path.read_bytes()
     start, end = _record_spans(raw)[0]
     genesis = deserialize_block(raw[start:end])[0]
-    txs, prev = genesis.transactions, genesis.header.prev_header_hash
+    txs, prev, root = genesis.transactions, genesis.header.prev_header_hash, None
     if fault == "prev_hash":
         prev = b"\x01" * 32
+    elif fault == "data_hash":
+        root = bytes(32)
     else:
         coin = txs[0]
         txs = (Transaction(coin.kind, coin.inputs, coin.outputs, b"x"),) + txs[1:]
-    header = BlockHeader(0, prev, transactions_merkle_root(txs), genesis.header.timestamp,
+    header = BlockHeader(0, prev, root or transactions_merkle_root(txs), genesis.header.timestamp,
                          len(block_data_bytes(txs)), 0, 0)
     record = Block(header, txs).serialize()
     path.write_bytes(raw[:6] + struct.pack(">I", len(record)) + record + sha256(record)[:4])
     for command in ("verify", "tip"):
         code, out, err = run_cli(capsys, "--data-dir", data_dir, "chain", command)
         assert (code, out, err) == (3, "", f"error: chain file: byte 6: {message}\n")
+
+
+def test_genesis_is_walked_once_by_chain_tip_and_by_a_failing_verify(
+    capsys, tmp_path, data_dir, monkeypatch
+):
+    """chain tip founds its store with one walk of the genesis transactions,
+    and one validate_and_apply per later record; verify_blocks names a
+    genesis that cannot found a store without walking it again."""
+    contract = deploy_counter(capsys, tmp_path, data_dir)
+    assert run_cli(capsys, "--data-dir", data_dir, "call", contract, "--fee", 2)[0] == 0
+    records = len(_record_spans((data_dir / "chain.dat").read_bytes()))
+    genesis_walks, applied = [], []
+    walk, validate_and_apply = chain._walk_transactions, chain.validate_and_apply
+
+    def counted_walk(txs, state, height, *args):
+        if height == 0:
+            genesis_walks.append(txs)
+        return walk(txs, state, height, *args)
+
+    def counted_apply(*args, **kwargs):
+        applied.append(args[0])
+        return validate_and_apply(*args, **kwargs)
+
+    monkeypatch.setattr(chain, "_walk_transactions", counted_walk)
+    monkeypatch.setattr(chain, "validate_and_apply", counted_apply)
+    code, out, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "tip")
+    assert (code, out.split()[0]) == (0, "height=2")
+    assert len(genesis_walks) == 1
+    assert len(applied) == records - 1 == 2
+
+    genesis_walks.clear()
+    params = chain.ChainParams()
+    coin = chain.make_genesis(params).transactions[0]
+    txs = (Transaction(coin.kind, coin.inputs, coin.outputs, b"x"),)
+    header = BlockHeader(0, chain.GENESIS_PREV_HASH, transactions_merkle_root(txs), 0,
+                         len(block_data_bytes(txs)), 0, 0)
+    result = chain.verify_blocks(params, [Block(header, txs)])
+    assert result == chain.VerifyResult(False, 0, "Coinbase")
+    assert genesis_walks == [txs]
 
 
 # -- simulator --------------------------------------------------------------------------

@@ -258,6 +258,16 @@ def test_verify_unhashable_arguments_bypass_the_cache_without_raising():
     assert not verify(pair.public_key, [1], sig)
 
 
+def test_verify_of_a_memoryview_leaves_the_memo_to_the_bytes():
+    """A memoryview of the key hashes and compares equal to the key's bytes,
+    so a verdict memoised under it would answer for the bytes too."""
+    pair = keypair_generate(SEED_A)
+    sig = sign(pair, b"abc")
+    crypto._verify_memo.pop((pair.public_key, b"abc", sig))
+    verify(memoryview(pair.public_key), b"abc", sig)
+    assert verify(pair.public_key, b"abc", sig)
+
+
 def test_verify_rejects_random_byte_strings():
     pair = keypair_generate(SEED_A)
     rng = HashStream(7, "nonsig")
