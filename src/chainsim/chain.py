@@ -18,6 +18,13 @@ verify_blocks (which chain verify feeds every record read_chain_file decodes)
 stops at the first failing verdict.  persist writes beside the chain file a
 record of the prefix whose blocks passed validation; load alone reads it, and
 skips their signature checks, and only those, as Bitcoin Core's -assumevalid.
+
+validate_and_apply walks a block's rules once per block object and params
+object: the first full judgement keeps on the block its verdict and, for a
+valid block, its forward delta (BlockVerdict), and every later store with the
+same params, such as the other nodes of one simulation, returns the kept
+rejection or applies the delta to its own state, in the manner of Bitcoin
+Core's script-execution cache.  Nothing is kept beyond the block objects.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .ledger import (
     Outpoint,
     Transaction,
     TxKind,
+    UtxoEntry,
     UtxoSet,
     Validity,
     VALID,
@@ -113,10 +121,14 @@ def deserialize_header(buf: bytes, offset: int = 0) -> tuple[BlockHeader, int]:
     return BlockHeader(height, prev, data, ts, size, nonce, version, tag), offset + tag_len
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     header: BlockHeader
     transactions: tuple[Transaction, ...]
+    # what _data_check and validate_and_apply keep on the instance: outside
+    # equality, hashing and repr, and dataclasses.replace starts them afresh
+    _data_check: Validity | None = field(default=None, init=False, repr=False, compare=False)
+    _verdict: BlockVerdict | None = field(default=None, init=False, repr=False, compare=False)
 
     def data_bytes(self) -> bytes:
         return block_data_bytes(self.transactions)
@@ -216,7 +228,7 @@ class ChainState:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockUndo:
     """What taking a block back off its post-state needs beyond the block,
     whose transactions name the outpoints it spent and created (a spent
@@ -351,10 +363,9 @@ def _data_check(block: Block) -> Validity:
     Computed on first call and kept on the instance, as header_hash is, so
     every store that meets the same block checks it once, in the manner of
     Bitcoin Core's CBlock::fChecked: the result depends on the block alone,
-    and dataclasses.replace builds a new instance without it.  Not a
-    dataclass field, so equality, hashing and repr ignore it.
+    and dataclasses.replace builds a new instance without it.
     """
-    v = block.__dict__.get("_data_check")
+    v = block._data_check
     if v is None:
         header = block.header
         if not block.transactions:
@@ -367,6 +378,60 @@ def _data_check(block: Block) -> Validity:
             v = VALID
         object.__setattr__(block, "_data_check", v)
     return v
+
+
+@dataclass(frozen=True, slots=True)
+class BlockVerdict:
+    """A block's verdict under one params object, kept on the block by its
+    first full judgement.  A valid block's also holds its forward delta, what
+    it did to its parent's post-state, so that every other store can apply it
+    without a rule: the branch PowParams after it, its fee total, the final
+    entry of each outpoint _touched lists, and each registry, deploy_counts
+    or stake_resets write as (table, key, new value), in write order."""
+
+    params: ChainParams
+    validity: Validity
+    pow_params: object = None
+    fees: int = 0
+    entries: tuple[UtxoEntry, ...] = ()
+    writes: tuple[tuple[str, object, object], ...] = ()
+
+
+def _touched(block: Block) -> dict[Outpoint, None]:
+    """Every outpoint block's transactions spend or create, once, in the
+    order their apply calls first write it."""
+    return dict.fromkeys(
+        op for tx in block.transactions
+        for op in (*(inp.outpoint for inp in tx.inputs), *tx.outpoints)
+    )
+
+
+def _forward_delta(
+    block: Block, state: ChainState, undo: BlockUndo, params: ChainParams
+) -> BlockVerdict:
+    """The acceptance of block, just walked to state with undo."""
+    # a slot written twice holds, after the first write, the second's prior
+    after: dict[tuple[str, object], object] = {}
+    writes = []
+    for table, key, prior in reversed(undo.writes):
+        slot = (table, key)
+        writes.append((table, key, after[slot] if slot in after else getattr(state, table)[key]))
+        after[slot] = prior
+    return BlockVerdict(params, VALID, undo.pow_params, undo.fees,
+                        tuple(map(state.utxo.get, _touched(block))), tuple(reversed(writes)))
+
+
+def _apply_delta(block: Block, state: ChainState, kept: BlockVerdict) -> BlockUndo:
+    """Turn the parent's post-state into block's, as the walk that made
+    kept did, and return the undo record of this state's prior values."""
+    undo = BlockUndo(kept.pow_params, len(block.transactions), kept.fees)
+    state.pow_params = kept.pow_params
+    state.utxo.install(zip(_touched(block), kept.entries))
+    for table, key, new in kept.writes:
+        values = getattr(state, table)
+        undo.writes.append((table, key, values.get(key)))
+        values[key] = new
+    return undo
 
 
 def validate_and_apply(
@@ -385,12 +450,48 @@ def validate_and_apply(
     the retarget window of branch_pow_params).  check_signatures=False skips
     the transactions' signature checks and no other rule; only load passes
     it, for records whose exact bytes passed them before.
+
+    The rules run once per block object and params object.  The first full
+    judgement (check_signatures=True) keeps a BlockVerdict on the block: the
+    params, the verdict and, for a valid block, its forward delta.  After the
+    block's link to parent_header is checked, a later call with the same
+    params object returns a kept rejection as it is, and applies a kept
+    delta to state.  This is sound because parent_header's post-state
+    follows from its header hash and params alone: the hash commits to every
+    byte of its branch, genesis included, but the signatures, and no
+    signature changes a state.  A call with check_signatures=False neither
+    reads nor keeps a verdict, so a load replay never vouches for a later
+    check.
     """
     header = block.header
     if header.prev_header_hash != header_hash(parent_header):
         return None, _invalid("PrevHash")
     if header.height != parent_header.height + 1:
         return None, _invalid("Height", f"{header.height} after {parent_header.height}")
+    if not check_signatures:
+        return _judge(block, state, params, header_at, False)
+    kept = block._verdict
+    if kept is None:
+        undo, v = _judge(block, state, params, header_at, True)
+        kept = _forward_delta(block, state, undo, params) if v else BlockVerdict(params, v)
+        object.__setattr__(block, "_verdict", kept)
+        return undo, v
+    if kept.params is not params:
+        return _judge(block, state, params, header_at, True)
+    if not kept.validity:
+        return None, kept.validity
+    return _apply_delta(block, state, kept), VALID
+
+
+def _judge(
+    block: Block,
+    state: ChainState,
+    params: ChainParams,
+    header_at: Callable[[int], BlockHeader | None],
+    check_signatures: bool,
+) -> tuple[BlockUndo | None, Validity]:
+    """validate_and_apply's rules after the block's link to its parent."""
+    header = block.header
     v = _data_check(block)
     if not v:
         return None, v

@@ -8,6 +8,8 @@ one place they are taken back: the chain store (which walks one set per
 node back and forth), block-fee pre-computation and mempool selection go
 through the pair, the block verifier and the genesis builder through apply.
 The pair also keeps each set's index of spendable outpoints (see UtxoSet).
+UtxoSet.install alone writes entries apply did not make in this set: those
+another store's apply made for a block whose delta it kept (see chain).
 """
 
 from __future__ import annotations
@@ -254,6 +256,20 @@ class UtxoSet:
             self.add(outpoint, out, tx.kind == TxKind.STAKE and i == 0, height)
         value_in = sum(entry.output.amount for entry in spent)
         return 0 if tx.kind == TxKind.COINBASE else value_in - tx.output_value
+
+    def install(self, changed: Iterable[tuple[Outpoint, UtxoEntry]]) -> None:
+        """Set each outpoint to its entry, in order, as the apply calls that
+        made the entries, run on a set equal to this one, left that set; the
+        entries are shared, not copied.  Checks no rule: the caller vouches
+        that those apply calls succeeded on an equal set."""
+        entries = self._entries
+        for outpoint, entry in changed:
+            prior = entries.get(outpoint)
+            if prior is not None and prior.live:
+                self._unlist(outpoint, prior)
+            entries[outpoint] = entry
+            if entry.live:
+                self._list(outpoint, entry)
 
     def revert(self, tx: Transaction) -> None:
         """Take back apply(tx, ...): remove tx's outputs and make its inputs

@@ -10,7 +10,8 @@ Over random chain files and random single-byte block mutants the two must
 agree, except for the one deliberate change pinned in
 test_second_genesis_record_fails_verification.  The reference loader fills a
 ReferenceStore (test_state_store), which keeps a state per block, and every
-state of a loaded or replayed store must match it.
+state of a loaded or replayed store must match it.  Both references judge
+each block with every rule, on a fresh instance (full_validate_and_apply).
 """
 
 import os
@@ -45,14 +46,13 @@ from chainsim.chain import (
     make_genesis,
     read_chain_file,
     transactions_merkle_root,
-    validate_and_apply,
     verify_blocks,
 )
 from chainsim.crypto import derive_address, keypair_generate, sha256
 from chainsim.ledger import Mempool, UtxoSet, build_transaction, make_coinbase
 
 from test_acceptance import _signed_payment_chain
-from test_state_store import ReferenceStore, assert_same_states
+from test_state_store import ReferenceStore, assert_same_states, full_validate_and_apply
 
 ALICE = keypair_generate(bytes(range(32)))
 BOB = keypair_generate(bytes(range(1, 33)))
@@ -107,7 +107,7 @@ def reference_verify_blocks(params, blocks):
                 return b.header if b.header.height == height else None
 
             state = states[header_hash(parent.header)].clone()
-            _, v = validate_and_apply(block, parent.header, state, params, header_at)
+            _, v = full_validate_and_apply(block, parent.header, state, params, header_at)
             if not v:
                 return VerifyResult(False, header.height, v.reason)
         h = header_hash(header)
@@ -126,7 +126,7 @@ def reference_install_raw(store, block):
     parent_state = store.states.get(parent_hash)
     if parent is not None and parent_state is not None:
         state = parent_state.clone()
-        _, v = validate_and_apply(
+        _, v = full_validate_and_apply(
             block, parent.header, state, store.params, store.branch_header_at(parent_hash),
         )
         if v:

@@ -8,9 +8,12 @@ full post-state kept for every block, each validated on a copy of its
 parent's, and the confirmation index rebuilt from genesis on every
 reorganization.  For every block a store validated, state_at must equal the
 reference's stored state, over simulations, a grid point, and the chain files
-and byte mutants of test_chain_replay.
+and byte mutants of test_chain_replay.  The reference runs every rule on a
+fresh instance of each block (full_validate_and_apply), so it never applies a
+verdict and delta that a store it is compared with kept on the block.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,19 @@ from test_golden_grid import grid_scenario
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+def full_validate_and_apply(block, parent_header, state, params, header_at):
+    """validate_and_apply with every rule run: on a dataclasses.replace copy
+    of block, which carries no kept verdict, and which the call leaves holding
+    the verdict of its own first judgement."""
+    fresh = replace(block)
+    assert fresh._verdict is None
+    result = validate_and_apply(fresh, parent_header, state, params, header_at)
+    kept = fresh._verdict
+    # a block that fails its link to the parent keeps no verdict
+    assert kept is not None and kept.params is params or result[1].reason in ("PrevHash", "Height")
+    return result
+
+
 class ReferenceStore(ChainStore):
     """The store with a full post-state per block."""
 
@@ -62,7 +78,7 @@ class ReferenceStore(ChainStore):
         if parent_state is None:
             return AppendResult(REJECTED, _invalid("UnknownParentState"))
         state = parent_state.clone()
-        _, v = validate_and_apply(
+        _, v = full_validate_and_apply(
             block, parent.header, state, self.params, self.branch_header_at(parent_hash)
         )
         if not v:
