@@ -20,11 +20,13 @@ record of the prefix whose blocks passed validation; load alone reads it, and
 skips their signature checks, and only those, as Bitcoin Core's -assumevalid.
 
 validate_and_apply walks a block's rules once per block object and params
-object: the first full judgement keeps on the block its verdict and, for a
-valid block, its forward delta (BlockVerdict), and every later store with the
-same params, such as the other nodes of one simulation, returns the kept
-rejection or applies the delta to its own state, in the manner of Bitcoin
-Core's script-execution cache.  Nothing is kept beyond the block objects.
+object: the first judgement with signature checks keeps on the block its
+verdict and, for a valid block, its forward delta (BlockVerdict), in the
+manner of Bitcoin Core's script-execution cache.  Every later call with the
+same params, such as from the other nodes of one simulation, applies a kept
+acceptance to its own state, and one with signature checks also returns a
+kept rejection.  The verdict is the one cache of a judgement, and nothing is
+kept beyond the block objects.
 """
 
 from __future__ import annotations
@@ -125,9 +127,8 @@ def deserialize_header(buf: bytes, offset: int = 0) -> tuple[BlockHeader, int]:
 class Block:
     header: BlockHeader
     transactions: tuple[Transaction, ...]
-    # what _data_check and validate_and_apply keep on the instance: outside
-    # equality, hashing and repr, and dataclasses.replace starts them afresh
-    _data_check: Validity | None = field(default=None, init=False, repr=False, compare=False)
+    # what validate_and_apply keeps on the instance: outside equality,
+    # hashing and repr, and dataclasses.replace starts it afresh
     _verdict: BlockVerdict | None = field(default=None, init=False, repr=False, compare=False)
 
     def data_bytes(self) -> bytes:
@@ -358,26 +359,15 @@ def _block_fees(txs: tuple[Transaction, ...], utxo: UtxoSet) -> int | None:
 def _data_check(block: Block) -> Validity:
     """The block's data against its header, genesis included: at least one
     transaction and the Merkle root (DataHash), then the declared size
-    (Size).
-
-    Computed on first call and kept on the instance, as header_hash is, so
-    every store that meets the same block checks it once, in the manner of
-    Bitcoin Core's CBlock::fChecked: the result depends on the block alone,
-    and dataclasses.replace builds a new instance without it.
-    """
-    v = block._data_check
-    if v is None:
-        header = block.header
-        if not block.transactions:
-            v = _invalid("DataHash", "no transactions")
-        elif header.data_hash != transactions_merkle_root(block.transactions):
-            v = _invalid("DataHash")
-        elif header.size != (size := len(block.data_bytes())):
-            v = _invalid("Size", f"declared {header.size}, actual {size}")
-        else:
-            v = VALID
-        object.__setattr__(block, "_data_check", v)
-    return v
+    (Size)."""
+    header = block.header
+    if not block.transactions:
+        return _invalid("DataHash", "no transactions")
+    if header.data_hash != transactions_merkle_root(block.transactions):
+        return _invalid("DataHash")
+    if header.size != (size := len(block.data_bytes())):
+        return _invalid("Size", f"declared {header.size}, actual {size}")
+    return VALID
 
 
 @dataclass(frozen=True, slots=True)
@@ -448,39 +438,35 @@ def validate_and_apply(
     record that takes it back; an invalid one leaves state as it was.
     header_at(height) resolves ancestors on the block's own branch (needed for
     the retarget window of branch_pow_params).  check_signatures=False skips
-    the transactions' signature checks and no other rule; only load passes
-    it, for records whose exact bytes passed them before.
+    the transactions' signature checks and no other rule: load passes it for
+    records whose exact bytes passed them before, and state_at for blocks
+    its store accepted.
 
-    The rules run once per block object and params object.  The first full
-    judgement (check_signatures=True) keeps a BlockVerdict on the block: the
-    params, the verdict and, for a valid block, its forward delta.  After the
-    block's link to parent_header is checked, a later call with the same
-    params object returns a kept rejection as it is, and applies a kept
-    delta to state.  This is sound because parent_header's post-state
-    follows from its header hash and params alone: the hash commits to every
-    byte of its branch, genesis included, but the signatures, and no
-    signature changes a state.  A call with check_signatures=False neither
-    reads nor keeps a verdict, so a load replay never vouches for a later
-    check.
+    The rules run once per block object and params object.  After the
+    block's link to parent_header is checked, one rule settles a call.  A
+    BlockVerdict kept on the block under the same params object answers it
+    if it can: a kept acceptance answers any call and applies its forward
+    delta to state, a kept rejection only a call with signature checks.
+    Otherwise the rules run, and a call with signature checks keeps their
+    verdict on a block that has none; a call without them keeps nothing, so
+    a load replay never vouches for a later check.  This is sound because
+    parent_header's post-state follows from its header hash and params
+    alone: the hash commits to every byte of its branch, genesis included,
+    but the signatures, and no signature changes a state.
     """
     header = block.header
     if header.prev_header_hash != header_hash(parent_header):
         return None, _invalid("PrevHash")
     if header.height != parent_header.height + 1:
         return None, _invalid("Height", f"{header.height} after {parent_header.height}")
-    if not check_signatures:
-        return _judge(block, state, params, header_at, False)
     kept = block._verdict
-    if kept is None:
-        undo, v = _judge(block, state, params, header_at, True)
+    if kept is not None and kept.params is params and (kept.validity or check_signatures):
+        return (_apply_delta(block, state, kept) if kept.validity else None), kept.validity
+    undo, v = _judge(block, state, params, header_at, check_signatures)
+    if kept is None and check_signatures:
         kept = _forward_delta(block, state, undo, params) if v else BlockVerdict(params, v)
         object.__setattr__(block, "_verdict", kept)
-        return undo, v
-    if kept.params is not params:
-        return _judge(block, state, params, header_at, True)
-    if not kept.validity:
-        return None, kept.validity
-    return _apply_delta(block, state, kept), VALID
+    return undo, v
 
 
 def _judge(
@@ -667,8 +653,10 @@ class ChainStore:
         secret chain, or one released to peers) is not rebuilt for each
         block.  A state is built on a copy of the tip's, rewound over undo
         records to the fork point, and each block above it is reconnected
-        through validate_and_apply.  A stored block that fails there is a
-        fault of the store, and raises.
+        through validate_and_apply without signature checks: every stored
+        block passed validate_and_apply in this store, so a reconnect
+        rebuilds a state and does not judge.  A stored block that fails
+        there is a fault of the store, and raises.
         """
         state = self.states.get(block_hash)
         if state is not None:
@@ -683,8 +671,8 @@ class ChainStore:
         for h in reversed(up):
             block = self.blocks[h]
             parent_hash = block.header.prev_header_hash
-            _, v = validate_and_apply(block, self.blocks[parent_hash].header, state,
-                                      self.params, self.branch_header_at(parent_hash))
+            _, v = validate_and_apply(block, self.blocks[parent_hash].header, state, self.params,
+                                      self.branch_header_at(parent_hash), check_signatures=False)
             if not v:
                 raise RuntimeError(f"stored block {h.hex()} fails on its parent's state:"
                                    f" {v.reason} {v.detail}".rstrip())

@@ -319,6 +319,20 @@ def _funding(store: ChainStore, address: Address, needed: int):
     return outpoint, utxo
 
 
+def _local_transaction(args, store: ChainStore, what: str, outputs, kind, payload):
+    """A transaction of kind from the chosen key, funded by its lowest
+    spendable output at the tip, and that key's pair."""
+    keypair = _pick_key(args, _load_records(args))
+    outpoint, utxo = _funding(store, derive_address(keypair.public_key), args.fee)
+    try:
+        tx = build_transaction(
+            [outpoint], outputs, args.fee, [keypair], utxo, kind=kind, payload=payload
+        )
+    except TxBuildError as exc:
+        raise CliError(EXIT_CONFIG, f"cannot build {what} transaction: {exc}")
+    return tx, keypair
+
+
 def _append_local_block(args, store: ChainStore, txs, keypair) -> Block:
     """Mine or stamp one block on the tip of the local chain, published by
     keypair's address, and persist it."""
@@ -356,15 +370,8 @@ def cmd_deploy(args) -> int:
     except contracts.BytecodeError as exc:
         raise CliError(EXIT_CONFIG, f"bytecode: {exc}")
     store = _load_store(args)
-    keypair = _pick_key(args, _load_records(args))
+    tx, keypair = _local_transaction(args, store, "deploy", [], TxKind.CONTRACT_DEPLOY, code)
     sender = derive_address(keypair.public_key)
-    outpoint, utxo = _funding(store, sender, args.fee)
-    try:
-        tx = build_transaction(
-            [outpoint], [], args.fee, [keypair], utxo, kind=TxKind.CONTRACT_DEPLOY, payload=code
-        )
-    except TxBuildError as exc:
-        raise CliError(EXIT_CONFIG, f"cannot build deploy transaction: {exc}")
     deploy_index = store.tip_state().deploy_counts.get(sender.to_bytes(), 0)
     contract = contracts.derive_contract_address(sender, deploy_index)
     _append_local_block(args, store, [tx], keypair)
@@ -381,23 +388,9 @@ def cmd_call(args) -> int:
     account = store.tip_state().registry.get(contract.to_bytes())
     if account is None:
         raise CliError(EXIT_NOT_FOUND, f"unknown contract {contract.hex()}")
-    keypair = _pick_key(args, _load_records(args))
-    sender = derive_address(keypair.public_key)
-    outpoint, utxo = _funding(store, sender, args.fee)
     words = [w & contracts.WORD_MASK for w in args.words]
-    payload = contracts.encode_call_payload(words)
-    try:
-        tx = build_transaction(
-            [outpoint],
-            [(contract, 0)],
-            args.fee,
-            [keypair],
-            utxo,
-            kind=TxKind.CONTRACT_CALL,
-            payload=payload,
-        )
-    except TxBuildError as exc:
-        raise CliError(EXIT_CONFIG, f"cannot build call transaction: {exc}")
+    tx, keypair = _local_transaction(args, store, "call", [(contract, 0)], TxKind.CONTRACT_CALL,
+                                     contracts.encode_call_payload(words))
     # preview the execution on a copy so the result can be printed; the block
     # application below repeats it deterministically
     preview = account.clone()

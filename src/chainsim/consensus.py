@@ -197,18 +197,13 @@ def pos_select_chain(stakes: Sequence[StakeEntry], rand: float) -> Address | Non
 
 def pos_select_coin_age(
     stakes: Sequence[StakeEntry], params: PosCoinAgeParams, rand: float
-) -> tuple[Address | None, list[Outpoint]]:
+) -> Address | None:
     """Weight = min(amount x age, cap) for entries at or past the age
-    threshold.  Returns the winner and its contributing outpoints, whose ages
-    the caller resets."""
-    eligible = [e for e in stakes if e.age >= params.age_threshold]
-    weights = _aggregate(
-        (e.address, min(e.amount * e.age, params.weight_cap)) for e in eligible
-    )
-    winner = _weighted_pick(weights, rand)
-    if winner is None:
-        return None, []
-    return winner, [e.outpoint for e in eligible if e.address == winner]
+    threshold; block validation restarts the age of the winner's."""
+    return _weighted_pick(_aggregate(
+        (e.address, min(e.amount * e.age, params.weight_cap))
+        for e in stakes if e.age >= params.age_threshold
+    ), rand)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +298,6 @@ def selection_rand(domain: bytes, parent_hash: bytes, height: int) -> float:
     return uniform_from_digest(domain + parent_hash + struct.pack(">Q", height))
 
 
-def header_selection_rand(domain: bytes, header: BlockHeader) -> float:
-    return selection_rand(domain, header.prev_header_hash, header.height)
-
-
 def expected_publisher(
     params: object, parent_hash: bytes, height: int, stakes: Sequence[StakeEntry] = ()
 ) -> Address | None:
@@ -315,10 +306,8 @@ def expected_publisher(
     if isinstance(params, PosChainParams):
         return pos_select_chain(stakes, selection_rand(_POS_TAG, parent_hash, height))
     if isinstance(params, PosCoinAgeParams):
-        winner, _ = pos_select_coin_age(
-            stakes, params, selection_rand(_COINAGE_TAG, parent_hash, height)
-        )
-        return winner
+        rand = selection_rand(_COINAGE_TAG, parent_hash, height)
+        return pos_select_coin_age(stakes, params, rand)
     if isinstance(params, PoaParams):
         return poa_select(params, selection_rand(_POA_TAG, parent_hash, height))
     return None
@@ -395,25 +384,19 @@ def verify_header_proof(params: object, header: BlockHeader, ctx: ProofContext) 
 
     if isinstance(params, PowParams):
         return True, ""  # simulated work: rate is enforced by the race model
-    if isinstance(params, (PosChainParams, PosCoinAgeParams)):
+    if isinstance(params, (PosChainParams, PosCoinAgeParams, PoaParams)):
         expected = expected_publisher(
             params, header.prev_header_hash, header.height, ctx.stake_entries
         )
+        role = "authority" if isinstance(params, PoaParams) else "staker"
         if expected is None:
-            return False, "no eligible stake"
+            return False, f"no eligible {role}"
         if publisher != expected:
-            return False, f"publisher {publisher.hex()} is not the selected staker"
+            return False, f"publisher {publisher.hex()} is not the selected {role}"
         return True, ""
     if isinstance(params, RoundRobinParams):
         if publisher not in params.publishers:
             return False, "publisher not in the rotation"
-        return True, ""
-    if isinstance(params, PoaParams):
-        expected = poa_select(params, header_selection_rand(_POA_TAG, header))
-        if expected is None:
-            return False, "no reputation in the authority set"
-        if publisher != expected:
-            return False, f"publisher {publisher.hex()} is not the selected authority"
         return True, ""
     if isinstance(params, PoetParams):
         if publisher not in params.publishers:

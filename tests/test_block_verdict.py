@@ -120,6 +120,32 @@ def test_a_check_without_signatures_keeps_nothing():
     assert checking.append_block(forged).reason == "BadSignature"
 
 
+def test_a_check_without_signatures_applies_a_kept_acceptance_and_ignores_a_kept_rejection():
+    """Without signature checks, a store applies a block another store
+    accepted, without a walk, and judges afresh, and accepts, a block another
+    store rejected as BadSignature; neither call keeps or replaces a
+    verdict."""
+    params = ChainParams(genesis_allocation=((A_ADDR, 100),))
+    checking, trusting = ChainStore(params), ChainStore(params)
+    block = payment_block(checking)
+    assert checking.append_block(block).status == EXTENDED
+    accepted = block._verdict
+    with counted_walks() as walks:
+        assert trusting.append_block(block, check_signatures=False).status == EXTENDED
+    assert walks == [] and block._verdict is accepted
+    assert trusting.tip_state() == checking.tip_state()
+    assert trusting.undo == checking.undo
+
+    checking, trusting = ChainStore(params), ChainStore(params)
+    coinbase, payment = block.transactions
+    forged = Block(block.header, (coinbase, bad_signature(payment)))
+    assert checking.append_block(forged).reason == "BadSignature"
+    rejected = forged._verdict
+    with counted_walks() as walks:
+        assert trusting.append_block(forged, check_signatures=False).status == EXTENDED
+    assert walks == [1] and forged._verdict is rejected
+
+
 def test_a_kept_rejection_returns_its_reason_and_detail_without_a_walk():
     """A block whose second transaction spends the output its first spent:
     it fails part way through its walk, and every later store gets the same

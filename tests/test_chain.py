@@ -182,9 +182,9 @@ def test_data_hash_mismatch_rejected():
     assert result.reason == "DataHash"
 
 
-def test_data_check_is_kept_on_the_block_instance_only():
+def test_each_block_instance_is_judged_on_its_own_data():
     """Two stores each reject the one block with a wrong Merkle root as
-    DataHash; its dataclasses.replace copy with the right root is checked
+    DataHash; its dataclasses.replace copy with the right root is judged
     afresh and accepted by both, and a copy of that header over other
     transactions is still rejected."""
     stores = [fresh_store(), fresh_store()]

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsim import consensus as cons
+from chainsim import crypto
 from chainsim.chain import (
     CHAIN_FORMAT_VERSION,
     CHAIN_MAGIC,
@@ -44,6 +45,7 @@ from chainsim.chain import (
     header_hash,
     load,
     make_genesis,
+    persist,
     read_chain_file,
     transactions_merkle_root,
     verify_blocks,
@@ -470,6 +472,55 @@ def test_replay_keeps_no_mempool(tmp_path, monkeypatch):
             live.append_block(store.blocks[h])
         reorganizing += bool(calls)
     assert reorganizing >= 5
+
+
+def test_load_rebuilds_a_side_branch_inside_the_checked_prefix_without_signature_checks(
+    tmp_path, monkeypatch
+):
+    """Two blocks, a longer branch that orphans them, then a block on the old
+    branch: load rebuilds the old branch's state by reconnecting its two
+    blocks.  With the checked-prefix record in place the whole load checks
+    no signature, and without it each input's once."""
+    params = ChainParams(genesis_allocation=tuple((A_ADDR, 10) for _ in range(6)))
+    store = ChainStore(params)
+    fund = store.tip.transactions[0].tx_id
+    statuses = []
+
+    def pay(parent_hash, index):
+        state = store.state_at(parent_hash)
+        tx = build_transaction([(fund, index)], [(B_ADDR, 9)], 1, [ALICE], state.utxo)
+        block = store.make_candidate(B_ADDR, [tx], index + 1, parent_hash=parent_hash)
+        statuses.append(store.append_block(block).status)
+        return header_hash(block.header)
+
+    old = pay(pay(store.genesis_hash, 0), 1)
+    pay(pay(pay(store.genesis_hash, 2), 3), 4)
+    pay(old, 5)
+    assert statuses == ["Extended", "Extended", "NewSideBranch", "NewSideBranch",
+                        "Reorganized", "NewSideBranch"]
+    path = str(tmp_path / "chain.dat")
+    persist(store, path)
+
+    checks = []
+    uncached = crypto._verify_uncached
+
+    def counted(*args):
+        checks.append(args)
+        return uncached(*args)
+
+    def load_checks():
+        """Real Ed25519 checks of one load, on a cleared signature memo."""
+        crypto._verify_memo.clear()
+        checks.clear()
+        loaded = load(path, params).store
+        assert (list(loaded.blocks), loaded.undo) == (list(store.blocks), store.undo)
+        assert loaded.states == store.states
+        return len(checks)
+
+    monkeypatch.setattr(crypto, "_verify_uncached", counted)
+    assert load_checks() == 0
+    os.remove(path + ".checked")
+    assert load_checks() == 6
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,11 @@ from chainsim.consensus import (
     proof_publisher,
     round_robin_publisher,
     selection_rand,
+    stake_view,
     verify_header_proof,
 )
 from chainsim.crypto import Address, HashStream, derive_address, keypair_generate
-from chainsim.ledger import Mempool
+from chainsim.ledger import Mempool, TxKind, UtxoSet, build_transaction, make_coinbase
 
 KEY_A = keypair_generate(bytes(range(32)))
 KEY_B = keypair_generate(bytes(range(1, 33)))
@@ -171,15 +172,33 @@ def test_selection_invariant_under_stake_scaling():
 
 
 def test_coin_age_threshold_and_reset_flow():
+    """Only a stake at or past the age threshold can win, and a store that
+    accepts the winner's block restarts the age of the winner's ripe stake,
+    and of no other."""
     params = PosCoinAgeParams(age_threshold=30, weight_cap=10**9)
-    young = stakes((ADDR_A, 10), age=10)
-    winner, resets = pos_select_coin_age(young, params, 0.5)
-    assert winner is None and resets == []
+    assert pos_select_coin_age(stakes((ADDR_A, 10), age=10), params, 0.5) is None
+    assert pos_select_coin_age(stakes((ADDR_A, 10), age=30), params, 0.5) == ADDR_A
 
-    ripe = stakes((ADDR_A, 10), age=30)
-    winner, resets = pos_select_coin_age(ripe, params, 0.5)
-    assert winner == ADDR_A
-    assert resets == [ripe[0].outpoint]
+    allocation = ((ADDR_A, 10), (ADDR_B, 10))
+    coinbase = make_coinbase(list(allocation), 0)
+    view = UtxoSet()
+    view.apply(coinbase, 0)
+    locks = tuple(
+        build_transaction([(coinbase.tx_id, i)], [(address, 10)], 0, [key], view,
+                          kind=TxKind.STAKE)
+        for i, (address, key) in enumerate(((ADDR_A, KEY_A), (ADDR_B, KEY_B)))
+    )
+    chain_params = ChainParams(genesis_allocation=allocation,
+                               consensus=PosCoinAgeParams(age_threshold=1, weight_cap=10**9))
+    store = ChainStore(chain_params, make_genesis(chain_params, locks))
+    ripe = stake_view(store.tip_state().utxo, 1)
+    assert [entry.age for entry in ripe] == [1, 1]
+    winner = expected_publisher(chain_params.consensus, store.genesis_hash, 1, ripe)
+    block = attach_proof(store.make_candidate(winner, [], 1), chain_params.consensus,
+                         keypair=KEY_A if winner == ADDR_A else KEY_B)
+    assert store.append_block(block).status == EXTENDED
+    [won] = [entry.outpoint for entry in ripe if entry.address == winner]
+    assert store.tip_state().stake_resets == {won: 1}
 
 
 def test_coin_age_weight_is_amount_times_age():
@@ -190,7 +209,7 @@ def test_coin_age_weight_is_amount_times_age():
     ]
     rng = HashStream(7, "coinage")
     wins_a = sum(
-        pos_select_coin_age(entries, params, rng.random())[0] == ADDR_A
+        pos_select_coin_age(entries, params, rng.random()) == ADDR_A
         for _ in range(10000)
     )
     # weights 600 vs 300: expect 2/3, sigma = sqrt(n p q) ~ 47
@@ -205,7 +224,7 @@ def test_coin_age_weight_cap_equalizes():
     ]
     rng = HashStream(8, "coinage-cap")
     wins_a = sum(
-        pos_select_coin_age(entries, params, rng.random())[0] == ADDR_A
+        pos_select_coin_age(entries, params, rng.random()) == ADDR_A
         for _ in range(10000)
     )
     assert abs(wins_a - 5000) <= 150
@@ -252,6 +271,23 @@ def test_poa_weighted_selection_and_zero_reputation():
 
 def test_poa_select_needs_a_positive_reputation():
     assert poa_select(PoaParams(authorities={ADDR_A: 0}), 0.3) is None
+
+
+def test_poa_proof_requires_selected_authority():
+    params = PoaParams(authorities={ADDR_A: 50, ADDR_B: 50})
+    header = template()
+    chosen = expected_publisher(params, header.prev_header_hash, header.height)
+    chosen_key = KEY_A if chosen == ADDR_A else KEY_B
+    other_key = KEY_B if chosen == ADDR_A else KEY_A
+
+    good = attach_proof(Block(header, ()), params, keypair=chosen_key)
+    assert verify_header_proof(params, good.header, ProofContext()) == (True, "")
+    bad = attach_proof(Block(header, ()), params, keypair=other_key)
+    ok, why = verify_header_proof(params, bad.header, ProofContext())
+    assert not ok and "selected authority" in why
+    nobody = PoaParams(authorities={ADDR_A: 0})
+    ok, why = verify_header_proof(nobody, good.header, ProofContext())
+    assert not ok and "no eligible authority" in why
 
 
 # ---------------------------------------------------------------------------
