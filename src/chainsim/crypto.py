@@ -8,6 +8,7 @@ single integer seed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import struct
@@ -298,9 +299,26 @@ class Address:
         return self.hex()
 
 
-def derive_address(public_key: bytes, version: int = USER_ADDRESS_VERSION) -> Address:
-    """public key -> sha256 -> first 20 bytes, wrapped with version+checksum."""
+# (public key, version) pairs whose address derive_address keeps: every node
+# checks the owner of each input it validates, from a handful of keys
+ADDRESS_CACHE_SIZE = 1 << 12
+
+
+@functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
+def _address_of(public_key: bytes, version: int) -> Address:
     return Address.make(version, sha256(public_key)[:ADDRESS_PAYLOAD_SIZE])
+
+
+def derive_address(public_key: bytes, version: int = USER_ADDRESS_VERSION) -> Address:
+    """public key -> sha256 -> first 20 bytes, wrapped with version+checksum.
+
+    Memoised in the process (least recently used dropped first) for a bytes
+    key and an int version; other types, such as an unhashable bytearray,
+    are derived without the memo.  An Address is immutable, so it is shared.
+    """
+    if type(public_key) is bytes and type(version) is int:
+        return _address_of(public_key, version)
+    return _address_of.__wrapped__(public_key, version)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +330,8 @@ class HashStream:
     """Counter-mode SHA-256 random stream: sha256(seed || tag || counter).
 
     Each (seed, tag) pair is an independent stream; no OS entropy is ever
-    consumed, so any consumer seeded this way replays identically.
+    consumed, so any consumer seeded this way replays identically.  Each
+    draw takes the next counter position; ``skip`` takes one unhashed.
     """
 
     def __init__(self, seed: int | bytes, tag: str | bytes = ""):
@@ -327,6 +346,10 @@ class HashStream:
         block = sha256(self._prefix + struct.pack(">Q", self._counter))
         self._counter += 1
         return int.from_bytes(block[:8], "big")
+
+    def skip(self) -> None:
+        """Advance past one position, as a draw would, without hashing it."""
+        self._counter += 1
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""

@@ -217,9 +217,9 @@ class SimNode:
             self.store = ChainStore(params, genesis, Mempool())
             self.headers = None
         self.tx_relayed: set[bytes] = set()
-        # tx_id -> earliest tick at which a transaction push in flight to
-        # this node arrives while the node is online; dropped on delivery
-        self.tx_due: dict[bytes, int] = {}
+        # tx_id or block hash -> earliest tick at which a gossip push in
+        # flight to this node arrives while it is online; dropped on intake
+        self.due: dict[bytes, int] = {}
         self.orphan_buffer: dict[bytes, list[tuple[Block, str]]] = {}
         self.pulled: set[bytes] = set()
         self.pending_txs: list[tuple[bytes, int]] = []  # (tx_id, submit tick)
@@ -321,6 +321,8 @@ class Simulation:
         self.adversary_node = self.nodes[config.adversary.node] if config.adversary else None
 
         self._gossip_stream = HashStream(config.seed, "gossip")
+        self._latency_base = config.topology.latency
+        self._jitter = config.topology.jitter
         self._workload_stream = HashStream(config.seed, "workload")
         self._mine_streams = {
             name: HashStream(config.seed, f"mine:{name}") for name in self.publishers
@@ -367,10 +369,31 @@ class Simulation:
         return self._group_of(a, tick) == self._group_of(b, tick)
 
     def _latency(self) -> int:
-        lat = self.config.topology.latency
-        if self.config.topology.jitter:
-            lat += self._gossip_stream.randrange(self.config.topology.jitter + 1)
-        return max(1, lat)
+        jitter = self._gossip_stream.randrange(self._jitter + 1) if self._jitter else 0
+        return max(1, self._latency_base + jitter)
+
+    def _arrival(
+        self, peer: SimNode, key: bytes | None, held: bool, extra_delay: int = 0
+    ) -> int | None:
+        """Arrival tick of a flood push of item key to peer, or None when the
+        peer holds the item or an earlier push reaches it, online, no later:
+        on a tie that one runs first, so this one would do nothing.  Takes
+        the peer's one gossip-stream position, hashed only when the earliest
+        arrival does not decide.  An arrival at an online tick is recorded in
+        peer.due, unless key is None."""
+        due = peer.due.get(key)
+        start = self.now + extra_delay
+        # no link delay is below max(1, latency), whatever the stream draws
+        if held or due is not None and due <= start + max(1, self._latency_base):
+            if self._jitter:
+                self._gossip_stream.skip()
+            return None
+        arrive = start + self._latency()
+        if due is not None and due <= arrive:
+            return None
+        if key is not None and peer.online(arrive):
+            peer.due[key] = arrive
+        return arrive
 
     def peers_of(self, name: str, tick: int) -> list[str]:
         """Nodes that name reaches at tick, in config order.  Without
@@ -445,11 +468,11 @@ class Simulation:
             peer = self.nodes[peer_name]
             if peer.role == LIGHTWEIGHT or not peer.online(self.now):
                 continue
-            delay = self._latency()
+            arrive = self.now + self._latency()
             if node.role == LIGHTWEIGHT:
                 for bh in peer.store.adopted_path():
                     self._push(
-                        self.now + delay,
+                        arrive,
                         _RANK_BLOCK,
                         node.addr,
                         "deliver_header",
@@ -457,7 +480,7 @@ class Simulation:
                     )
             else:
                 self._push(
-                    self.now + delay,
+                    arrive,
                     _RANK_BLOCK,
                     node.addr,
                     "deliver_block",
@@ -698,34 +721,30 @@ class Simulation:
 
         A node calls this once per block: when it produces the block, first
         accepts it, or releases it from its secret chain, and its store
-        rejects any later copy as Duplicate.  Each peer costs one latency
-        draw, whether or not its delivery is pushed, so the gossip stream does
-        not depend on what peers hold.  No delivery is pushed to a full peer
-        whose store already indexes the block: a store never drops a block, so
-        on arrival append_block would return Duplicate and the delivery would
-        do nothing.  A block waiting in the peer's orphan buffer, or one the
-        peer rejected, is not indexed and is pushed as before.
+        rejects any later copy as Duplicate.  Each peer takes one
+        gossip-stream position, pushed or not, hashed only when read.  No
+        delivery is pushed to a full peer whose store indexes the block (a
+        store never drops one), nor, without a fork schedule, to one that an
+        earlier copy reaches first (`_arrival`): every block is then valid on
+        every node, and a later copy of an orphan-buffered block would only
+        add a buffer entry that ends in Duplicate.  With a fork schedule a
+        peer logs each copy it rejects, so those copies are all pushed.
         """
         h = header_hash(block.header)
+        key = h if self.config.fork is None else None
         for peer_name in self.peers_of(node.name, self.now):
             peer = self.nodes[peer_name]
-            delay = self._latency() + extra_delay
             if peer.role == LIGHTWEIGHT:
-                if node.role != LIGHTWEIGHT:
-                    self._push(
-                        self.now + delay,
-                        _RANK_BLOCK,
-                        peer.addr,
-                        "deliver_header",
-                        (peer_name, block.header),
-                    )
-            elif h not in peer.store.blocks:
                 self._push(
-                    self.now + delay,
+                    self.now + self._latency() + extra_delay,
                     _RANK_BLOCK,
                     peer.addr,
-                    "deliver_block",
-                    (peer_name, block, node.name),
+                    "deliver_header",
+                    (peer_name, block.header),
+                )
+            elif arrive := self._arrival(peer, key, h in peer.store.blocks, extra_delay):
+                self._push(
+                    arrive, _RANK_BLOCK, peer.addr, "deliver_block", (peer_name, block, node.name)
                 )
 
     def _on_deliver_header(self, name: str, header: BlockHeader) -> None:
@@ -735,9 +754,8 @@ class Simulation:
 
     def _on_deliver_block(self, name: str, block: Block, sender: str) -> None:
         node = self.nodes[name]
-        if not node.online(self.now):
-            return
-        self._ingest_block(node, block, sender)
+        if node.online(self.now):
+            self._ingest_block(node, block, sender)
 
     def _ingest_block(self, node: SimNode, block: Block, sender: str) -> None:
         h = header_hash(block.header)
@@ -759,6 +777,7 @@ class Simulation:
             f"t={self.now} deliver node={node.name} b={h.hex()[:12]}"
             f" from={sender} r={result.status}"
         )
+        node.due.pop(h, None)
         self._after_accept(node, result, h)
         self._gossip_block(node, block)
         for child, child_sender in node.orphan_buffer.pop(h, []):
@@ -815,17 +834,16 @@ class Simulation:
         self._emit(f"t={self.now} tx node={via} id={tx_id.hex()[:12]}")
         node.pending_txs.append((tx_id, self.now))
         if node.role == LIGHTWEIGHT:
-            full_peers = [
-                p for p in self.peers_of(via, self.now) if self.nodes[p].role != LIGHTWEIGHT
-            ]
-            for peer_name in full_peers:
-                self._push(
-                    self.now + self._latency(),
-                    _RANK_TX,
-                    self.nodes[peer_name].addr,
-                    "deliver_tx",
-                    (peer_name, tx, via),
-                )
+            for peer_name in self.peers_of(via, self.now):
+                peer = self.nodes[peer_name]
+                if peer.role != LIGHTWEIGHT:
+                    self._push(
+                        self.now + self._latency(),
+                        _RANK_TX,
+                        peer.addr,
+                        "deliver_tx",
+                        (peer_name, tx, via),
+                    )
             return
         self._deliver_tx_to(node, tx, via)
 
@@ -833,31 +851,23 @@ class Simulation:
         """First arrival of a transaction at a full node: pool it and flood it
         to every reachable full peer.
 
-        Each peer costs one latency draw, pushed or not.  No delivery is
-        pushed to a peer that has already relayed the transaction, nor to one
-        that an earlier push reaches, online, no later than this one would:
-        on a tie that push has the lower sequence number and runs first, so
-        this delivery would find the transaction relayed and do nothing.
+        Each full peer takes one gossip-stream position, pushed or not, hashed
+        only when read.  No delivery is pushed to a peer that has already
+        relayed the transaction, nor to one that an earlier push reaches
+        first (`_arrival`).
         """
         tx_id = tx.tx_id
         if tx_id in node.tx_relayed:
             return
         node.tx_relayed.add(tx_id)
-        node.tx_due.pop(tx_id, None)
+        node.due.pop(tx_id, None)
         node.store.mempool.add(tx, node.store.tip_state().utxo, not self.stake_model)
         for peer_name in self.peers_of(node.name, self.now):
             peer = self.nodes[peer_name]
-            if peer.role == LIGHTWEIGHT:
-                continue
-            arrive = self.now + self._latency()
-            if tx_id in peer.tx_relayed:
-                continue
-            due = peer.tx_due.get(tx_id)
-            if due is not None and due <= arrive:
-                continue
-            if peer.online(arrive):
-                peer.tx_due[tx_id] = arrive
-            self._push(arrive, _RANK_TX, peer.addr, "deliver_tx", (peer_name, tx, node.name))
+            if peer.role != LIGHTWEIGHT and (
+                arrive := self._arrival(peer, tx_id, tx_id in peer.tx_relayed)
+            ):
+                self._push(arrive, _RANK_TX, peer.addr, "deliver_tx", (peer_name, tx, node.name))
 
     def _on_deliver_tx(self, name: str, tx: Transaction, sender: str) -> None:
         node = self.nodes[name]

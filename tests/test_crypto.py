@@ -369,9 +369,43 @@ def test_contract_version_changes_address():
     assert a1.to_bytes()[0] == CONTRACT_ADDRESS_VERSION
 
 
+def test_address_of_a_bytearray_or_memoryview_key_equals_the_bytes_key():
+    key = keypair_generate(SEED_A).public_key
+    expected = derive_address(key)
+    for other in (bytearray(key), memoryview(key)):
+        assert derive_address(other) == expected
+        assert derive_address(other, CONTRACT_ADDRESS_VERSION) == derive_address(
+            key, CONTRACT_ADDRESS_VERSION
+        )
+
+
+def test_address_memo_is_bounded_and_answers_as_a_fresh_derivation():
+    memo = crypto._address_of
+    memo.cache_clear()
+    keys = [i.to_bytes(32, "big") for i in range(crypto.ADDRESS_CACHE_SIZE + 10)]
+    for key in keys:
+        derive_address(key)
+    info = memo.cache_info()
+    assert info.maxsize == crypto.ADDRESS_CACHE_SIZE
+    assert info.currsize == crypto.ADDRESS_CACHE_SIZE and info.hits == 0
+    for key in (keys[0], keys[-1]):
+        assert derive_address(key) == Address.make(USER_ADDRESS_VERSION, sha256(key)[:20])
+    assert memo.cache_info().hits == 1  # keys[0] was dropped, keys[-1] kept
+    assert memo.cache_info().currsize == crypto.ADDRESS_CACHE_SIZE
+
+
 # ---------------------------------------------------------------------------
 # seeded randomness
 # ---------------------------------------------------------------------------
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.binary(max_size=8))
+def test_hashstream_skip_takes_one_position_unhashed(seed, tag):
+    skipped, fresh = HashStream(seed, tag), HashStream(seed, tag)
+    skipped.skip()
+    fresh.u64()
+    assert skipped._counter == fresh._counter == 1
+    assert skipped.u64() == fresh.u64()
 
 
 def test_hashstream_replays_identically():

@@ -8,7 +8,9 @@ as it was before: one push per (item, reachable peer), and `peers_of` asking
 partitions with nodes left out, lightweight submitters, jitter 0 to 3,
 withholding and majority-reorg adversaries, soft and hard forks) the two must
 write the same event log and end in the same state, while the change pushes
-fewer events.
+fewer events.  The reference hashes every latency draw and the simulator only
+those whose value it reads, so ending at the same gossip-stream position pins
+the positions each flood takes.
 """
 
 from dataclasses import fields, replace
@@ -183,6 +185,18 @@ HARD_FORK_SPLIT = {
 }
 
 
+# The same six miners without the fork, at jitter 4, above the 3 that
+# scenarios() draws.  No block is rejected, so a copy of a block that waits in
+# a peer's orphan buffer is not pushed when an earlier copy reaches the peer
+# first; the flood reference calls _request_missing 41 times here and the
+# simulator 39.
+ORPHANS_NO_FORK = {
+    **{key: value for key, value in HARD_FORK_SPLIT.items() if key != "fork"},
+    "seed": 1,
+    "topology": {"latency": 1, "jitter": 4, "partitions": []},
+}
+
+
 def _end_state(sim) -> dict:
     return {
         name: (
@@ -199,6 +213,7 @@ def _end_state(sim) -> dict:
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios())
 @example(HARD_FORK_SPLIT)
+@example(ORPHANS_NO_FORK)
 def test_gossip_matches_flood_reference(raw):
     config = prepare_config(parse_scenario(raw))
     new, ref = Simulation(config), ReferenceSimulation(config)

@@ -22,6 +22,7 @@ from chainsim.netsim import (
     write_reports,
 )
 from chainsim.scenario import load_scenario, parse_scenario
+from test_golden_grid import grid_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -385,3 +386,31 @@ def test_stake_view_is_built_only_for_stake_models(monkeypatch):
     assert calls == []
     run_scenario(scenario("pos_chain"))
     assert calls
+
+
+def test_flood_hashes_only_the_draws_it_reads_and_pushes_no_duplicate_block(monkeypatch):
+    """Each peer of a flood takes one gossip-stream position, but one whose
+    value decides nothing (the peer holds the item, or an earlier push in
+    flight reaches it first) is not hashed.  Without a fork schedule no
+    block copy is pushed that would arrive as a Duplicate.  The event-log
+    digest is the one the flood without either saving writes."""
+    sim = Simulation(prepare_config(parse_scenario(grid_scenario(10, 400, 2, 1))))
+    hashed, reasons = [], []
+    u64, append_block = HashStream.u64, ChainStore.append_block
+
+    def counted_u64(stream):
+        if stream is sim._gossip_stream:
+            hashed.append(stream._counter)
+        return u64(stream)
+
+    def counted_append_block(store, block, *args, **kwargs):
+        result = append_block(store, block, *args, **kwargs)
+        reasons.append(result.reason)
+        return result
+
+    monkeypatch.setattr(HashStream, "u64", counted_u64)
+    monkeypatch.setattr(ChainStore, "append_block", counted_append_block)
+    result = sim.run()
+    assert result.event_log_digest().hex().startswith("a10dd77119fbe44d")
+    assert 0 < len(hashed) < sim._gossip_stream._counter
+    assert reasons and "Duplicate" not in reasons
