@@ -7,15 +7,30 @@ exponential race (next find drawn per publisher with rate proportional to
 hash share and the current target) rather than literal hashing; hash attempts
 are accrued analytically as rate x elapsed online time.  All other models
 produce on a fixed slot cadence through the consensus module's selection.
+Its configuration types (``SimConfig`` and its parts) live in scenario.py.
 """
 
 from __future__ import annotations
 
-import functools
+import hashlib
 import heapq
-import struct
 from dataclasses import dataclass, field, replace
 
+# the first package import: placed last, it raised the import's peak RSS by about 0.6 MB
+from .scenario import (
+    CENSORSHIP,
+    HARD,
+    LIGHTWEIGHT,
+    MAJORITY_REORG,
+    PUBLISHING,
+    SOFT,
+    WITHHOLDING,
+    ForkSchedule,
+    NodeSpec,
+    SimConfig,
+    WorkloadSpec,
+    node_keypair,
+)
 from . import consensus as cons
 from .chain import (
     Block,
@@ -29,7 +44,7 @@ from .chain import (
     is_stake_model,
     make_genesis,
 )
-from .crypto import Address, HashStream, KeyPair, derive_address, keypair_generate, sha256
+from .crypto import Address, HashStream, KeyPair, derive_address
 from .ledger import (
     Mempool,
     Transaction,
@@ -44,17 +59,6 @@ from .ledger import (
 )
 from .merkle import merkle_proof, verify_proof
 
-FULL = "full"
-PUBLISHING = "publishing"
-LIGHTWEIGHT = "lightweight"
-
-SOFT = "soft"
-HARD = "hard"
-
-MAJORITY_REORG = "majority_reorg"
-WITHHOLDING = "withholding"
-CENSORSHIP = "censorship"
-
 # event ranks: transaction gossip, then block gossip, then production, then
 # workload generation, then sampling
 _RANK_TX = 0
@@ -62,38 +66,6 @@ _RANK_BLOCK = 1
 _RANK_PRODUCE = 2
 _RANK_WORKLOAD = 3
 _RANK_SAMPLE = 4
-
-
-@dataclass(frozen=True)
-class NodeSpec:
-    name: str
-    role: str = FULL
-    hash_share: float = 0.0
-    stake: int = 0
-    balance: int = 0
-    online: tuple[tuple[int, int], ...] = ()  # up intervals; empty means always up
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    start: int
-    end: int
-    groups: tuple[tuple[str, ...], ...]
-
-
-@dataclass(frozen=True)
-class TopologySpec:
-    latency: int = 1
-    jitter: int = 0
-    partitions: tuple[PartitionSpec, ...] = ()
-
-
-@dataclass(frozen=True)
-class ForkSchedule:
-    kind: str  # soft | hard
-    activation_height: int
-    adopters: tuple[str, ...]
-    new_rule_version: int = 1
 
 
 def fork_rule(fork: ForkSchedule | None, node: str, height: int, limit: int) -> tuple[int, int]:
@@ -106,38 +78,6 @@ def fork_rule(fork: ForkSchedule | None, node: str, height: int, limit: int) -> 
     if fork.kind == SOFT:
         return limit // 2, 0
     return limit, fork.new_rule_version
-
-
-@dataclass(frozen=True)
-class AdversarySpec:
-    kind: str
-    node: str
-    secret_depth: int = 3
-    delay_ticks: int = 0
-    victim: str = ""
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    tx_interval: int = 0  # 0 disables the payment generator
-    tx_amount: int = 5
-    tx_fee: int = 1
-    submit_via: str = ""  # node name; empty picks a random funded node
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    seed: int
-    duration: int
-    nodes: tuple[NodeSpec, ...]
-    chain: ChainParams
-    topology: TopologySpec = TopologySpec()
-    fork: ForkSchedule | None = None
-    adversary: AdversarySpec | None = None
-    workload: WorkloadSpec = WorkloadSpec()
-    block_interval: int = 10  # slot cadence for non-PoW models
-    production_stop: int | None = None  # quiesce the network before the run ends
-    agreement_interval: int = 10
 
 
 @dataclass
@@ -169,15 +109,11 @@ class SimResult:
     nodes: dict[str, "SimNode"]
 
     def event_log_digest(self) -> bytes:
-        return sha256("\n".join(self.event_log).encode())
-
-
-@functools.lru_cache(maxsize=None)
-def node_keypair(seed: int, name: str) -> KeyPair:
-    """The node's signing key, derived from the scenario seed and its name.
-    Memoised: the parser, the genesis allocation and the simulator ask for the
-    same pairs, and each is derived once per process."""
-    return keypair_generate(sha256(b"node-key" + struct.pack(">Q", seed) + name.encode()))
+        # of the lines joined by newlines, fed line by line: a joined copy could set the peak RSS
+        digest = hashlib.sha256()
+        for i, line in enumerate(self.event_log):
+            digest.update(f"\n{line}".encode() if i else line.encode())
+        return digest.digest()
 
 
 def is_online(spec: NodeSpec, tick: int) -> bool:
@@ -1006,14 +942,12 @@ def _genesis_funds(config: SimConfig) -> list[tuple[NodeSpec, Address, int]]:
 def build_genesis(config: SimConfig) -> Block:
     """Genesis carrying each node's allocation, with stake locked through
     signed STAKE transactions that spend the allocation inside the block."""
-    funds = _genesis_funds(config)
-    allocation = [(addr, total) for _, addr, total in funds]
-    params = replace(config.chain, genesis_allocation=tuple(allocation))
-    coinbase = make_coinbase(allocation, 0)
+    params = effective_params(config)
+    coinbase = make_coinbase(params.genesis_allocation, 0)
     view = UtxoSet()
     view.apply(coinbase, 0)
     stake_txs = []
-    for i, (spec, addr, _) in enumerate(funds):
+    for i, (spec, addr, _) in enumerate(_genesis_funds(config)):
         if spec.stake <= 0:
             continue
         tx = build_transaction(

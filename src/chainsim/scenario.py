@@ -1,5 +1,6 @@
-"""Scenario configuration: YAML files describing a network run, and the
-chain params file that ``chainsim chain init`` reads.
+"""Scenario configuration: the run-configuration types the simulator reads,
+the YAML files describing a network run that fill them, and the chain params
+file that ``chainsim chain init`` reads.
 
 Every error is reported with the key path that caused it, and all errors in a
 file are collected before raising, so a bad config surfaces its full damage in
@@ -10,30 +11,99 @@ field it fills.  The config objects are built only from a file with no errors.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
+from dataclasses import dataclass
 
 from . import consensus as cons
 from .chain import ChainParams
-from .crypto import Address, derive_address
+from .crypto import Address, KeyPair, derive_address, keypair_generate, sha256
 from .ledger import MAX_SUPPLY
-from .netsim import (
-    FULL,
-    LIGHTWEIGHT,
-    PUBLISHING,
-    AdversarySpec,
-    CENSORSHIP,
-    ForkSchedule,
-    HARD,
-    MAJORITY_REORG,
-    NodeSpec,
-    PartitionSpec,
-    SimConfig,
-    SOFT,
-    TopologySpec,
-    WITHHOLDING,
-    WorkloadSpec,
-    node_keypair,
-)
+
+FULL = "full"
+PUBLISHING = "publishing"
+LIGHTWEIGHT = "lightweight"
+
+SOFT = "soft"
+HARD = "hard"
+
+MAJORITY_REORG = "majority_reorg"
+WITHHOLDING = "withholding"
+CENSORSHIP = "censorship"
+
+
+@dataclass(frozen=True)
+class NodeSpec:
+    name: str
+    role: str = FULL
+    hash_share: float = 0.0
+    stake: int = 0
+    balance: int = 0
+    online: tuple[tuple[int, int], ...] = ()  # up intervals; empty means always up
+
+
+@dataclass(frozen=True)
+class PartitionSpec:
+    start: int
+    end: int
+    groups: tuple[tuple[str, ...], ...]
+
+
+@dataclass(frozen=True)
+class TopologySpec:
+    latency: int = 1
+    jitter: int = 0
+    partitions: tuple[PartitionSpec, ...] = ()
+
+
+@dataclass(frozen=True)
+class ForkSchedule:
+    kind: str  # soft | hard
+    activation_height: int
+    adopters: tuple[str, ...]
+    new_rule_version: int = 1
+
+
+@dataclass(frozen=True)
+class AdversarySpec:
+    kind: str
+    node: str
+    secret_depth: int = 3
+    delay_ticks: int = 0
+    victim: str = ""
+
+
+@dataclass(frozen=True)
+class WorkloadSpec:
+    tx_interval: int = 0  # 0 disables the payment generator
+    tx_amount: int = 5
+    tx_fee: int = 1
+    submit_via: str = ""  # node name; empty picks a random funded node
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    seed: int
+    duration: int
+    nodes: tuple[NodeSpec, ...]
+    chain: ChainParams
+    topology: TopologySpec = TopologySpec()
+    fork: ForkSchedule | None = None
+    adversary: AdversarySpec | None = None
+    workload: WorkloadSpec = WorkloadSpec()
+    block_interval: int = 10  # slot cadence for non-PoW models
+    production_stop: int | None = None  # quiesce the network before the run ends
+    agreement_interval: int = 10
+
+
+@functools.lru_cache(maxsize=None)
+def node_keypair(seed: int, name: str) -> KeyPair:
+    """The node's signing key, derived from the scenario seed and its name.
+    Memoised: the parser, the genesis allocation and the simulator ask for the
+    same pairs, and each is derived once per process."""
+    return keypair_generate(sha256(b"node-key" + struct.pack(">Q", seed) + name.encode()))
+
 
 ROLES = (FULL, PUBLISHING, LIGHTWEIGHT)
 FORK_KINDS = (SOFT, HARD)

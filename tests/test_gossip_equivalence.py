@@ -21,14 +21,13 @@ from hypothesis import strategies as st
 from chainsim.chain import BlockHeader, header_hash
 from chainsim.crypto import sha256
 from chainsim.netsim import (
-    LIGHTWEIGHT,
     _RANK_BLOCK,
     _RANK_TX,
     Simulation,
     prepare_config,
     summary_row,
 )
-from chainsim.scenario import parse_scenario
+from chainsim.scenario import LIGHTWEIGHT, parse_scenario
 
 
 class ReferenceSimulation(Simulation):

@@ -9,19 +9,17 @@ from chainsim import consensus as cons
 from chainsim.chain import ChainStore
 from chainsim.crypto import HashStream, derive_address, sha256
 from chainsim.netsim import (
-    NodeSpec,
     Simulation,
     build_genesis,
     effective_params,
     is_online,
-    node_keypair,
     online_overlap,
     prepare_config,
     run_scenario,
     summary_row,
     write_reports,
 )
-from chainsim.scenario import load_scenario, parse_scenario
+from chainsim.scenario import NodeSpec, load_scenario, node_keypair, parse_scenario
 from test_golden_grid import grid_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"

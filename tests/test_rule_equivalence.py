@@ -22,15 +22,8 @@ from hypothesis import strategies as st
 from chainsim import consensus as cons
 from chainsim.chain import ChainParams
 from chainsim.ledger import Validity
-from chainsim.netsim import (
-    HARD,
-    SOFT,
-    ForkSchedule,
-    Simulation,
-    fork_rule,
-    prepare_config,
-)
-from chainsim.scenario import load_scenario, parse_scenario
+from chainsim.netsim import Simulation, fork_rule, prepare_config
+from chainsim.scenario import HARD, SOFT, ForkSchedule, load_scenario, parse_scenario
 from test_gossip_equivalence import HARD_FORK_SPLIT, scenarios
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"

@@ -18,8 +18,8 @@ from chainsim.consensus import (
 )
 from chainsim import scenario
 from chainsim.crypto import derive_address
-from chainsim.netsim import PUBLISHING, node_keypair, run_scenario
-from chainsim.scenario import ScenarioError, load_scenario, parse_scenario
+from chainsim.netsim import run_scenario
+from chainsim.scenario import PUBLISHING, ScenarioError, load_scenario, node_keypair, parse_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO / "scenarios"
@@ -589,3 +589,22 @@ def test_library_use_loads_neither_yaml_nor_multiprocessing():
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_parsing_loads_no_simulator(tmp_path):
+    """The parser holds the run-configuration types it fills, so parsing a
+    scenario mapping or a params file never imports the simulator."""
+    params = tmp_path / "params.yaml"
+    params.write_text("block_subsidy: 5\npow:\n  target_bits: 250\n")
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(scenario.__file__).parent.parent)!r})",
+        "from chainsim import scenario",
+        f"scenario.parse_scenario({minimal(duration=40)!r})",
+        f"scenario.load_params({str(params)!r})",
+        "print('chainsim.netsim' in sys.modules)",
+    ])
+    run = subprocess.run([sys.executable, "-"], input=script, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from chainsim import consensus as cons
 from chainsim.chain import ChainParams
 from chainsim.crypto import derive_address
-from chainsim.netsim import (
+from chainsim.scenario import (
     FULL,
     LIGHTWEIGHT,
     PUBLISHING,
@@ -37,15 +37,16 @@ from chainsim.netsim import (
     MAJORITY_REORG,
     NodeSpec,
     PartitionSpec,
+    ScenarioError,
     SimConfig,
     SOFT,
     TopologySpec,
     WITHHOLDING,
     WorkloadSpec,
     node_keypair,
+    parse_scenario,
 )
 from chainsim import scenario
-from chainsim.scenario import ScenarioError, parse_scenario
 
 from test_golden_grid import POINTS
 from test_scenario import SCENARIO_DIR, minimal
