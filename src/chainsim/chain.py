@@ -14,10 +14,11 @@ a reorganization that orphans nothing.
 ChainStore.append_block is the one place that indexes a block and stores its
 undo record, and _founding_state the one check of a genesis.  One replay
 judges each later record once, read two ways: load runs it to the end, and
-verify_blocks (which chain verify feeds every record read_chain_file decodes)
-stops at the first failing verdict.  persist writes beside the chain file a
-record of the prefix whose blocks passed validation; load alone reads it, and
-skips their signature checks, and only those, as Bitcoin Core's -assumevalid.
+verify_blocks (which chain verify feeds every record read_chain_file decodes,
+and the store it founds on the first) stops at the first failing verdict.
+persist writes beside the chain file a record of the prefix whose blocks
+passed validation; load alone reads it, and skips their signature checks, and
+only those, as Bitcoin Core's -assumevalid.
 
 validate_and_apply walks a block's rules once per block object and params
 object: the first judgement with signature checks keeps on the block its
@@ -25,8 +26,10 @@ verdict and, for a valid block, its forward delta (BlockVerdict), in the
 manner of Bitcoin Core's script-execution cache.  Every later call with the
 same params, such as from the other nodes of one simulation, applies a kept
 acceptance to its own state, and one with signature checks also returns a
-kept rejection.  The verdict is the one cache of a judgement, and nothing is
-kept beyond the block objects.
+kept rejection.  A pooled transaction is judged the same way, once per tip
+hash and params object (ChainStore.tx_verdict).  Each verdict is the one
+cache of its judgement, and nothing is kept beyond the block and transaction
+objects.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ EXTENDED = "Extended"
 NEW_SIDE_BRANCH = "NewSideBranch"
 REORGANIZED = "Reorganized"
 REJECTED = "Rejected"
+
+KEPT_TX_VERDICTS = 4  # tips per transaction (ChainStore.tx_verdict)
 
 
 @dataclass(frozen=True)
@@ -773,11 +778,49 @@ class ChainStore:
             for b in adopted:
                 self.mempool.remove_confirmed(b.transactions)
             orphaned_txs = [t for b in orphaned for t in b.transactions]
-            self.mempool.reinsert(orphaned_txs, state.utxo, confirmed, allow_locked)
-            self.mempool.drop_conflicting(state.utxo, allow_locked)
+            self.mempool.reinsert(orphaned_txs, state.utxo, confirmed, allow_locked,
+                                  self.tx_verdict)
+            self.mempool.drop_conflicting(state.utxo, allow_locked, self.tx_verdict)
+            for t in self.blocks[self.tip.header.prev_header_hash].transactions:
+                t.__dict__.pop("_verdicts", None)  # see tx_verdict
         if not orphaned:
             return AppendResult(EXTENDED)
         return AppendResult(REORGANIZED, orphaned=orphaned, adopted=adopted)
+
+    # -- pool ------------------------------------------------------------------
+
+    def tx_verdict(self, tx: Transaction) -> Validity:
+        """validate_transaction of tx against the tip state, with signature
+        checks, and with locked inputs allowed outside the stake models.
+
+        The first store to judge tx at a tip keeps the verdict on tx, keyed by
+        the tip hash and the params object, and every other call with both the
+        same, as from the other nodes of one simulation, returns it without a
+        walk: the two fix the state judged, as they fix a block's parent state
+        in validate_and_apply.  Nodes on different tips take turns as a
+        transaction spreads, so tx keeps its verdicts at the last
+        KEPT_TX_VERDICTS tips, under one params object.  A store with a pool
+        that adopts a block drops those of its parent's transactions: only a
+        node two blocks behind, or one that reorganizes past them, still asks
+        about those, and they would otherwise stay as long as the chain."""
+        kept = tx.__dict__.get("_verdicts")
+        if kept is None or kept[0] is not self.params:
+            kept = (self.params, {})
+            object.__setattr__(tx, "_verdicts", kept)
+        verdicts = kept[1]
+        v = verdicts.get(self.tip_hash)
+        if v is None:
+            if len(verdicts) == KEPT_TX_VERDICTS:
+                del verdicts[next(iter(verdicts))]  # the oldest
+            v = validate_transaction(tx, self.tip_state().utxo, not is_stake_model(self.params))
+            verdicts[self.tip_hash] = v
+        return v
+
+    def admit(self, tx: Transaction) -> Validity:
+        """Offer tx to the pool against the tip state (Mempool.add), judged
+        through tx_verdict."""
+        return self.mempool.add(tx, self.tip_state().utxo, not is_stake_model(self.params),
+                                self.tx_verdict)
 
     # -- confirmation ----------------------------------------------------------
 
@@ -853,18 +896,23 @@ def _replay(store: ChainStore, blocks: Iterable[Block], trusted: int = 0):
         yield block, v
 
 
-def verify_blocks(params: ChainParams, blocks: Iterable[Block]) -> VerifyResult:
+def verify_blocks(
+    params: ChainParams, blocks: Iterable[Block], store: ChainStore | None = None
+) -> VerifyResult:
     """Found a store on the first block and judge every later one through
     _replay, up to the first failing verdict; an unknown parent, or a
-    height-0 block after the first, reports PrevHash."""
+    height-0 block after the first, reports PrevHash.  A store already
+    founded on the first block, as read_chain_file's, can be passed instead:
+    the replay then runs on it, and the first block is not judged again."""
     blocks = iter(blocks)
     genesis = next(blocks, None)
     if genesis is None:
         return VerifyResult(True)
-    try:
-        store = ChainStore(params, genesis)
-    except ValueError as exc:
-        return VerifyResult(False, genesis.header.height, exc.validity.reason)
+    if store is None:
+        try:
+            store = ChainStore(params, genesis)
+        except ValueError as exc:
+            return VerifyResult(False, genesis.header.height, exc.validity.reason)
     for block, v in _replay(store, blocks):
         if not v:
             height = block.header.height

@@ -229,7 +229,7 @@ def cmd_chain(args) -> int:
 
     if args.chain_cmd == "verify":
         params, chain_file = _read_chain(args, read_chain_file)
-        result = verify_blocks(params, chain_file.blocks)
+        result = verify_blocks(params, chain_file.blocks, chain_file.store)
         if result.ok:
             print("Ok")
             return EXIT_OK

@@ -276,8 +276,8 @@ class Address:
     def from_bytes(cls, raw: bytes) -> "Address":
         if len(raw) != ADDRESS_SIZE:
             raise ValueError(f"address must be {ADDRESS_SIZE} bytes")
-        addr = cls(version=raw[0], payload=raw[1:21], checksum=raw[21:])
-        if not addr.checksum_ok():
+        addr = cls.make(raw[0], raw[1:21])
+        if addr.checksum != raw[21:]:
             raise ValueError("address checksum mismatch")
         return addr
 
@@ -290,10 +290,6 @@ class Address:
 
     def hex(self) -> str:
         return self.to_bytes().hex()
-
-    def checksum_ok(self) -> bool:
-        expect = sha256(bytes([self.version]) + self.payload)[:ADDRESS_CHECKSUM_SIZE]
-        return self.checksum == expect
 
     def __str__(self) -> str:
         return self.hex()
@@ -331,7 +327,9 @@ class HashStream:
 
     Each (seed, tag) pair is an independent stream; no OS entropy is ever
     consumed, so any consumer seeded this way replays identically.  Each
-    draw takes the next counter position; ``skip`` takes one unhashed.
+    draw takes the next counter position.  Counter mode can skip ahead:
+    ``reserve`` takes a run of positions unhashed, and ``u64(at)`` reads any
+    position without moving the counter.
     """
 
     def __init__(self, seed: int | bytes, tag: str | bytes = ""):
@@ -342,14 +340,19 @@ class HashStream:
         self._prefix = seed + tag
         self._counter = 0
 
-    def u64(self) -> int:
-        block = sha256(self._prefix + struct.pack(">Q", self._counter))
-        self._counter += 1
-        return int.from_bytes(block[:8], "big")
+    def u64(self, at=None) -> int:
+        """The value at position at (an int), leaving the counter as it is;
+        by default, the next position's, which the draw takes."""
+        if at is None:
+            at = self._counter
+            self._counter += 1
+        return int.from_bytes(sha256(self._prefix + struct.pack(">Q", at))[:8], "big")
 
-    def skip(self) -> None:
-        """Advance past one position, as a draw would, without hashing it."""
-        self._counter += 1
+    def reserve(self, n: int) -> int:
+        """Take the next n positions, as n draws would, without hashing any;
+        return the first."""
+        self._counter += n
+        return self._counter - n
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""

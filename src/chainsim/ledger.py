@@ -484,7 +484,9 @@ def balance(address: Address, utxo: UtxoSet) -> Balance:
 
 class Mempool:
     """Validated pending transactions, kept by tx_id in arrival order, which
-    is the order block assembly reads them in."""
+    is the order block assembly reads them in.  Where a method takes judge,
+    judge(tx) stands for validate_transaction(tx, utxo, allow_locked) and
+    must return the same (a chain store passes its kept verdicts)."""
 
     def __init__(self) -> None:
         self._entries: dict[bytes, Transaction] = {}
@@ -496,13 +498,15 @@ class Mempool:
     def __contains__(self, tx_id: bytes) -> bool:
         return tx_id in self._entries
 
-    def add(self, tx: Transaction, utxo: UtxoSet, allow_locked: bool = False) -> Validity:
+    def add(
+        self, tx: Transaction, utxo: UtxoSet, allow_locked: bool = False, judge=None
+    ) -> Validity:
         if tx.kind == TxKind.COINBASE:
             return _invalid("Coinbase", "coinbase never enters the pool")
         tx_id = tx.tx_id
         if tx_id in self._entries:
             return _invalid("Duplicate")
-        v = validate_transaction(tx, utxo, allow_locked)
+        v = judge(tx) if judge else validate_transaction(tx, utxo, allow_locked)
         if not v:
             return v
         for inp in tx.inputs:
@@ -521,10 +525,10 @@ class Mempool:
         for tx in txs:
             self._drop(tx.tx_id)
 
-    def drop_conflicting(self, utxo: UtxoSet, allow_locked: bool = False) -> None:
+    def drop_conflicting(self, utxo: UtxoSet, allow_locked: bool = False, judge=None) -> None:
         """Evict entries no longer valid against a new chain state."""
-        for tx_id in [t for t, tx in self._entries.items()
-                      if not validate_transaction(tx, utxo, allow_locked)]:
+        for tx_id in [t for t, tx in self._entries.items() if not (
+                judge(tx) if judge else validate_transaction(tx, utxo, allow_locked))]:
             self._drop(tx_id)
 
     def reinsert(
@@ -533,19 +537,18 @@ class Mempool:
         utxo: UtxoSet,
         confirmed_ids: set[bytes],
         allow_locked: bool = False,
+        judge=None,
     ) -> list[bytes]:
-        """Return orphaned transactions to the pool after a reorganization.
+        """Return orphaned transactions to the pool after a reorganization,
+        and their ids.
 
         Coinbases are dropped, as is anything already confirmed on the adopted
         branch or no longer valid against its state.  Candidates enter in
         tx_id order (the batch shares one arrival)."""
-        returned = []
         candidates = [t for t in orphaned
                       if t.kind != TxKind.COINBASE and t.tx_id not in confirmed_ids]
-        for tx in sorted(candidates, key=lambda t: t.tx_id):
-            if self.add(tx, utxo, allow_locked):
-                returned.append(tx.tx_id)
-        return returned
+        return [tx.tx_id for tx in sorted(candidates, key=lambda t: t.tx_id)
+                if self.add(tx, utxo, allow_locked, judge)]
 
     def take(self, max_bytes: int, utxo: UtxoSet, allow_locked: bool = False) -> list[Transaction]:
         """Select transactions for a block, respecting a serialized-size budget

@@ -252,6 +252,11 @@ class Simulation:
             if config.topology.partitions
             else {name: [other for other in self.order if other != name] for name in self.order}
         )
+        # and so the nodes each one's floods reach, built once
+        self._flood_lists = None
+        if self._all_peers is not None:
+            self._flood_lists = {(name, txs): self._flood_targets(name, txs)
+                                 for name in self.order for txs in (False, True)}
 
         self.adversary = config.adversary
         self.adversary_node = self.nodes[config.adversary.node] if config.adversary else None
@@ -304,32 +309,19 @@ class Simulation:
     def reachable(self, a: str, b: str, tick: int) -> bool:
         return self._group_of(a, tick) == self._group_of(b, tick)
 
-    def _latency(self) -> int:
-        jitter = self._gossip_stream.randrange(self._jitter + 1) if self._jitter else 0
+    def _latency(self, at: int | None = None) -> int:
+        """A link delay: the base latency plus a jitter drawn at gossip-stream
+        position at (by default, the next one), and at least 1."""
+        jitter = self._gossip_stream.u64(at) % (self._jitter + 1) if self._jitter else 0
         return max(1, self._latency_base + jitter)
 
-    def _arrival(
-        self, peer: SimNode, key: bytes | None, held: bool, extra_delay: int = 0
-    ) -> int | None:
-        """Arrival tick of a flood push of item key to peer, or None when the
-        peer holds the item or an earlier push reaches it, online, no later:
-        on a tie that one runs first, so this one would do nothing.  Takes
-        the peer's one gossip-stream position, hashed only when the earliest
-        arrival does not decide.  An arrival at an online tick is recorded in
-        peer.due, unless key is None."""
-        due = peer.due.get(key)
-        start = self.now + extra_delay
-        # no link delay is below max(1, latency), whatever the stream draws
-        if held or due is not None and due <= start + max(1, self._latency_base):
-            if self._jitter:
-                self._gossip_stream.skip()
-            return None
-        arrive = start + self._latency()
-        if due is not None and due <= arrive:
-            return None
-        if key is not None and peer.online(arrive):
-            peer.due[key] = arrive
-        return arrive
+    def _flood_targets(self, name: str, txs: bool) -> list[SimNode]:
+        """The nodes a flood from name reaches now, in config order: every
+        peer under a block, the full ones under a transaction (txs)."""
+        if self._flood_lists is not None:
+            return self._flood_lists[name, txs]
+        return [self.nodes[other] for other in self.peers_of(name, self.now)
+                if not txs or self.nodes[other].role != LIGHTWEIGHT]
 
     def peers_of(self, name: str, tick: int) -> list[str]:
         """Nodes that name reaches at tick, in config order.  Without
@@ -653,35 +645,52 @@ class Simulation:
 
     def _gossip_block(self, node: SimNode, block: Block, extra_delay: int = 0) -> None:
         """Flood a block (a header, to lightweight peers) to every reachable
-        peer.
+        peer.  A node calls this once per block: when it produces the block,
+        first accepts it, or releases it from its secret chain, and its store
+        rejects any later copy as Duplicate."""
+        self._flood(node, _RANK_BLOCK, block, header_hash(block.header), extra_delay)
 
-        A node calls this once per block: when it produces the block, first
-        accepts it, or releases it from its secret chain, and its store
-        rejects any later copy as Duplicate.  Each peer takes one
-        gossip-stream position, pushed or not, hashed only when read.  No
-        delivery is pushed to a full peer whose store indexes the block (a
-        store never drops one), nor, without a fork schedule, to one that an
-        earlier copy reaches first (`_arrival`): every block is then valid on
-        every node, and a later copy of an orphan-buffered block would only
-        add a buffer entry that ends in Duplicate.  With a fork schedule a
-        peer logs each copy it rejects, so those copies are all pushed.
+    def _flood(
+        self, node: SimNode, rank: int, item, item_id: bytes, extra_delay: int = 0
+    ) -> None:
+        """Push item from node to the nodes _flood_targets names: a block
+        (rank _RANK_BLOCK) to every peer, as a header to a lightweight one,
+        and a transaction (_RANK_TX) to the full ones.
+
+        Each of those takes one gossip-stream position, in order, pushed or
+        not: the flood reserves them at once and hashes position base + i
+        only for the i-th whose draw decides.  No delivery is pushed to a
+        full peer that holds the item (a store never drops a block, nor
+        tx_relayed an id), nor to one that an earlier push reaches, online,
+        no later (peer.due): on a tie that push runs first, so this one would
+        do nothing.  That holds for blocks without a fork schedule, as every
+        block is then valid on every node, and a later copy of an
+        orphan-buffered block would only add a buffer entry that ends in
+        Duplicate.  With one, a peer logs each copy it rejects, so a block
+        records no due and every copy is pushed.
         """
-        h = header_hash(block.header)
-        key = h if self.config.fork is None else None
-        for peer_name in self.peers_of(node.name, self.now):
-            peer = self.nodes[peer_name]
+        is_tx = rank == _RANK_TX
+        settles = is_tx or self.config.fork is None
+        peers = self._flood_targets(node.name, is_tx)
+        base = self._gossip_stream.reserve(len(peers)) if self._jitter else 0
+        start = self.now + extra_delay
+        floor = start + max(1, self._latency_base)  # no link delay is shorter, whatever the draw
+        kind = "deliver_tx" if is_tx else "deliver_block"
+        for i, peer in enumerate(peers):
             if peer.role == LIGHTWEIGHT:
-                self._push(
-                    self.now + self._latency() + extra_delay,
-                    _RANK_BLOCK,
-                    peer.addr,
-                    "deliver_header",
-                    (peer_name, block.header),
-                )
-            elif arrive := self._arrival(peer, key, h in peer.store.blocks, extra_delay):
-                self._push(
-                    arrive, _RANK_BLOCK, peer.addr, "deliver_block", (peer_name, block, node.name)
-                )
+                self._push(start + self._latency(base + i), rank, peer.addr, "deliver_header",
+                           (peer.name, item.header))
+                continue
+            due = peer.due.get(item_id)  # never set for an item that settles no peer
+            if (due is not None and due <= floor
+                    or item_id in (peer.tx_relayed if is_tx else peer.store.blocks)):
+                continue
+            arrive = start + self._latency(base + i)
+            if due is not None and due <= arrive:
+                continue
+            if settles and peer.online(arrive):
+                peer.due[item_id] = arrive
+            self._push(arrive, rank, peer.addr, kind, (peer.name, item, node.name))
 
     def _on_deliver_header(self, name: str, header: BlockHeader) -> None:
         node = self.nodes[name]
@@ -784,26 +793,16 @@ class Simulation:
         self._deliver_tx_to(node, tx, via)
 
     def _deliver_tx_to(self, node: SimNode, tx: Transaction, sender: str) -> None:
-        """First arrival of a transaction at a full node: pool it and flood it
-        to every reachable full peer.
-
-        Each full peer takes one gossip-stream position, pushed or not, hashed
-        only when read.  No delivery is pushed to a peer that has already
-        relayed the transaction, nor to one that an earlier push reaches
-        first (`_arrival`).
-        """
+        """First arrival of a transaction at a full node: offer it to the
+        node's pool (ChainStore.admit) and flood it to every reachable full
+        peer."""
         tx_id = tx.tx_id
         if tx_id in node.tx_relayed:
             return
         node.tx_relayed.add(tx_id)
         node.due.pop(tx_id, None)
-        node.store.mempool.add(tx, node.store.tip_state().utxo, not self.stake_model)
-        for peer_name in self.peers_of(node.name, self.now):
-            peer = self.nodes[peer_name]
-            if peer.role != LIGHTWEIGHT and (
-                arrive := self._arrival(peer, tx_id, tx_id in peer.tx_relayed)
-            ):
-                self._push(arrive, _RANK_TX, peer.addr, "deliver_tx", (peer_name, tx, node.name))
+        node.store.admit(tx)
+        self._flood(node, _RANK_TX, tx, tx_id)
 
     def _on_deliver_tx(self, name: str, tx: Transaction, sender: str) -> None:
         node = self.nodes[name]

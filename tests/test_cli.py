@@ -869,6 +869,43 @@ def test_genesis_is_walked_once_by_chain_tip_and_by_a_failing_verify(
     assert genesis_walks == [txs]
 
 
+def test_chain_verify_walks_the_genesis_once(capsys, tmp_path, data_dir, monkeypatch):
+    """chain verify judges the later records on the store read_chain_file
+    founded, so the genesis transactions are walked once, on a file that
+    verifies and on one whose last record fails; stdout and the exit code
+    are those of verify_blocks founding its own store."""
+    contract = deploy_counter(capsys, tmp_path, data_dir)
+    assert run_cli(capsys, "--data-dir", data_dir, "call", contract, "--fee", 2)[0] == 0
+    path = data_dir / "chain.dat"
+    block1 = deserialize_block(path.read_bytes()[slice(*_record_spans(path.read_bytes())[1])])[0]
+    genesis_walks = []
+    walk = chain._walk_transactions
+
+    def counted_walk(txs, state, height, *args):
+        if height == 0:
+            genesis_walks.append(txs)
+        return walk(txs, state, height, *args)
+
+    monkeypatch.setattr(chain, "_walk_transactions", counted_walk)
+    for broken in (False, True):
+        if broken:  # a record at height 3 that repeats block 1's transactions
+            tip = _load_store(argparse.Namespace(data_dir=str(data_dir))).tip
+            txs = block1.transactions
+            header = BlockHeader(3, header_hash(tip.header), transactions_merkle_root(txs), 3,
+                                 len(block_data_bytes(txs)), 0, 0)
+            record = Block(header, txs).serialize()
+            with open(path, "ab") as fh:
+                fh.write(struct.pack(">I", len(record)) + record + sha256(record)[:4])
+        genesis_walks.clear()
+        code, out, _ = run_cli(capsys, "--data-dir", data_dir, "chain", "verify")
+        assert len(genesis_walks) == 1
+        params = _load_store(argparse.Namespace(data_dir=str(data_dir))).params
+        want = chain.verify_blocks(params, chain.read_chain_file(str(path), params).blocks)
+        assert (code, out) == ((2, f"Broken height=3 reason={want.reason}\n") if broken
+                               else (0, "Ok\n"))
+        assert want.ok != broken
+
+
 # -- simulator --------------------------------------------------------------------------
 
 

@@ -399,13 +399,15 @@ def test_address_memo_is_bounded_and_answers_as_a_fresh_derivation():
 # ---------------------------------------------------------------------------
 
 
-@given(st.integers(min_value=0, max_value=2**32), st.binary(max_size=8))
-def test_hashstream_skip_takes_one_position_unhashed(seed, tag):
-    skipped, fresh = HashStream(seed, tag), HashStream(seed, tag)
-    skipped.skip()
-    fresh.u64()
-    assert skipped._counter == fresh._counter == 1
-    assert skipped.u64() == fresh.u64()
+@given(st.integers(min_value=0, max_value=2**32), st.binary(max_size=8), st.integers(0, 40))
+def test_hashstream_u64_at_reads_the_ith_draw_and_leaves_the_counter(seed, tag, i):
+    sequential, indexed = HashStream(seed, tag), HashStream(seed, tag)
+    draws = [sequential.u64() for _ in range(i + 1)]
+    assert indexed.u64(at=i) == draws[i]
+    assert indexed._counter == 0
+    # reserve takes positions without hashing them, as draws would
+    assert indexed.reserve(i) == 0 and indexed._counter == i
+    assert indexed.u64() == draws[i] and indexed._counter == sequential._counter
 
 
 def test_hashstream_replays_identically():

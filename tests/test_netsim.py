@@ -396,10 +396,10 @@ def test_flood_hashes_only_the_draws_it_reads_and_pushes_no_duplicate_block(monk
     hashed, reasons = [], []
     u64, append_block = HashStream.u64, ChainStore.append_block
 
-    def counted_u64(stream):
+    def counted_u64(stream, at=None):
         if stream is sim._gossip_stream:
-            hashed.append(stream._counter)
-        return u64(stream)
+            hashed.append(stream._counter if at is None else at)
+        return u64(stream, at)
 
     def counted_append_block(store, block, *args, **kwargs):
         result = append_block(store, block, *args, **kwargs)
@@ -410,5 +410,7 @@ def test_flood_hashes_only_the_draws_it_reads_and_pushes_no_duplicate_block(monk
     monkeypatch.setattr(ChainStore, "append_block", counted_append_block)
     result = sim.run()
     assert result.event_log_digest().hex().startswith("a10dd77119fbe44d")
+    assert len(set(hashed)) == len(hashed)
+    assert all(0 <= position < sim._gossip_stream._counter for position in hashed)
     assert 0 < len(hashed) < sim._gossip_stream._counter
     assert reasons and "Duplicate" not in reasons
