@@ -26,10 +26,11 @@ verdict and, for a valid block, its forward delta (BlockVerdict), in the
 manner of Bitcoin Core's script-execution cache.  Every later call with the
 same params, such as from the other nodes of one simulation, applies a kept
 acceptance to its own state, and one with signature checks also returns a
-kept rejection.  A pooled transaction is judged the same way, once per tip
-hash and params object (ChainStore.tx_verdict).  Each verdict is the one
-cache of its judgement, and nothing is kept beyond the block and transaction
-objects.
+kept rejection.  A transaction keeps its own last verdict, keyed by the
+input entries its rules read (ledger.validate_transaction), which pool
+intake and maintenance, block assembly and the walk here all share.  Each
+verdict is the one cache of its judgement, and nothing is kept beyond the
+block and transaction objects.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ EXTENDED = "Extended"
 NEW_SIDE_BRANCH = "NewSideBranch"
 REORGANIZED = "Reorganized"
 REJECTED = "Rejected"
-
-KEPT_TX_VERDICTS = 4  # tips per transaction (ChainStore.tx_verdict)
 
 
 @dataclass(frozen=True)
@@ -774,53 +773,27 @@ class ChainStore:
                 self._adopted_tx_heights[t.tx_id] = b.header.height
         if self.mempool is not None:
             allow_locked = not is_stake_model(self.params)
-            confirmed = {t.tx_id for b in adopted for t in b.transactions}
             for b in adopted:
                 self.mempool.remove_confirmed(b.transactions)
             orphaned_txs = [t for b in orphaned for t in b.transactions]
-            self.mempool.reinsert(orphaned_txs, state.utxo, confirmed, allow_locked,
-                                  self.tx_verdict)
-            self.mempool.drop_conflicting(state.utxo, allow_locked, self.tx_verdict)
-            for t in self.blocks[self.tip.header.prev_header_hash].transactions:
-                t.__dict__.pop("_verdicts", None)  # see tx_verdict
+            self.mempool.reinsert(orphaned_txs, state.utxo, allow_locked)
+            self.mempool.drop_conflicting(state.utxo, allow_locked)
+        # drop the verdicts the parent's transactions keep (validate_transaction),
+        # pool or not, as block judgement keeps them too: only a node two
+        # blocks behind, or one that reorganizes past them, still asks about
+        # those, and kept, they would hold the entries they spent as long as
+        # the chain
+        for t in self.blocks[self.tip.header.prev_header_hash].transactions:
+            t.__dict__.pop("_verdict", None)
         if not orphaned:
             return AppendResult(EXTENDED)
         return AppendResult(REORGANIZED, orphaned=orphaned, adopted=adopted)
 
     # -- pool ------------------------------------------------------------------
 
-    def tx_verdict(self, tx: Transaction) -> Validity:
-        """validate_transaction of tx against the tip state, with signature
-        checks, and with locked inputs allowed outside the stake models.
-
-        The first store to judge tx at a tip keeps the verdict on tx, keyed by
-        the tip hash and the params object, and every other call with both the
-        same, as from the other nodes of one simulation, returns it without a
-        walk: the two fix the state judged, as they fix a block's parent state
-        in validate_and_apply.  Nodes on different tips take turns as a
-        transaction spreads, so tx keeps its verdicts at the last
-        KEPT_TX_VERDICTS tips, under one params object.  A store with a pool
-        that adopts a block drops those of its parent's transactions: only a
-        node two blocks behind, or one that reorganizes past them, still asks
-        about those, and they would otherwise stay as long as the chain."""
-        kept = tx.__dict__.get("_verdicts")
-        if kept is None or kept[0] is not self.params:
-            kept = (self.params, {})
-            object.__setattr__(tx, "_verdicts", kept)
-        verdicts = kept[1]
-        v = verdicts.get(self.tip_hash)
-        if v is None:
-            if len(verdicts) == KEPT_TX_VERDICTS:
-                del verdicts[next(iter(verdicts))]  # the oldest
-            v = validate_transaction(tx, self.tip_state().utxo, not is_stake_model(self.params))
-            verdicts[self.tip_hash] = v
-        return v
-
     def admit(self, tx: Transaction) -> Validity:
-        """Offer tx to the pool against the tip state (Mempool.add), judged
-        through tx_verdict."""
-        return self.mempool.add(tx, self.tip_state().utxo, not is_stake_model(self.params),
-                                self.tx_verdict)
+        """Offer tx to the pool against the tip state (Mempool.add)."""
+        return self.mempool.add(tx, self.tip_state().utxo, not is_stake_model(self.params))
 
     # -- confirmation ----------------------------------------------------------
 

@@ -10,6 +10,9 @@ through the pair, the block verifier and the genesis builder through apply.
 The pair also keeps each set's index of spendable outpoints (see UtxoSet).
 UtxoSet.install alone writes entries apply did not make in this set: those
 another store's apply made for a block whose delta it kept (see chain).
+validate_transaction is the one judgement of a transaction, and keeps the
+one cache of it: the transaction's last verdict, keyed by the entries of its
+inputs, which is all of the state its rules read.
 """
 
 from __future__ import annotations
@@ -328,7 +331,39 @@ def _invalid(reason: str, detail: str = "") -> Validity:
     return Validity(False, reason, detail)
 
 
-def _format_check(tx: Transaction) -> Validity:
+def validate_transaction(
+    tx: Transaction, utxo: UtxoSet, allow_locked: bool = False, check_signatures: bool = True
+) -> Validity:
+    """Check one transaction against a UTXO snapshot.
+
+    Rule order is fixed: format, input existence/lock/spent state, signature,
+    owner match, value conservation, duplicate outpoints.  allow_locked is the
+    unstake path used when the active consensus model holds no stake.
+    check_signatures=False skips the signature rule alone, for a transaction
+    whose exact bytes already passed it.
+
+    The rules read the snapshot only through the entries of tx's inputs, so
+    tx keeps its last verdict, keyed by the two flags and those entries, and
+    a call whose key is equal (UtxoEntry is a frozen value) returns it
+    without a walk, whichever caller asks: pool intake and maintenance,
+    block assembly and block judgement, on any node.  Like Bitcoin Core's
+    script-execution cache, the key is what the rules read, not the state.
+    """
+    entries = [utxo.get(inp.outpoint) for inp in tx.inputs]
+    # a list, not a tuple: the tuples each call frees would pile up on
+    # CPython's tuple free lists
+    key = [allow_locked, check_signatures, *entries]
+    kept = tx.__dict__.get("_verdict")
+    if kept is None or kept[0] != key:
+        kept = key, _rules(tx, entries, allow_locked, check_signatures)
+        object.__setattr__(tx, "_verdict", kept)
+    return kept[1]
+
+
+def _rules(
+    tx: Transaction, entries: list[UtxoEntry | None], allow_locked: bool, check_signatures: bool
+) -> Validity:
+    """validate_transaction's walk, given the entries of tx's inputs."""
     for out in tx.outputs:
         if not 0 <= out.amount <= MAX_SUPPLY:
             return _invalid("BadFormat", "output amount out of range")
@@ -346,42 +381,22 @@ def _format_check(tx: Transaction) -> Validity:
             return _invalid("BadFormat", "call needs a contract-address output")
         if tx.outputs[0].recipient.version != CONTRACT_ADDRESS_VERSION:
             return _invalid("BadFormat", "call output 0 must target a contract address")
-    return VALID
-
-
-def validate_transaction(
-    tx: Transaction, utxo: UtxoSet, allow_locked: bool = False, check_signatures: bool = True
-) -> Validity:
-    """Check one transaction against a UTXO snapshot.
-
-    Rule order is fixed: format, input existence/lock/spent state, signature,
-    owner match, value conservation, duplicate outpoints.  allow_locked is the
-    unstake path used when the active consensus model holds no stake.
-    check_signatures=False skips the signature rule alone, for a transaction
-    whose exact bytes already passed it.
-    """
-    v = _format_check(tx)
-    if not v:
-        return v
-    for inp in tx.inputs:
-        entry = utxo.get(inp.outpoint)
-        if entry is None:
-            return _invalid("UnknownInput", f"{inp.source_tx.hex()[:16]}:{inp.source_index}")
-        if entry.locked and not allow_locked:
-            return _invalid("LockedInput", f"{inp.source_tx.hex()[:16]}:{inp.source_index}")
-        if not entry.live:
-            return _invalid("SpentInput", f"{inp.source_tx.hex()[:16]}:{inp.source_index}")
+    for inp, entry in zip(tx.inputs, entries):
+        reason = ("UnknownInput" if entry is None
+                  else "LockedInput" if entry.locked and not allow_locked
+                  else None if entry.live else "SpentInput")
+        if reason:
+            return _invalid(reason, f"{inp.source_tx.hex()[:16]}:{inp.source_index}")
     if check_signatures:
         tx_id = tx.tx_id
         for inp in tx.inputs:
             if not verify(inp.public_key, tx_id, inp.signature):
                 return _invalid("BadSignature")
-    for inp in tx.inputs:
-        entry = utxo.get(inp.outpoint)
+    for inp, entry in zip(tx.inputs, entries):
         if derive_address(inp.public_key) != entry.output.recipient:
             return _invalid("WrongOwner")
     if tx.kind != TxKind.COINBASE:
-        value_in = sum(utxo.get(i.outpoint).output.amount for i in tx.inputs)
+        value_in = sum(entry.output.amount for entry in entries)
         if value_in < tx.output_value:
             return _invalid("ValueCreated", f"in {value_in} < out {tx.output_value}")
     seen: set[Outpoint] = set()
@@ -484,9 +499,7 @@ def balance(address: Address, utxo: UtxoSet) -> Balance:
 
 class Mempool:
     """Validated pending transactions, kept by tx_id in arrival order, which
-    is the order block assembly reads them in.  Where a method takes judge,
-    judge(tx) stands for validate_transaction(tx, utxo, allow_locked) and
-    must return the same (a chain store passes its kept verdicts)."""
+    is the order block assembly reads them in."""
 
     def __init__(self) -> None:
         self._entries: dict[bytes, Transaction] = {}
@@ -498,15 +511,13 @@ class Mempool:
     def __contains__(self, tx_id: bytes) -> bool:
         return tx_id in self._entries
 
-    def add(
-        self, tx: Transaction, utxo: UtxoSet, allow_locked: bool = False, judge=None
-    ) -> Validity:
+    def add(self, tx: Transaction, utxo: UtxoSet, allow_locked: bool = False) -> Validity:
         if tx.kind == TxKind.COINBASE:
             return _invalid("Coinbase", "coinbase never enters the pool")
         tx_id = tx.tx_id
         if tx_id in self._entries:
             return _invalid("Duplicate")
-        v = judge(tx) if judge else validate_transaction(tx, utxo, allow_locked)
+        v = validate_transaction(tx, utxo, allow_locked)
         if not v:
             return v
         for inp in tx.inputs:
@@ -525,30 +536,23 @@ class Mempool:
         for tx in txs:
             self._drop(tx.tx_id)
 
-    def drop_conflicting(self, utxo: UtxoSet, allow_locked: bool = False, judge=None) -> None:
-        """Evict entries no longer valid against a new chain state."""
-        for tx_id in [t for t, tx in self._entries.items() if not (
-                judge(tx) if judge else validate_transaction(tx, utxo, allow_locked))]:
+    def drop_conflicting(self, utxo: UtxoSet, allow_locked: bool = False) -> None:
+        """Evict entries no longer valid against a new chain state.  Only an
+        entry whose inputs' entries changed is walked again (see
+        validate_transaction)."""
+        for tx_id in [t for t, tx in self._entries.items()
+                      if not validate_transaction(tx, utxo, allow_locked)]:
             self._drop(tx_id)
 
     def reinsert(
-        self,
-        orphaned: Iterable[Transaction],
-        utxo: UtxoSet,
-        confirmed_ids: set[bytes],
-        allow_locked: bool = False,
-        judge=None,
+        self, orphaned: Iterable[Transaction], utxo: UtxoSet, allow_locked: bool = False
     ) -> list[bytes]:
         """Return orphaned transactions to the pool after a reorganization,
-        and their ids.
-
-        Coinbases are dropped, as is anything already confirmed on the adopted
-        branch or no longer valid against its state.  Candidates enter in
-        tx_id order (the batch shares one arrival)."""
-        candidates = [t for t in orphaned
-                      if t.kind != TxKind.COINBASE and t.tx_id not in confirmed_ids]
-        return [tx.tx_id for tx in sorted(candidates, key=lambda t: t.tx_id)
-                if self.add(tx, utxo, allow_locked, judge)]
+        in tx_id order (the batch shares one arrival), and the ids of those
+        add accepts: it refuses a coinbase, and a transaction confirmed on
+        the adopted branch, whose inputs that branch spent."""
+        return [tx.tx_id for tx in sorted(orphaned, key=lambda t: t.tx_id)
+                if self.add(tx, utxo, allow_locked)]
 
     def take(self, max_bytes: int, utxo: UtxoSet, allow_locked: bool = False) -> list[Transaction]:
         """Select transactions for a block, respecting a serialized-size budget

@@ -779,18 +779,9 @@ class Simulation:
         self._emit(f"t={self.now} tx node={via} id={tx_id.hex()[:12]}")
         node.pending_txs.append((tx_id, self.now))
         if node.role == LIGHTWEIGHT:
-            for peer_name in self.peers_of(via, self.now):
-                peer = self.nodes[peer_name]
-                if peer.role != LIGHTWEIGHT:
-                    self._push(
-                        self.now + self._latency(),
-                        _RANK_TX,
-                        peer.addr,
-                        "deliver_tx",
-                        (peer_name, tx, via),
-                    )
-            return
-        self._deliver_tx_to(node, tx, via)
+            self._flood(node, _RANK_TX, tx, tx_id)  # a wallet hands it to its full peers
+        else:
+            self._deliver_tx_to(node, tx, via)
 
     def _deliver_tx_to(self, node: SimNode, tx: Transaction, sender: str) -> None:
         """First arrival of a transaction at a full node: offer it to the

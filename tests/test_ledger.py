@@ -708,7 +708,8 @@ def test_mempool_reinsert_skips_confirmed_and_coinbase():
     tx1 = build_transaction([(fund.tx_id, 1)], [(C_ADDR, 5)], 0, [BOB], utxo)
     orphaned = [make_coinbase([(A_ADDR, 1)], 1), tx1, tx3]
     pool = Mempool()
-    returned = pool.reinsert(orphaned, utxo, confirmed_ids={tx1.tx_id})
+    # tx1 is confirmed on the adopted branch: its input is spent there
+    returned = pool.reinsert(orphaned, applied([tx1], utxo, 1))
     assert returned == [tx3.tx_id]
     assert tx3.tx_id in pool and tx1.tx_id not in pool
 

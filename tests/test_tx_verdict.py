@@ -1,29 +1,32 @@
-"""One transaction judgement per tip hash and params object.
+"""One transaction judgement per set of input entries.
 
-Every full node judges a gossiped transaction against its own tip before it
-pools it, and again when its tip moves (Mempool.reinsert and
-drop_conflicting).  The tip hash and the params object fix the state judged,
-so the first store to judge a transaction at a tip keeps the verdict on the
-transaction (ChainStore.tx_verdict), and every other store on that tip with
-the same params object reuses it.  These tests pin that a simulation walks
-each (transaction, tip) pair at most once in pool maintenance, and that the
-kept verdicts, and the pools they fill, match full validation of fresh
-transaction instances.
+validate_transaction reads the state only through the entries of the
+transaction's inputs, so the transaction keeps its last verdict, keyed by
+allow_locked, check_signatures and those entries, and every caller shares
+it: pool intake (ChainStore.admit), Mempool.reinsert and drop_conflicting
+when a tip moves, Mempool.take and block judgement, on every node.  These
+tests pin that a call on equal entries makes no walk, that a simulation
+walks each (transaction, tip) pair at most once in pool maintenance, and
+that the kept verdicts, and the pools they fill, match full validation of
+fresh transaction instances.
 """
 
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainsim import chain, ledger
+from chainsim import ledger
 from chainsim import consensus as cons
 from chainsim.chain import ChainParams, ChainStore, is_stake_model, make_genesis
 from chainsim.ledger import (
     Mempool,
     TxKind,
     TxOutput,
+    UtxoEntry,
+    UtxoSet,
     build_transaction,
     make_coinbase,
     validate_transaction,
@@ -35,15 +38,82 @@ from test_chain import A_ADDR, ALICE, B_ADDR, BOB, bad_signature, signed
 from test_golden_grid import grid_scenario
 
 
+def _verdict(v):
+    return bool(v), v.reason, v.detail
+
+
+# ---------------------------------------------------------------------------
+# The key: the flags and the input entries
+# ---------------------------------------------------------------------------
+
+SOURCE = bytes(range(32))
+SPEND = signed([((SOURCE, 0), ALICE), ((SOURCE, 1), ALICE)], (TxOutput(9, B_ADDR),))
+FORGED = bad_signature(SPEND)
+
+
+def _entry(amount=5, owner=A_ADDR, locked=False, spent=None):
+    return UtxoEntry(TxOutput(amount, owner), locked, 0, spent)
+
+
+def test_equal_entries_reuse_the_verdict_and_changed_ones_walk(monkeypatch):
+    """A second call on other sets holding equal entries checks no
+    signature; once an input's entry is spent or absent, the call walks
+    again and returns the fresh verdict, and so does the return to the
+    first entries."""
+    verified = []
+    monkeypatch.setattr(ledger, "verify", lambda *args: verified.append(args) or True)
+    tx = replace(SPEND)
+    funded = {(SOURCE, 0): _entry(), (SOURCE, 1): _entry()}
+    assert validate_transaction(tx, UtxoSet(funded))
+    assert len(verified) == 2
+    assert validate_transaction(tx, UtxoSet({op: replace(e) for op, e in funded.items()}))
+    assert len(verified) == 2
+    spent = UtxoSet({**funded, (SOURCE, 1): _entry(spent=3)})
+    assert _verdict(validate_transaction(tx, spent)) == (
+        False, "SpentInput", f"{SOURCE.hex()[:16]}:1")
+    assert _verdict(validate_transaction(tx, UtxoSet())) == (
+        False, "UnknownInput", f"{SOURCE.hex()[:16]}:0")
+    assert validate_transaction(tx, UtxoSet(funded))
+    assert len(verified) == 4
+
+
+# the entries an input may have: absent, and variations of amount, owner,
+# lock and spent state on one outpoint
+ENTRIES = [None, _entry(), _entry(amount=4), _entry(amount=3), _entry(owner=B_ADDR),
+           _entry(locked=True), _entry(spent=2), _entry(locked=True, spent=2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.sampled_from(ENTRIES), st.sampled_from(ENTRIES),
+                          st.booleans(), st.booleans()), min_size=1, max_size=12))
+def test_kept_verdict_equals_a_fresh_walk(calls):
+    """One well-signed and one forged transaction object, each validated
+    against hand-built sets in random order, under both flags, return what
+    a fresh instance, which keeps no verdict, returns."""
+    for forged, first, second, allow_locked, check_signatures in calls:
+        tx = FORGED if forged else SPEND
+        utxo = UtxoSet({op: e for op, e in zip(((SOURCE, 0), (SOURCE, 1)), (first, second))
+                        if e is not None})
+        fresh = replace(tx)
+        assert "_verdict" not in fresh.__dict__
+        assert _verdict(validate_transaction(tx, utxo, allow_locked, check_signatures)) == _verdict(
+            validate_transaction(fresh, utxo, allow_locked, check_signatures))
+
+
+# ---------------------------------------------------------------------------
+# Pool maintenance on a simulation
+# ---------------------------------------------------------------------------
+
+
 def test_pool_maintenance_walks_each_transaction_once_per_tip(monkeypatch):
-    """On a payments grid point, count the validate_transaction walks made
+    """On a payments grid point, count the rule walks (ledger._rules) made
     inside Mempool.add (intake and reinsert) and drop_conflicting, and the
     distinct (tx_id, tip hash) pairs those calls ask about.  Without kept
     verdicts every one of the about ten intakes per transaction walks."""
     sim = Simulation(prepare_config(parse_scenario(grid_scenario(10, 400, 2, 1))))
     store_of = {id(node.store.mempool): node.store for node in sim.nodes.values() if node.store}
     pairs, intakes, walks, depth = set(), [], [], [0]
-    add, drop_conflicting = Mempool.add, Mempool.drop_conflicting
+    add, drop_conflicting, rules = Mempool.add, Mempool.drop_conflicting, ledger._rules
 
     def maintenance(method, asked):
         def counted(pool, *args, **kwargs):
@@ -61,16 +131,15 @@ def test_pool_maintenance_walks_each_transaction_once_per_tip(monkeypatch):
         intakes.append(tx.tx_id)
         return [] if tx.kind == TxKind.COINBASE or tx.tx_id in pool else [tx.tx_id]
 
-    def counted_walk(*args, **kwargs):
+    def counted_walk(tx, *args):
         if depth[0]:
-            walks.append(args[0].tx_id)
-        return validate_transaction(*args, **kwargs)
+            walks.append(tx.tx_id)
+        return rules(tx, *args)
 
     monkeypatch.setattr(Mempool, "add", maintenance(add, asked_by_add))
     monkeypatch.setattr(Mempool, "drop_conflicting",
                         maintenance(drop_conflicting, lambda pool, *args: list(pool._entries)))
-    monkeypatch.setattr(ledger, "validate_transaction", counted_walk)
-    monkeypatch.setattr(chain, "validate_transaction", counted_walk)
+    monkeypatch.setattr(ledger, "_rules", counted_walk)
     result = sim.run()
     assert result.event_log_digest().hex().startswith("a10dd77119fbe44d")
     assert len(intakes) > 5 * len(set(intakes))
@@ -126,14 +195,40 @@ def _payments():
 PAYMENTS = _payments()
 
 
+VALIDATE = validate_transaction
+
+
+def _fresh_walk(tx, *args):
+    fresh = replace(tx)
+    assert "_verdict" not in fresh.__dict__
+    return VALIDATE(fresh, *args)
+
+
+@contextmanager
+def _judging_fresh_instances():
+    ledger.validate_transaction = _fresh_walk
+    try:
+        yield
+    finally:
+        ledger.validate_transaction = VALIDATE
+
+
 class ReferenceStore(ChainStore):
     """A store whose pool judges every transaction in full, on a fresh
-    instance, which carries no kept verdict."""
+    instance, which carries no kept verdict: intake, and the reinsert and
+    eviction of a tip move."""
 
-    def tx_verdict(self, tx):
-        fresh = replace(tx)
-        assert "_verdicts" not in fresh.__dict__
-        return validate_transaction(fresh, self.tip_state().utxo, not is_stake_model(self.params))
+    def admit(self, tx):
+        with _judging_fresh_instances():
+            return super().admit(tx)
+
+    def _reorganize(self, *args):
+        with _judging_fresh_instances():
+            return super()._reorganize(*args)
+
+
+def _tip_verdict(store: ChainStore, tx):
+    return validate_transaction(tx, store.tip_state().utxo, not is_stake_model(store.params))
 
 
 def _block(store: ChainStore, parent_hash: bytes, picks: list[int], timestamp: int):
@@ -150,10 +245,6 @@ def _block(store: ChainStore, parent_hash: bytes, picks: list[int], timestamp: i
         utxo.revert(tx)
     candidate = store.make_candidate(A_ADDR, txs, timestamp, parent_hash=parent_hash)
     return cons.attach_proof(candidate, STAKE_PARAMS.consensus, keypair=ALICE)
-
-
-def _verdict(v):
-    return bool(v), v.reason, v.detail
 
 
 @settings(max_examples=25, deadline=None)
@@ -196,10 +287,8 @@ def test_kept_verdicts_match_full_validation(plan, rng):
         for tx in rng.sample(PAYMENTS, len(PAYMENTS)):
             for store in rng.sample(stores, len(stores)):
                 store.admit(tx)
-                want = validate_transaction(replace(tx), store.tip_state().utxo,
-                                            not is_stake_model(store.params))
-                assert _verdict(store.tx_verdict(tx)) == _verdict(want)
+                assert _verdict(_tip_verdict(store, tx)) == _verdict(_tip_verdict(store, replace(tx)))
         assert list(first.mempool._entries) == list(reference.mempool._entries)
     unstake = PAYMENTS[FUNDS + 3]
-    assert first.tx_verdict(unstake).reason == "LockedInput"
-    assert working.tx_verdict(unstake)
+    assert _tip_verdict(first, unstake).reason == "LockedInput"
+    assert _tip_verdict(working, unstake)
