@@ -219,7 +219,6 @@ def make_genesis(params: ChainParams, extra_txs: tuple[Transaction, ...] = ()) -
 class ChainState:
     utxo: UtxoSet
     registry: contracts.ContractRegistry = field(default_factory=dict)
-    deploy_counts: dict[bytes, int] = field(default_factory=dict)
     stake_resets: dict[Outpoint, int] = field(default_factory=dict)
     pow_params: object = None  # PowParams with the branch-current target
 
@@ -227,7 +226,6 @@ class ChainState:
         return ChainState(
             self.utxo.copy(),
             contracts.clone_registry(self.registry),
-            dict(self.deploy_counts),
             dict(self.stake_resets),
             self.pow_params,
         )
@@ -243,8 +241,9 @@ class BlockUndo:
     the block is stored, and ``fees`` sums their fees for the ExcessReward
     check.  ``writes`` holds, in write order, (table, key, prior value) for
     each slot the block set in the registry (a deployed contract, or a
-    called one), deploy_counts or stake_resets; a prior of None means the
-    slot was empty.
+    called one) or stake_resets; a prior of None means the slot was empty.
+    A creator's next deploy index is the count of its accounts in the
+    registry (contracts.deploy_count), so a revert takes it back too.
     """
 
     pow_params: object  # the branch PowParams after this block (None outside PoW)
@@ -323,12 +322,8 @@ def _walk_transactions(
         undo.fees += fee
         if tx.kind == TxKind.CONTRACT_DEPLOY:
             creator = derive_address(tx.inputs[0].public_key)
-            key = creator.to_bytes()
-            count = state.deploy_counts.get(key)
-            account = contracts.registry_deploy(state.registry, creator, count or 0, tx.payload)
-            state.deploy_counts[key] = (count or 0) + 1
-            undo.writes += [("registry", account.address.to_bytes(), None),
-                            ("deploy_counts", key, count)]
+            account = contracts.registry_deploy(state.registry, creator, tx.payload)
+            undo.writes.append(("registry", account.address.to_bytes(), None))
         elif tx.kind == TxKind.CONTRACT_CALL:
             # copy on write: an account is not changed once the call that
             # made it returns, so undo records can share accounts
@@ -380,8 +375,8 @@ class BlockVerdict:
     first full judgement.  A valid block's also holds its forward delta, what
     it did to its parent's post-state, so that every other store can apply it
     without a rule: the branch PowParams after it, its fee total, the final
-    entry of each outpoint _touched lists, and each registry, deploy_counts
-    or stake_resets write as (table, key, new value), in write order."""
+    entry of each outpoint _touched lists, and each registry or
+    stake_resets write as (table, key, new value), in write order."""
 
     params: ChainParams
     validity: Validity
@@ -494,10 +489,9 @@ def _judge(
         if is_stake_model(params)
         else ()
     )
-    ctx = consensus.ProofContext(
-        target=pow_params.target if pow_params is not None else 0, stake_entries=stakes
+    ok, reason = consensus.verify_header_proof(
+        params.consensus, header, pow_params.target if pow_params is not None else 0, stakes
     )
-    ok, reason = consensus.verify_header_proof(params.consensus, header, ctx)
     if not ok:
         return None, _invalid("Consensus", reason)
 
@@ -772,12 +766,15 @@ class ChainStore:
             for t in b.transactions:
                 self._adopted_tx_heights[t.tx_id] = b.header.height
         if self.mempool is not None:
-            allow_locked = not is_stake_model(self.params)
             for b in adopted:
                 self.mempool.remove_confirmed(b.transactions)
-            orphaned_txs = [t for b in orphaned for t in b.transactions]
-            self.mempool.reinsert(orphaned_txs, state.utxo, allow_locked)
-            self.mempool.drop_conflicting(state.utxo, allow_locked)
+            # the orphaned transactions that can enter the pool, in tx_id
+            # order (the batch shares one arrival): no coinbase, and none the
+            # adopted branch confirmed
+            for t in sorted((t for b in orphaned for t in b.transactions[1:]
+                             if t.tx_id not in self._adopted_tx_heights), key=lambda t: t.tx_id):
+                self.admit(t)
+            self.mempool.drop_conflicting(state.utxo, not is_stake_model(self.params))
         # drop the verdicts the parent's transactions keep (validate_transaction),
         # pool or not, as block judgement keeps them too: only a node two
         # blocks behind, or one that reorganizes past them, still asks about
@@ -906,13 +903,10 @@ class ChainFileError(Exception):
 
 
 @dataclass
-class LoadResult:
-    store: ChainStore
-    truncated_at: int | None = None
-
-
-@dataclass
 class ChainFile:
+    """A decoded chain file (read_chain_file), and what load returns: its
+    store then holds every record replayed."""
+
     data: bytes
     blocks: list[Block]
     ends: list[int]  # the offset just past each block's record
@@ -1016,14 +1010,14 @@ def read_chain_file(path: str, params: ChainParams) -> ChainFile:
     return ChainFile(buf, blocks, ends, store, truncated_at)
 
 
-def load(path: str, params: ChainParams) -> LoadResult:
-    """The store read_chain_file founds, every later record judged through
-    _replay: a block that fails a rule stays indexed, so persist writes it
-    back.  Records within the prefix that persist's checked-prefix record
-    vouches for skip their signature checks, which depend on the record bytes
-    alone, and no other rule; the rest are checked in full.  The mempool
-    starts empty, even when a reorganization in the file orphaned
-    transactions."""
+def load(path: str, params: ChainParams) -> ChainFile:
+    """The chain file read_chain_file decodes, once its store has judged
+    every later record through _replay: a block that fails a rule stays
+    indexed, so persist writes it back.  Records within the prefix that
+    persist's checked-prefix record vouches for skip their signature checks,
+    which depend on the record bytes alone, and no other rule; the rest are
+    checked in full.  The mempool starts empty, even when a reorganization in
+    the file orphaned transactions."""
     chain_file = read_chain_file(path, params)
     checked = _checked_length(path, chain_file.data)
     trusted = sum(end <= checked for end in chain_file.ends[1:])
@@ -1031,7 +1025,7 @@ def load(path: str, params: ChainParams) -> LoadResult:
     for _ in _replay(store, chain_file.blocks[1:], trusted):
         pass
     store.mempool = Mempool()
-    return LoadResult(store, chain_file.truncated_at)
+    return chain_file
 
 
 # Last, because consensus imports Block, BlockHeader and header_hash from

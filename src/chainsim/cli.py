@@ -23,7 +23,6 @@ from .chain import (
     ChainParams,
     ChainStore,
     branch_pow_params,
-    header_hash,
     load,
     make_genesis,
     persist,
@@ -372,7 +371,7 @@ def cmd_deploy(args) -> int:
     store = _load_store(args)
     tx, keypair = _local_transaction(args, store, "deploy", [], TxKind.CONTRACT_DEPLOY, code)
     sender = derive_address(keypair.public_key)
-    deploy_index = store.tip_state().deploy_counts.get(sender.to_bytes(), 0)
+    deploy_index = contracts.deploy_count(store.tip_state().registry, sender)
     contract = contracts.derive_contract_address(sender, deploy_index)
     _append_local_block(args, store, [tx], keypair)
     print(f"contract={contract.hex()} height={store.tip_height}")

@@ -14,7 +14,7 @@ that any validator can recompute from the parent hash and height.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import log
 from typing import Iterable, Mapping, Sequence
 
@@ -284,15 +284,6 @@ def parse_poet_certificate(blob: bytes, node: Address) -> PoetCertificate | None
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProofContext:
-    """Branch state a validator needs: the current target (PoW) and the
-    parent state's stake view (PoS models)."""
-
-    target: int = 0
-    stake_entries: Sequence[StakeEntry] = ()
-
-
 def selection_rand(domain: bytes, parent_hash: bytes, height: int) -> float:
     """Per-height draw every validator can recompute."""
     return uniform_from_digest(domain + parent_hash + struct.pack(">Q", height))
@@ -363,14 +354,18 @@ def attach_proof(
     return Block(replace(header, consensus_tag=tag), block.transactions)
 
 
-def verify_header_proof(params: object, header: BlockHeader, ctx: ProofContext) -> tuple[bool, str]:
-    """Model-specific proof check used by block validation."""
+def verify_header_proof(
+    params: object, header: BlockHeader, target: int = 0, stake_entries: Sequence[StakeEntry] = ()
+) -> tuple[bool, str]:
+    """Model-specific proof check used by block validation, given the branch
+    state it needs: the current target (PoW) and the parent state's stake
+    view (PoS models)."""
     if params is None:
         return True, ""
     if isinstance(params, PowParams) and not params.simulated:
         if header.consensus_tag != b"":
             return False, "PoW header carries a tag"
-        if not pow_check(header, ctx.target):
+        if not pow_check(header, target):
             return False, "hash not below target"
         return True, ""
 
@@ -386,7 +381,7 @@ def verify_header_proof(params: object, header: BlockHeader, ctx: ProofContext) 
         return True, ""  # simulated work: rate is enforced by the race model
     if isinstance(params, (PosChainParams, PosCoinAgeParams, PoaParams)):
         expected = expected_publisher(
-            params, header.prev_header_hash, header.height, ctx.stake_entries
+            params, header.prev_header_hash, header.height, stake_entries
         )
         role = "authority" if isinstance(params, PoaParams) else "staker"
         if expected is None:

@@ -130,10 +130,7 @@ class ExecResult:
 
 
 def execute(
-    code: bytes | list[Instruction],
-    input_words: tuple[int, ...],
-    storage: dict[int, int],
-    gas_limit: int,
+    code: bytes, input_words: tuple[int, ...], storage: dict[int, int], gas_limit: int
 ) -> ExecResult:
     """Run a program to completion, OutOfGas, or Trap.
 
@@ -142,7 +139,7 @@ def execute(
     code halts normally.
     """
     try:
-        program = parse_bytecode(code) if isinstance(code, (bytes, bytearray)) else code
+        program = parse_bytecode(code)
     except BytecodeError as exc:
         return ExecResult(TRAP, (), gas_limit, {}, f"BadBytecode: {exc}")
     view = dict(storage)
@@ -304,11 +301,16 @@ def clone_registry(registry: ContractRegistry) -> ContractRegistry:
     return dict(registry)
 
 
-def registry_deploy(
-    registry: ContractRegistry, creator: Address, deploy_index: int, code: bytes
-) -> ContractAccount:
-    """Install a contract account; the code must already have parsed."""
-    address = derive_contract_address(creator, deploy_index)
+def deploy_count(registry: ContractRegistry, creator: Address) -> int:
+    """How many contracts creator has deployed in registry, which is the
+    deploy index of its next one: only a revert removes an account."""
+    return sum(account.creator == creator for account in registry.values())
+
+
+def registry_deploy(registry: ContractRegistry, creator: Address, code: bytes) -> ContractAccount:
+    """Install a contract account at creator's next deploy index; the code
+    must already have parsed."""
+    address = derive_contract_address(creator, deploy_count(registry, creator))
     account = ContractAccount(address, creator, bytes(code))
     registry[address.to_bytes()] = account
     return account

@@ -544,16 +544,6 @@ class Mempool:
                       if not validate_transaction(tx, utxo, allow_locked)]:
             self._drop(tx_id)
 
-    def reinsert(
-        self, orphaned: Iterable[Transaction], utxo: UtxoSet, allow_locked: bool = False
-    ) -> list[bytes]:
-        """Return orphaned transactions to the pool after a reorganization,
-        in tx_id order (the batch shares one arrival), and the ids of those
-        add accepts: it refuses a coinbase, and a transaction confirmed on
-        the adopted branch, whose inputs that branch spent."""
-        return [tx.tx_id for tx in sorted(orphaned, key=lambda t: t.tx_id)
-                if self.add(tx, utxo, allow_locked)]
-
     def take(self, max_bytes: int, utxo: UtxoSet, allow_locked: bool = False) -> list[Transaction]:
         """Select transactions for a block, respecting a serialized-size budget
         and sequential validity (pool entries may chain off each other).

@@ -246,17 +246,8 @@ class Simulation:
         self.publishers = [n for n in self.order if self.nodes[n].role == PUBLISHING]
         self.full_nodes = [n for n in self.order if self.nodes[n].role != LIGHTWEIGHT]
         self.stake_model = is_stake_model(self.params)
-        # without partitions every node reaches every other at every tick
-        self._all_peers = (
-            None
-            if config.topology.partitions
-            else {name: [other for other in self.order if other != name] for name in self.order}
-        )
-        # and so the nodes each one's floods reach, built once
-        self._flood_lists = None
-        if self._all_peers is not None:
-            self._flood_lists = {(name, txs): self._flood_targets(name, txs)
-                                 for name in self.order for txs in (False, True)}
+        # _flood_targets' lists by (partition in force, node, txs), built on first use
+        self._flood_lists: dict[tuple, list[SimNode]] = {}
 
         self.adversary = config.adversary
         self.adversary_node = self.nodes[config.adversary.node] if config.adversary else None
@@ -295,16 +286,24 @@ class Simulation:
 
     # -- topology -------------------------------------------------------------
 
-    def _group_of(self, name: str, tick: int) -> int:
+    def _partition_at(self, tick: int) -> int | None:
+        """The index of the partition in force at tick (the first listed, if
+        several are), or None."""
         for pi, part in enumerate(self.config.topology.partitions):
             if part.start <= tick < part.end:
-                for gi, group in enumerate(part.groups):
-                    if name in group:
-                        return pi * 100 + gi
-                # an unlisted node is isolated during the partition: a group
-                # of its own, below every listed one
-                return self.order.index(name) - len(self.order)
-        return 0
+                return pi
+        return None
+
+    def _group_of(self, name: str, tick: int) -> int:
+        pi = self._partition_at(tick)
+        if pi is None:
+            return 0
+        for gi, group in enumerate(self.config.topology.partitions[pi].groups):
+            if name in group:
+                return pi * 100 + gi
+        # an unlisted node is isolated during the partition: a group of its
+        # own, below every listed one
+        return self.order.index(name) - len(self.order)
 
     def reachable(self, a: str, b: str, tick: int) -> bool:
         return self._group_of(a, tick) == self._group_of(b, tick)
@@ -317,18 +316,19 @@ class Simulation:
 
     def _flood_targets(self, name: str, txs: bool) -> list[SimNode]:
         """The nodes a flood from name reaches now, in config order: every
-        peer under a block, the full ones under a transaction (txs)."""
-        if self._flood_lists is not None:
-            return self._flood_lists[name, txs]
-        return [self.nodes[other] for other in self.peers_of(name, self.now)
+        peer under a block, the full ones under a transaction (txs).  Reach
+        follows from the partition in force alone, so each list is built once
+        per partition and shared by every call: callers must not modify it."""
+        key = (self._partition_at(self.now), name, txs)
+        targets = self._flood_lists.get(key)
+        if targets is None:
+            targets = self._flood_lists[key] = [
+                self.nodes[other] for other in self.peers_of(name, self.now)
                 if not txs or self.nodes[other].role != LIGHTWEIGHT]
+        return targets
 
     def peers_of(self, name: str, tick: int) -> list[str]:
-        """Nodes that name reaches at tick, in config order.  Without
-        partitions this is one list per node, shared by every call: callers
-        must not modify it."""
-        if self._all_peers is not None:
-            return self._all_peers[name]
+        """Nodes that name reaches at tick, in config order."""
         return [
             other
             for other in self.order
@@ -392,9 +392,8 @@ class Simulation:
         node = self.nodes[name]
         if not node.online(self.now):
             return
-        for peer_name in self.peers_of(name, self.now):
-            peer = self.nodes[peer_name]
-            if peer.role == LIGHTWEIGHT or not peer.online(self.now):
+        for peer in self._flood_targets(name, True):
+            if not peer.online(self.now):
                 continue
             arrive = self.now + self._latency()
             if node.role == LIGHTWEIGHT:
@@ -412,7 +411,7 @@ class Simulation:
                     _RANK_BLOCK,
                     node.addr,
                     "deliver_block",
-                    (name, peer.store.tip, peer_name),
+                    (name, peer.store.tip, peer.name),
                 )
 
     def _on_heal(self) -> None:
@@ -520,17 +519,16 @@ class Simulation:
                         _RANK_PRODUCE,
                         node.addr,
                         "poet_fire",
-                        (node.name, cert.draw_index, node.store.tip_hash),
+                        (node.name, cert, node.store.tip_hash),
                     )
                     break
 
-    def _on_poet_fire(self, name: str, draw_index: int, tip: bytes) -> None:
+    def _on_poet_fire(self, name: str, cert: cons.PoetCertificate, tip: bytes) -> None:
         node = self.nodes[name]
         if node.store.tip_hash != tip:
             return  # a block arrived while waiting; stop idling
         if not self.production_allowed(self.now) or not node.online(self.now):
             return
-        cert = cons.poet_draw(node.address, draw_index, self.model.seed, self.model.mean_wait)
         block = self._produce_block(node, tip, poet_cert=cert)
         if block is not None:
             self._handle_own_block(node, block)
@@ -855,11 +853,8 @@ class Simulation:
         self.submit_transaction(name, tx)
 
     def _first_full_peer(self, node: SimNode) -> SimNode | None:
-        for peer_name in self.peers_of(node.name, self.now):
-            peer = self.nodes[peer_name]
-            if peer.role != LIGHTWEIGHT and peer.online(self.now):
-                return peer
-        return None
+        return next((peer for peer in self._flood_targets(node.name, True)
+                     if peer.online(self.now)), None)
 
     # -- sampling --------------------------------------------------------------------
 

@@ -433,6 +433,37 @@ def test_conflicting_branch_transactions_reorg_reinserts_orphans():
     assert store.confirmation_height(tx3.tx_id) is None
 
 
+
+def test_reorganization_offers_the_pool_only_orphans_that_can_enter(monkeypatch):
+    """The orphaned block holds its coinbase, tx1, which the adopted branch
+    also confirmed, and tx3, which it did not: only tx3 is offered to
+    Mempool.add, and only tx3 ends up in the pool."""
+    store = fresh_store([(A_ADDR, 5), (B_ADDR, 5)])
+    genesis_hash = store.tip_hash
+    fund = store.tip.transactions[0]
+    utxo = store.tip_state().utxo
+    tx3 = build_transaction([(fund.tx_id, 0)], [(C_ADDR, 5)], 0, [ALICE], utxo)
+    tx1 = build_transaction([(fund.tx_id, 1)], [(C_ADDR, 5)], 0, [BOB], utxo)
+    orphan = store.make_candidate(A_ADDR, [tx1, tx3], 1, parent_hash=genesis_hash)
+    assert store.append_block(orphan).status == EXTENDED
+    side = store.make_candidate(B_ADDR, [tx1], 1, parent_hash=genesis_hash)
+    assert store.append_block(side).status == NEW_SIDE_BRANCH
+
+    offered = []
+    add = Mempool.add
+
+    def counted(self, tx, *args):
+        v = add(self, tx, *args)
+        offered.append((tx.tx_id, bool(v)))
+        return v
+
+    monkeypatch.setattr(Mempool, "add", counted)
+    follow = store.make_candidate(B_ADDR, [], 2, parent_hash=header_hash(side.header))
+    result = store.append_block(follow)
+    assert result.status == REORGANIZED and result.orphaned == [orphan]
+    assert offered == [(tx3.tx_id, True)]
+    assert tx3.tx_id in store.mempool and tx1.tx_id not in store.mempool
+
 def test_unknown_parent_rejected():
     store = fresh_store()
     other = fresh_store()

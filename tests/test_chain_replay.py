@@ -19,6 +19,7 @@ import random
 import struct
 import tempfile
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,6 @@ from chainsim.chain import (
     ChainParams,
     ChainState,
     ChainStore,
-    LoadResult,
     VerifyResult,
     _walk_transactions,
     block_data_bytes,
@@ -188,7 +188,7 @@ def reference_load(path, params):
         blk = store.blocks[h]
         for t in blk.transactions:
             store._adopted_tx_heights[t.tx_id] = blk.header.height
-    return LoadResult(store, truncated_at)
+    return SimpleNamespace(store=store, truncated_at=truncated_at)
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +447,20 @@ def test_second_genesis_record_fails_verification(tmp_path):
 def test_replay_keeps_no_mempool(tmp_path, monkeypatch):
     """load and verify_blocks replay reorganizations without putting orphaned
     transactions back in a pool: nothing reads it, and load hands back an
-    empty one.  A store with a pool, fed the same blocks, does reinsert."""
+    empty one.  A store with a pool, fed the same blocks, does offer them to
+    its pool (ChainStore.admit)."""
     calls = []
-    reinsert = Mempool.reinsert
+    admit = ChainStore.admit
 
     def counted(self, *args, **kwargs):
         calls.append(self)
-        return reinsert(self, *args, **kwargs)
+        return admit(self, *args, **kwargs)
 
-    monkeypatch.setattr(Mempool, "reinsert", counted)
+    monkeypatch.setattr(ChainStore, "admit", counted)
     reorganizing = 0
-    for seed in range(60):
+    # 90 seeds, not 60: a reorganization offers only the orphans that can
+    # enter, and 5 of the first 90 files, 4 of the first 60, orphan one
+    for seed in range(90):
         path = tmp_path / f"{seed}.dat"
         path.write_bytes(random_chain_file(seed))
         calls.clear()  # the generating store has a pool

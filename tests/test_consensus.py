@@ -18,7 +18,6 @@ from chainsim.consensus import (
     PosChainParams,
     PosCoinAgeParams,
     PowParams,
-    ProofContext,
     RoundRobinParams,
     StakeEntry,
     attach_proof,
@@ -281,12 +280,12 @@ def test_poa_proof_requires_selected_authority():
     other_key = KEY_B if chosen == ADDR_A else KEY_A
 
     good = attach_proof(Block(header, ()), params, keypair=chosen_key)
-    assert verify_header_proof(params, good.header, ProofContext()) == (True, "")
+    assert verify_header_proof(params, good.header) == (True, "")
     bad = attach_proof(Block(header, ()), params, keypair=other_key)
-    ok, why = verify_header_proof(params, bad.header, ProofContext())
+    ok, why = verify_header_proof(params, bad.header)
     assert not ok and "selected authority" in why
     nobody = PoaParams(authorities={ADDR_A: 0})
-    ok, why = verify_header_proof(nobody, good.header, ProofContext())
+    ok, why = verify_header_proof(nobody, good.header)
     assert not ok and "no eligible authority" in why
 
 
@@ -349,16 +348,16 @@ def test_signed_tag_proof_roundtrip_and_forgery():
     block = Block(template(prev=header_hash(genesis.header)), ())
     proven = attach_proof(block, params, keypair=KEY_A)
     assert proof_publisher(proven.header) == ADDR_A
-    ok, _ = verify_header_proof(params, proven.header, ProofContext())
+    ok, _ = verify_header_proof(params, proven.header)
     assert ok
 
     outsider = attach_proof(block, params, keypair=KEY_C)
-    ok, why = verify_header_proof(params, outsider.header, ProofContext())
+    ok, why = verify_header_proof(params, outsider.header)
     assert not ok and "rotation" in why
 
     # altering any header field invalidates the signature
     tampered = replace(proven.header, timestamp=proven.header.timestamp + 1)
-    ok, why = verify_header_proof(params, tampered, ProofContext())
+    ok, why = verify_header_proof(params, tampered)
     assert not ok and "signature" in why
 
 
@@ -371,11 +370,11 @@ def test_pos_proof_requires_selected_staker():
     other_key = KEY_B if chosen == ADDR_A else KEY_A
 
     good = attach_proof(Block(header, ()), params, keypair=chosen_key)
-    ok, _ = verify_header_proof(params, good.header, ProofContext(stake_entries=entries))
+    ok, _ = verify_header_proof(params, good.header, stake_entries=entries)
     assert ok
 
     bad = attach_proof(Block(header, ()), params, keypair=other_key)
-    ok, why = verify_header_proof(params, bad.header, ProofContext(stake_entries=entries))
+    ok, why = verify_header_proof(params, bad.header, stake_entries=entries)
     assert not ok and "selected staker" in why
 
 
@@ -384,12 +383,12 @@ def test_poet_proof_carries_certificate():
     header = template()
     cert = poet_draw(ADDR_A, 0, 55, 8.0)
     proven = attach_proof(Block(header, ()), params, keypair=KEY_A, poet_cert=cert)
-    ok, _ = verify_header_proof(params, proven.header, ProofContext())
+    ok, _ = verify_header_proof(params, proven.header)
     assert ok
 
     forged = poet_draw(ADDR_A, 0, 56, 8.0)  # wrong seed commitment
     fake = attach_proof(Block(header, ()), params, keypair=KEY_A, poet_cert=forged)
-    ok, why = verify_header_proof(params, fake.header, ProofContext())
+    ok, why = verify_header_proof(params, fake.header)
     assert not ok and "certificate" in why
 
 
@@ -397,14 +396,14 @@ def test_simulated_pow_uses_signed_tags():
     params = PowParams(target=1 << 240, simulated=True)
     proven = attach_proof(Block(template(), ()), params, keypair=KEY_B)
     assert proof_publisher(proven.header) == ADDR_B
-    ok, _ = verify_header_proof(params, proven.header, ProofContext(target=1 << 240))
+    ok, _ = verify_header_proof(params, proven.header, target=1 << 240)
     assert ok
 
 
 def test_literal_pow_rejects_tagged_headers():
     params = PowParams(target=(1 << 256) - 1)
     tagged = replace(template(), consensus_tag=b"x")
-    ok, why = verify_header_proof(params, tagged, ProofContext(target=params.target))
+    ok, why = verify_header_proof(params, tagged, target=params.target)
     assert not ok and "tag" in why
 
 

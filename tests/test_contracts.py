@@ -22,6 +22,7 @@ from chainsim.contracts import (
     WORD_MASK,
     assemble,
     clone_registry,
+    deploy_count,
     derive_contract_address,
     encode_bytecode,
     encode_call_payload,
@@ -243,9 +244,10 @@ def test_contract_address_derivation():
 
 def test_registry_deploy_and_call_commit_semantics():
     registry = {}
-    account = registry_deploy(registry, CREATOR, 0, COUNTER)
+    account = registry_deploy(registry, CREATOR, COUNTER)
     assert account.address == derive_contract_address(CREATOR, 0)
     assert registry[account.address.to_bytes()] is account
+    assert deploy_count(registry, CREATOR) == 1
 
     ok = registry_call(account, (), 1 * GAS_PER_FEE_UNIT)
     assert ok.status == OK and account.storage == {0: 1}
@@ -261,11 +263,12 @@ def test_clone_registry_shares_accounts():
     """A call copies an account before writing to it, so a registry copy
     shares the accounts; only its slots are its own."""
     registry = {}
-    first = registry_deploy(registry, CREATOR, 0, COUNTER)
+    first = registry_deploy(registry, CREATOR, COUNTER)
     clone = clone_registry(registry)
     assert clone == registry and clone is not registry
     assert clone[first.address.to_bytes()] is first
-    second = registry_deploy(clone, CREATOR, 1, COUNTER)
+    second = registry_deploy(clone, CREATOR, COUNTER)
+    assert second.address == derive_contract_address(CREATOR, 1)
     assert second.address.to_bytes() not in registry
 
 

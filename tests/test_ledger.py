@@ -702,18 +702,6 @@ def test_mempool_rejects_conflicts_and_coinbase():
     assert len(pool) == 1
 
 
-def test_mempool_reinsert_skips_confirmed_and_coinbase():
-    utxo, fund = funded_utxo((A_ADDR, 5), (B_ADDR, 5))
-    tx3 = build_transaction([(fund.tx_id, 0)], [(C_ADDR, 5)], 0, [ALICE], utxo)
-    tx1 = build_transaction([(fund.tx_id, 1)], [(C_ADDR, 5)], 0, [BOB], utxo)
-    orphaned = [make_coinbase([(A_ADDR, 1)], 1), tx1, tx3]
-    pool = Mempool()
-    # tx1 is confirmed on the adopted branch: its input is spent there
-    returned = pool.reinsert(orphaned, applied([tx1], utxo, 1))
-    assert returned == [tx3.tx_id]
-    assert tx3.tx_id in pool and tx1.tx_id not in pool
-
-
 def test_mempool_take_respects_budget_and_order():
     utxo, fund = funded_utxo((A_ADDR, 5), (B_ADDR, 5))
     pool = Mempool()

@@ -2,6 +2,7 @@
 convergence, partitions, adversaries, lightweight clients, and the metric
 bookkeeping the experiment scripts rely on."""
 
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -199,6 +200,34 @@ def test_nodes_left_out_of_every_group_are_isolated():
     assert sim.peers_of("n1", 9) == ["n0", "n2"]
 
 
+def test_flood_targets_are_built_once_per_partition_in_force(monkeypatch):
+    """Reach follows from the partition in force alone, so a partitioned run
+    asks peers_of at most once per (partition in force, node, txs), once
+    for a flood's block list and once for its transaction list, not once
+    per flood."""
+    config = scenario("partition")
+    partitions = config.topology.partitions
+    asked = Counter()
+    floods = []
+    peers_of, flood = Simulation.peers_of, Simulation._flood
+
+    def counted_peers_of(self, name, tick):
+        in_force = next((i for i, p in enumerate(partitions) if p.start <= tick < p.end), None)
+        asked[in_force, name] += 1
+        return peers_of(self, name, tick)
+
+    def counted_flood(self, *args, **kwargs):
+        floods.append(self.now)
+        return flood(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulation, "peers_of", counted_peers_of)
+    monkeypatch.setattr(Simulation, "_flood", counted_flood)
+    run_scenario(config)
+    assert {in_force for in_force, _ in asked} == {None, 0}
+    assert max(asked.values()) <= 2
+    assert sum(asked.values()) < len(floods) / 10
+
+
 # -- adversaries ---------------------------------------------------------------------
 
 
@@ -251,6 +280,25 @@ def test_majority_attacker_forces_deep_reorgs():
     assert honest_depths and max(honest_depths) >= config.adversary.secret_depth
     assert len(full_tips(result)) == 1
     assert_conserved(result)
+
+
+def test_the_block_that_starts_an_attack_is_still_gossiped():
+    """_handle_own_block asks whether an attack is on before _after_accept,
+    which may start a majority_reorg attack, runs: the block whose
+    acceptance starts one is an honest block and goes to the peers at once.
+    Taken as the attack's first secret block instead, it would wait for a
+    release, which a rival at its height, unseen by the attacker, holds
+    back."""
+    raw = two_miner_raw(adversary={"kind": "majority_reorg", "node": "a", "secret_depth": 1})
+    sim = Simulation(prepare_config(parse_scenario(raw)))
+    adv, honest = sim.nodes["a"], sim.nodes["b"]
+    rival = sim._produce_block(honest, honest.store.tip_hash)
+    honest.store.append_block(rival)
+    block = sim._produce_block(adv, adv.store.tip_hash)
+    sim._handle_own_block(adv, block)
+    assert adv.attack_active and adv.secret_blocks == []
+    delivered = [payload[1] for *_, kind, payload in sim._queue if kind == "deliver_block"]
+    assert delivered == [block]
 
 
 # -- lightweight clients ---------------------------------------------------------------

@@ -3,8 +3,9 @@
 validate_transaction reads the state only through the entries of the
 transaction's inputs, so the transaction keeps its last verdict, keyed by
 allow_locked, check_signatures and those entries, and every caller shares
-it: pool intake (ChainStore.admit), Mempool.reinsert and drop_conflicting
-when a tip moves, Mempool.take and block judgement, on every node.  These
+it: pool intake (ChainStore.admit, which also takes back a reorganization's
+orphans) and drop_conflicting when a tip moves, Mempool.take and block
+judgement, on every node.  These
 tests pin that a call on equal entries makes no walk, that a simulation
 walks each (transaction, tip) pair at most once in pool maintenance, and
 that the kept verdicts, and the pools they fill, match full validation of
@@ -107,7 +108,7 @@ def test_kept_verdict_equals_a_fresh_walk(calls):
 
 def test_pool_maintenance_walks_each_transaction_once_per_tip(monkeypatch):
     """On a payments grid point, count the rule walks (ledger._rules) made
-    inside Mempool.add (intake and reinsert) and drop_conflicting, and the
+    inside Mempool.add (intake and orphans) and drop_conflicting, and the
     distinct (tx_id, tip hash) pairs those calls ask about.  Without kept
     verdicts every one of the about ten intakes per transaction walks."""
     sim = Simulation(prepare_config(parse_scenario(grid_scenario(10, 400, 2, 1))))
@@ -206,17 +207,18 @@ def _fresh_walk(tx, *args):
 
 @contextmanager
 def _judging_fresh_instances():
-    ledger.validate_transaction = _fresh_walk
+    # nests: _reorganize offers its orphans through admit
+    prior, ledger.validate_transaction = ledger.validate_transaction, _fresh_walk
     try:
         yield
     finally:
-        ledger.validate_transaction = VALIDATE
+        ledger.validate_transaction = prior
 
 
 class ReferenceStore(ChainStore):
     """A store whose pool judges every transaction in full, on a fresh
-    instance, which carries no kept verdict: intake, and the reinsert and
-    eviction of a tip move."""
+    instance, which carries no kept verdict: intake, and the orphans taken
+    back and the evictions of a tip move."""
 
     def admit(self, tx):
         with _judging_fresh_instances():
