@@ -70,7 +70,7 @@ REORGANIZED = "Reorganized"
 REJECTED = "Rejected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockHeader:
     height: int
     prev_header_hash: bytes
@@ -80,6 +80,9 @@ class BlockHeader:
     nonce: int
     rule_version: int = 0
     consensus_tag: bytes = b""
+    # what header_hash keeps on the instance: outside equality, hashing and
+    # repr, and dataclasses.replace starts it afresh
+    _hash: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def serialize(self, zero_tag: bool = False) -> bytes:
         tag = b"" if zero_tag else self.consensus_tag
@@ -101,12 +104,11 @@ class BlockHeader:
 def header_hash(header: BlockHeader) -> bytes:
     """sha256 of the serialized header.
 
-    Computed on first call and kept on the instance, as Transaction.tx_id
-    is: every field is immutable, and dataclasses.replace builds a new
-    instance without it.  Not a dataclass field, so equality, hashing and
-    repr ignore it.
+    Computed on first call and kept in the header's _hash slot, as
+    Transaction.tx_id is: every field is immutable, and dataclasses.replace
+    builds a new instance without it.
     """
-    cached = header.__dict__.get("_hash")
+    cached = header._hash
     if cached is None:
         cached = sha256(header.serialize())
         object.__setattr__(header, "_hash", cached)
@@ -781,7 +783,7 @@ class ChainStore:
         # those, and kept, they would hold the entries they spent as long as
         # the chain
         for t in self.blocks[self.tip.header.prev_header_hash].transactions:
-            t.__dict__.pop("_verdict", None)
+            object.__setattr__(t, "_verdict", None)
         if not orphaned:
             return AppendResult(EXTENDED)
         return AppendResult(REORGANIZED, orphaned=orphaned, adopted=adopted)
@@ -905,9 +907,10 @@ class ChainFileError(Exception):
 @dataclass
 class ChainFile:
     """A decoded chain file (read_chain_file), and what load returns: its
-    store then holds every record replayed."""
+    store then holds every record replayed.  It keeps no file bytes: each
+    record's block is decoded from them, and load drops them before its
+    replay."""
 
-    data: bytes
     blocks: list[Block]
     ends: list[int]  # the offset just past each block's record
     store: ChainStore  # founded on the first block
@@ -964,12 +967,19 @@ def _checked_length(path: str, buf: bytes) -> int:
 
 
 def read_chain_file(path: str, params: ChainParams) -> ChainFile:
-    """Decode the chain file at path and found a store on its first block.  A
-    file ending mid-record yields its intact prefix and the truncation offset;
-    a bad magic or version, checksum or block, no blocks, or a first block
-    that cannot found a store raises ChainFileError with the fault's offset."""
+    """Decode the chain file at path and found a store on its first block
+    (_decode_chain)."""
     with open(path, "rb") as fh:
         buf = fh.read()
+    return _decode_chain(buf, params)
+
+
+def _decode_chain(buf: bytes, params: ChainParams) -> ChainFile:
+    """Decode buf, a chain file's bytes, and found a store on its first block.
+    A file ending mid-record yields its intact prefix and the truncation
+    offset; a bad magic or version, checksum or block, no blocks, or a first
+    block that cannot found a store raises ChainFileError with the fault's
+    offset."""
     if buf[:4] != CHAIN_MAGIC:
         raise ChainFileError(0, "bad magic")
     if len(buf) < 6:
@@ -1007,19 +1017,24 @@ def read_chain_file(path: str, params: ChainParams) -> ChainFile:
         store = ChainStore(params, blocks[0])
     except ValueError as exc:
         raise ChainFileError(6, str(exc)) from None
-    return ChainFile(buf, blocks, ends, store, truncated_at)
+    return ChainFile(blocks, ends, store, truncated_at)
 
 
 def load(path: str, params: ChainParams) -> ChainFile:
-    """The chain file read_chain_file decodes, once its store has judged
-    every later record through _replay: a block that fails a rule stays
-    indexed, so persist writes it back.  Records within the prefix that
-    persist's checked-prefix record vouches for skip their signature checks,
-    which depend on the record bytes alone, and no other rule; the rest are
-    checked in full.  The mempool starts empty, even when a reorganization in
-    the file orphaned transactions."""
-    chain_file = read_chain_file(path, params)
-    checked = _checked_length(path, chain_file.data)
+    """The chain file at path, decoded as read_chain_file does, once its
+    store has judged every later record through _replay: a block that fails
+    a rule stays indexed, so persist writes it back.  Records within the
+    prefix that persist's checked-prefix record vouches for skip their
+    signature checks, which depend on the record bytes alone, and no other
+    rule; the rest are checked in full.  The file is read once, so the bytes
+    the record vouches for are the bytes decoded, and they are dropped before
+    the replay.  The mempool starts empty, even when a reorganization in the
+    file orphaned transactions."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    chain_file = _decode_chain(buf, params)
+    checked = _checked_length(path, buf)
+    del buf
     trusted = sum(end <= checked for end in chain_file.ends[1:])
     store = chain_file.store
     for _ in _replay(store, chain_file.blocks[1:], trusted):

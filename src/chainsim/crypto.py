@@ -13,7 +13,7 @@ import hashlib
 import os
 import struct
 from collections import OrderedDict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import log
 from typing import Iterable
 
@@ -151,29 +151,32 @@ def solve_string_puzzle(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPair:
     seed: bytes
     public_key: bytes
+    # what _private_key and _signer_public_key keep on the instance: outside
+    # equality, hashing and repr, and dataclasses.replace starts them afresh
+    _sk: Ed25519PrivateKey | None = field(default=None, init=False, repr=False, compare=False)
+    _spk: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self) -> str:  # never leak the seed in logs
         return f"KeyPair(public_key={self.public_key.hex()})"
 
     def _private_key(self) -> Ed25519PrivateKey:
-        """The signing key built from the seed, on first use, and kept on the
-        instance.  Not a dataclass field, so equality, hashing and repr
-        ignore it."""
-        cached = self.__dict__.get("_sk")
+        """The signing key built from the seed, on first use, and kept in the
+        instance's _sk slot."""
+        cached = self._sk
         if cached is None:
             cached = Ed25519PrivateKey.from_private_bytes(self.seed)
             object.__setattr__(self, "_sk", cached)
         return cached
 
     def _signer_public_key(self) -> bytes:
-        """The public key of the signing key, kept on the instance as _sk is.
-        It need not equal the public_key field: a KeyPair can be built with
-        a field that does not match its seed."""
-        cached = self.__dict__.get("_spk")
+        """The public key of the signing key, kept in the _spk slot as _sk
+        is.  It need not equal the public_key field: a KeyPair can be built
+        with a field that does not match its seed."""
+        cached = self._spk
         if cached is None:
             cached = self._private_key().public_key().public_bytes_raw()
             object.__setattr__(self, "_spk", cached)
@@ -219,9 +222,24 @@ def _remember(key: tuple[bytes, bytes, bytes], result: bool) -> None:
     _verify_memo[key] = result
 
 
+# distinct public keys whose key object verify keeps: a chain's signatures
+# come from a handful of keys (797 checks, one key, in a chain verify of the
+# benchmark's 200-block chain)
+PUBLIC_KEY_CACHE_SIZE = 1 << 12
+
+
+@functools.lru_cache(maxsize=PUBLIC_KEY_CACHE_SIZE)
+def _public_key_of(public_key: bytes) -> Ed25519PublicKey:
+    return Ed25519PublicKey.from_public_bytes(public_key)
+
+
 def _verify_uncached(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """The check itself.  The key object of a bytes key comes from a bounded
+    memo; a malformed key raises there, and a call that raises stores
+    nothing."""
     try:
-        pk = Ed25519PublicKey.from_public_bytes(public_key)
+        pk = (_public_key_of(public_key) if type(public_key) is bytes
+              else Ed25519PublicKey.from_public_bytes(public_key))
         pk.verify(signature, sha256(message))
         return True
     except (InvalidSignature, ValueError, TypeError):
@@ -274,12 +292,12 @@ class Address:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Address":
-        if len(raw) != ADDRESS_SIZE:
-            raise ValueError(f"address must be {ADDRESS_SIZE} bytes")
-        addr = cls.make(raw[0], raw[1:21])
-        if addr.checksum != raw[21:]:
-            raise ValueError("address checksum mismatch")
-        return addr
+        """The address raw encodes; ValueError for a wrong length or
+        checksum.  Memoised in the process for a bytes raw, keyed by all 25
+        bytes, so a decoded chain holds one Address per distinct address."""
+        if type(raw) is bytes:
+            return _decoded_address(raw)
+        return _decoded_address.__wrapped__(raw)
 
     @classmethod
     def from_hex(cls, text: str) -> "Address":
@@ -303,6 +321,20 @@ ADDRESS_CACHE_SIZE = 1 << 12
 @functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
 def _address_of(public_key: bytes, version: int) -> Address:
     return Address.make(version, sha256(public_key)[:ADDRESS_PAYLOAD_SIZE])
+
+
+# the encoded addresses Address.from_bytes keeps, least recently used dropped
+# first: a chain's outputs pay a handful of addresses (1,794 outputs, 10
+# addresses, in the benchmark's 200-block chain).  A call that raises, for a
+# wrong length or checksum, stores nothing.
+@functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
+def _decoded_address(raw: bytes) -> Address:
+    if len(raw) != ADDRESS_SIZE:
+        raise ValueError(f"address must be {ADDRESS_SIZE} bytes")
+    addr = Address.make(raw[0], raw[1:21])
+    if addr.checksum != raw[21:]:
+        raise ValueError("address checksum mismatch")
+    return addr
 
 
 def derive_address(public_key: bytes, version: int = USER_ADDRESS_VERSION) -> Address:

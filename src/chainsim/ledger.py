@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import Iterable, NamedTuple
 
@@ -86,12 +86,17 @@ class TxInput:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     kind: TxKind
     inputs: tuple[TxInput, ...]
     outputs: tuple[TxOutput, ...]
     payload: bytes = b""
+    # what tx_id, outpoints and validate_transaction keep on the instance:
+    # outside equality, hashing and repr, and dataclasses.replace starts them afresh
+    _tx_id: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _outpoints: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _verdict: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def serialize(self, zero_signatures: bool = False) -> bytes:
         parts = [bytes([self.kind]), struct.pack(">I", len(self.inputs))]
@@ -106,11 +111,10 @@ class Transaction:
     def tx_id(self) -> bytes:
         """sha256 of the canonical bytes with all signatures zeroed.
 
-        Computed on first access and kept on the instance: every field is
-        immutable, so the id cannot change.  Not a dataclass field, so
-        equality, hashing and repr ignore it.
+        Computed on first access and kept in the _tx_id slot: every field
+        is immutable, so the id cannot change.
         """
-        cached = self.__dict__.get("_tx_id")
+        cached = self._tx_id
         if cached is None:
             cached = sha256(self.serialize(zero_signatures=True))
             object.__setattr__(self, "_tx_id", cached)
@@ -118,10 +122,11 @@ class Transaction:
 
     @property
     def outpoints(self) -> tuple[Outpoint, ...]:
-        """(tx_id, i) for each output i, built on first access and kept on
-        the instance as tx_id is.  Every node applies the same transaction
-        object, so all their UTXO sets key an output with one tuple."""
-        cached = self.__dict__.get("_outpoints")
+        """(tx_id, i) for each output i, built on first access and kept in
+        the _outpoints slot as tx_id is.  Every node applies the same
+        transaction object, so all their UTXO sets key an output with one
+        tuple."""
+        cached = self._outpoints
         if cached is None:
             tx_id = self.tx_id
             cached = tuple((tx_id, i) for i in range(len(self.outputs)))
@@ -353,7 +358,7 @@ def validate_transaction(
     # a list, not a tuple: the tuples each call frees would pile up on
     # CPython's tuple free lists
     key = [allow_locked, check_signatures, *entries]
-    kept = tx.__dict__.get("_verdict")
+    kept = tx._verdict
     if kept is None or kept[0] != key:
         kept = key, _rules(tx, entries, allow_locked, check_signatures)
         object.__setattr__(tx, "_verdict", kept)

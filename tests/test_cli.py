@@ -636,6 +636,35 @@ def test_truncated_chain_file_loads_prefix_with_warning(capsys, tmp_path, data_d
     assert out.startswith("height=0 ")
 
 
+def test_load_shares_decoded_addresses_and_a_bad_address_checksum_still_fails(
+    capsys, tmp_path, data_dir
+):
+    """load keeps one Address object per distinct address, however many
+    outputs pay it.  An output address with one checksum byte flipped, its
+    record resealed, still fails to decode after the valid form of that
+    address was decoded in this process."""
+    contract = deploy_counter(capsys, tmp_path, data_dir)
+    for _ in range(2):
+        assert run_cli(capsys, "--data-dir", data_dir, "call", contract, "--fee", 2)[0] == 0
+    path = data_dir / "chain.dat"
+    store = _load_store(argparse.Namespace(data_dir=str(data_dir), key=None, verbose=False))
+    recipients = [out.recipient for block in store.blocks.values()
+                  for tx in block.transactions for out in tx.outputs]
+    assert len(recipients) > len(set(recipients)) > 1
+    assert len({id(a) for a in recipients}) == len(set(recipients))
+
+    raw = bytearray(path.read_bytes())
+    start, end = _record_spans(bytes(raw))[-1]
+    address = store.tip.transactions[0].outputs[0].recipient.to_bytes()
+    raw[raw.index(address, start, end) + len(address) - 1] ^= 0x01
+    raw[end : end + 4] = sha256(bytes(raw[start:end]))[:4]
+    path.write_bytes(bytes(raw))
+    with pytest.raises(chain.ChainFileError, match="address checksum mismatch"):
+        chain.read_chain_file(str(path), store.params)
+    code, _, err = run_cli(capsys, "--data-dir", data_dir, "chain", "tip")
+    assert code == 3 and "address checksum mismatch" in err
+
+
 # -- the checked-prefix record beside chain.dat ----------------------------------------
 
 

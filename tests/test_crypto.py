@@ -268,6 +268,34 @@ def test_verify_of_a_memoryview_leaves_the_memo_to_the_bytes():
     assert verify(pair.public_key, b"abc", sig)
 
 
+def test_verify_builds_one_key_object_per_key_and_keeps_no_malformed_one(monkeypatch):
+    real = crypto.Ed25519PublicKey
+    built = []
+
+    class Counting:
+        @staticmethod
+        def from_public_bytes(raw):
+            built.append(raw)
+            return real.from_public_bytes(raw)
+
+    pair = keypair_generate(SEED_A)
+    messages = (b"a", b"b", b"c")
+    sigs = [sign(pair, m) for m in messages]
+    crypto._verify_memo.clear()
+    crypto._public_key_of.cache_clear()
+    monkeypatch.setattr(crypto, "Ed25519PublicKey", Counting)
+    assert all(verify(pair.public_key, m, s) for m, s in zip(messages, sigs))
+    assert not verify(pair.public_key, b"d", sigs[0])
+    assert built == [pair.public_key]
+    for malformed in (b"", pair.public_key[:31], pair.public_key + b"\x00"):
+        built.clear()
+        assert not verify(malformed, b"a", sigs[0])
+        assert not crypto._verify_uncached(malformed, b"a", sigs[0])
+        assert built == [malformed, malformed]  # asked twice, kept neither time
+    info = crypto._public_key_of.cache_info()
+    assert (info.currsize, info.maxsize) == (1, crypto.PUBLIC_KEY_CACHE_SIZE)
+
+
 def test_verify_rejects_random_byte_strings():
     pair = keypair_generate(SEED_A)
     rng = HashStream(7, "nonsig")
@@ -377,6 +405,20 @@ def test_address_of_a_bytearray_or_memoryview_key_equals_the_bytes_key():
         assert derive_address(other, CONTRACT_ADDRESS_VERSION) == derive_address(
             key, CONTRACT_ADDRESS_VERSION
         )
+
+
+def test_decoded_address_memo_keeps_one_object_per_encoding_and_no_failure():
+    addr = derive_address(keypair_generate(SEED_A).public_key)
+    raw = addr.to_bytes()
+    crypto._decoded_address.cache_clear()
+    first = Address.from_bytes(raw)
+    assert first == addr and Address.from_bytes(bytes(bytearray(raw))) is first
+    assert Address.from_bytes(bytearray(raw)) == addr  # decoded without the memo
+    for bad in (raw[:-1] + bytes([raw[-1] ^ 1]), raw[:-1], raw + b"\x00"):
+        with pytest.raises(ValueError):
+            Address.from_bytes(bad)
+    info = crypto._decoded_address.cache_info()
+    assert (info.currsize, info.maxsize) == (1, crypto.ADDRESS_CACHE_SIZE)
 
 
 def test_address_memo_is_bounded_and_answers_as_a_fresh_derivation():

@@ -250,10 +250,34 @@ def test_every_set_keys_an_output_with_the_transactions_outpoint():
 
 
 def test_per_output_records_have_no_instance_dict():
+    """Neither the per-output records nor the transactions, headers and key
+    pairs that keep caches have an instance dict, caches filled or not."""
     entry = UtxoEntry(TxOutput(5, A_ADDR), False, 1)
-    for record in (entry, entry.output, A_ADDR, TxInput(b"\x11" * 32, 0, b"", b"")):
+    utxo, fund = funded_utxo((A_ADDR, 5))
+    tx = build_transaction([(fund.tx_id, 0)], [(B_ADDR, 3)], 1, [ALICE], utxo)
+    header = BlockHeader(1, b"\x01" * 32, transactions_merkle_root([tx]), 1, 0, 0)
+    assert tx.outpoints and validate_transaction(tx, utxo) and header_hash(header)
+    for record in (entry, entry.output, A_ADDR, TxInput(b"\x11" * 32, 0, b"", b""),
+                   tx, header, ALICE):
         assert not hasattr(record, "__dict__"), type(record).__name__
     assert replace(entry, spent_height=2).spent_height == 2
+
+
+def test_filled_caches_leave_equality_hashing_and_repr_alone():
+    """A transaction and a header compare equal to, hash as and print as a
+    fresh copy, before and after their caches fill."""
+    utxo, fund = funded_utxo((A_ADDR, 5))
+    tx = build_transaction([(fund.tx_id, 0)], [(B_ADDR, 3)], 1, [ALICE], utxo)
+    header = BlockHeader(1, b"\x01" * 32, transactions_merkle_root([tx]), 1, 0, 0)
+    pairs = [(tx, deserialize_transaction(tx.serialize())[0]), (header, replace(header))]
+    before = [(hash(obj), repr(obj)) for obj, _ in pairs]
+    for obj, fresh in pairs:
+        assert obj == fresh and (hash(obj), repr(obj)) == (hash(fresh), repr(fresh))
+    assert tx.outpoints and validate_transaction(tx, utxo) and header_hash(header)
+    assert None not in (tx._tx_id, tx._outpoints, tx._verdict, header._hash)
+    for (obj, fresh), seen in zip(pairs, before):
+        assert fresh == obj and obj == fresh
+        assert (hash(obj), repr(obj)) == (hash(fresh), repr(fresh)) == seen
 
 
 def test_apply_locks_stake_output_zero_and_charges_coinbase_nothing():

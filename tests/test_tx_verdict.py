@@ -96,7 +96,7 @@ def test_kept_verdict_equals_a_fresh_walk(calls):
         utxo = UtxoSet({op: e for op, e in zip(((SOURCE, 0), (SOURCE, 1)), (first, second))
                         if e is not None})
         fresh = replace(tx)
-        assert "_verdict" not in fresh.__dict__
+        assert fresh._verdict is None
         assert _verdict(validate_transaction(tx, utxo, allow_locked, check_signatures)) == _verdict(
             validate_transaction(fresh, utxo, allow_locked, check_signatures))
 
@@ -201,7 +201,7 @@ VALIDATE = validate_transaction
 
 def _fresh_walk(tx, *args):
     fresh = replace(tx)
-    assert "_verdict" not in fresh.__dict__
+    assert fresh._verdict is None
     return VALIDATE(fresh, *args)
 
 
