@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 from . import contracts
+from ._record import field, record, replace
 from .crypto import Address, atomic_write, derive_address, sha256
 from .ledger import (
     MAX_SUPPLY,
@@ -70,7 +70,7 @@ REORGANIZED = "Reorganized"
 REJECTED = "Rejected"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class BlockHeader:
     height: int
     prev_header_hash: bytes
@@ -81,7 +81,7 @@ class BlockHeader:
     rule_version: int = 0
     consensus_tag: bytes = b""
     # what header_hash keeps on the instance: outside equality, hashing and
-    # repr, and dataclasses.replace starts it afresh
+    # repr, and _record.replace starts it afresh
     _hash: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def serialize(self, zero_tag: bool = False) -> bytes:
@@ -105,7 +105,7 @@ def header_hash(header: BlockHeader) -> bytes:
     """sha256 of the serialized header.
 
     Computed on first call and kept in the header's _hash slot, as
-    Transaction.tx_id is: every field is immutable, and dataclasses.replace
+    Transaction.tx_id is: every field is immutable, and _record.replace
     builds a new instance without it.
     """
     cached = header._hash
@@ -129,12 +129,12 @@ def deserialize_header(buf: bytes, offset: int = 0) -> tuple[BlockHeader, int]:
     return BlockHeader(height, prev, data, ts, size, nonce, version, tag), offset + tag_len
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Block:
     header: BlockHeader
     transactions: tuple[Transaction, ...]
     # what validate_and_apply keeps on the instance: outside equality,
-    # hashing and repr, and dataclasses.replace starts it afresh
+    # hashing and repr, and _record.replace starts it afresh
     _verdict: BlockVerdict | None = field(default=None, init=False, repr=False, compare=False)
 
     def data_bytes(self) -> bytes:
@@ -171,13 +171,13 @@ def transactions_merkle_root(txs: Iterable[Transaction]) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChainParams:
     confirmation_depth: int = 6
     block_subsidy: int = 50
     max_block_data_bytes: int = 65536
     genesis_allocation: tuple[tuple[Address, int], ...] = ()
-    consensus: object = None  # one of the consensus params dataclasses
+    consensus: object = None  # one of the consensus params records
 
     def __post_init__(self):
         if self.confirmation_depth < 1:
@@ -217,7 +217,7 @@ def make_genesis(params: ChainParams, extra_txs: tuple[Transaction, ...] = ()) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class ChainState:
     utxo: UtxoSet
     registry: contracts.ContractRegistry = field(default_factory=dict)
@@ -233,7 +233,7 @@ class ChainState:
         )
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class BlockUndo:
     """What taking a block back off its post-state needs beyond the block,
     whose transactions name the outpoints it spent and created (a spent
@@ -371,7 +371,7 @@ def _data_check(block: Block) -> Validity:
     return VALID
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class BlockVerdict:
     """A block's verdict under one params object, kept on the block by its
     first full judgement.  A valid block's also holds its forward delta, what
@@ -584,7 +584,7 @@ def _founding_state(genesis: Block, params: ChainParams) -> ChainState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class AppendResult:
     status: str
     validity: Validity = VALID
@@ -596,7 +596,7 @@ class AppendResult:
         return self.validity.reason
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VerifyResult:
     ok: bool
     height: int | None = None
@@ -904,7 +904,7 @@ class ChainFileError(Exception):
         super().__init__(f"byte {offset}: {message}")
 
 
-@dataclass
+@record
 class ChainFile:
     """A decoded chain file (read_chain_file), and what load returns: its
     store then holds every record replayed.  It keeps no file bytes: each

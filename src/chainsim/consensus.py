@@ -14,10 +14,10 @@ that any validator can recompute from the parent hash and height.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
 from math import log
 from typing import Iterable, Mapping, Sequence
 
+from ._record import record, replace
 from .chain import Block, BlockHeader, header_hash
 from .crypto import (
     Address,
@@ -47,7 +47,7 @@ _POA_TAG = b"ASEL"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PowParams:
     target: int = DEFAULT_POW_TARGET
     retarget_interval: int = 16
@@ -59,18 +59,18 @@ class PowParams:
             raise ValueError("target must be a positive 256-bit integer")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PosChainParams:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PosCoinAgeParams:
     age_threshold: int = 30
     weight_cap: int = 2**62
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RoundRobinParams:
     publishers: tuple[Address, ...]
 
@@ -79,7 +79,7 @@ class RoundRobinParams:
             raise ValueError("round robin needs at least one publisher")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PoaParams:
     authorities: Mapping[Address, int]
     r_max: int = 100
@@ -92,7 +92,7 @@ class PoaParams:
                 raise ValueError(f"reputation for {addr.hex()} outside [0, {self.r_max}]")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PoetParams:
     publishers: tuple[Address, ...]
     mean_wait: float = 10.0
@@ -143,7 +143,7 @@ def pow_retarget(recent_headers: Sequence[BlockHeader], params: PowParams) -> in
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StakeEntry:
     outpoint: Outpoint
     address: Address
@@ -232,7 +232,7 @@ def poa_select(params: PoaParams, rand: float) -> Address | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PoetCertificate:
     node: Address
     draw: float

@@ -9,8 +9,8 @@ or Trap the whole gas budget is consumed and no storage write survives.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
+from ._record import field, record
 from .crypto import CONTRACT_ADDRESS_VERSION, Address, sha256
 
 WORD_MASK = 2**64 - 1
@@ -116,7 +116,7 @@ def encode_bytecode(instructions: list[Instruction]) -> bytes:
     return b"".join(parts)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExecResult:
     status: str
     output: tuple[int, ...]
@@ -275,7 +275,7 @@ def assemble(text: str) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class ContractAccount:
     address: Address
     creator: Address

@@ -13,7 +13,6 @@ import hashlib
 import os
 import struct
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
 from math import log
 from typing import Iterable
 
@@ -22,6 +21,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
+
+from ._record import field, record
 
 ADDRESS_PAYLOAD_SIZE = 20
 ADDRESS_CHECKSUM_SIZE = 4
@@ -45,7 +46,7 @@ def sha256(data: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PuzzleSolution:
     nonce: int
     digest: bytes
@@ -151,12 +152,12 @@ def solve_string_puzzle(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class KeyPair:
     seed: bytes
     public_key: bytes
     # what _private_key and _signer_public_key keep on the instance: outside
-    # equality, hashing and repr, and dataclasses.replace starts them afresh
+    # equality, hashing and repr, and _record.replace starts them afresh
     _sk: Ed25519PrivateKey | None = field(default=None, init=False, repr=False, compare=False)
     _spk: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -275,7 +276,7 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@record(frozen=True, order=True, slots=True)
 class Address:
     """version byte + 20-byte truncated key hash + 4-byte checksum."""
 
@@ -420,7 +421,7 @@ def uniform_from_digest(data: bytes) -> float:
 KEYSTORE_FORMAT_VERSION = 1
 
 
-@dataclass
+@record
 class KeystoreRecord:
     seed: bytes
     address_version: int

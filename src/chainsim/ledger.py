@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import Iterable, NamedTuple
 
+from ._record import field, record, replace
 from .crypto import (
     ADDRESS_SIZE,
     CONTRACT_ADDRESS_VERSION,
@@ -52,7 +52,7 @@ class TxBuildError(Exception):
     insufficient funds."""
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TxOutput:
     amount: int
     recipient: Address
@@ -61,7 +61,7 @@ class TxOutput:
         return struct.pack(">Q", self.amount) + self.recipient.to_bytes()
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TxInput:
     source_tx: bytes
     source_index: int
@@ -86,14 +86,14 @@ class TxInput:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Transaction:
     kind: TxKind
     inputs: tuple[TxInput, ...]
     outputs: tuple[TxOutput, ...]
     payload: bytes = b""
     # what tx_id, outpoints and validate_transaction keep on the instance:
-    # outside equality, hashing and repr, and dataclasses.replace starts them afresh
+    # outside equality, hashing and repr, and _record.replace starts them afresh
     _tx_id: bytes | None = field(default=None, init=False, repr=False, compare=False)
     _outpoints: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _verdict: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -179,7 +179,7 @@ def deserialize_transaction(buf: bytes, offset: int = 0) -> tuple[Transaction, i
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class UtxoEntry:
     output: TxOutput
     locked: bool
@@ -319,7 +319,7 @@ class UtxoSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Validity:
     ok: bool
     reason: str | None = None

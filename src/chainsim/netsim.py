@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field, replace
 
 # the first package import: placed last, it raised the import's peak RSS by about 0.6 MB
 from .scenario import (
@@ -32,6 +31,7 @@ from .scenario import (
     node_keypair,
 )
 from . import consensus as cons
+from ._record import field, record, replace
 from .chain import (
     Block,
     BlockHeader,
@@ -80,7 +80,7 @@ def fork_rule(fork: ForkSchedule | None, node: str, height: int, limit: int) -> 
     return limit, fork.new_rule_version
 
 
-@dataclass
+@record
 class Metrics:
     seed: int
     orphan_count: int = 0
@@ -101,7 +101,7 @@ class Metrics:
         return sum(self.confirmation_latencies.values()) / len(self.confirmation_latencies)
 
 
-@dataclass
+@record
 class SimResult:
     config: SimConfig
     metrics: Metrics

@@ -5,7 +5,7 @@ file that ``chainsim chain init`` reads.
 Every error is reported with the key path that caused it, and all errors in a
 file are collected before raising, so a bad config surfaces its full damage in
 one pass.  Each section's keys are read from one table that gives every key's
-type and bounds; a key left out takes the default of the config dataclass
+type and bounds; a key left out takes the default of the config record
 field it fills.  The config objects are built only from a file with no errors.
 """
 
@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
 
 from . import consensus as cons
+from ._record import record
 from .chain import ChainParams
 from .crypto import Address, KeyPair, derive_address, keypair_generate, sha256
 from .ledger import MAX_SUPPLY
@@ -33,7 +33,7 @@ WITHHOLDING = "withholding"
 CENSORSHIP = "censorship"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NodeSpec:
     name: str
     role: str = FULL
@@ -43,21 +43,21 @@ class NodeSpec:
     online: tuple[tuple[int, int], ...] = ()  # up intervals; empty means always up
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PartitionSpec:
     start: int
     end: int
     groups: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TopologySpec:
     latency: int = 1
     jitter: int = 0
     partitions: tuple[PartitionSpec, ...] = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ForkSchedule:
     kind: str  # soft | hard
     activation_height: int
@@ -65,7 +65,7 @@ class ForkSchedule:
     new_rule_version: int = 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AdversarySpec:
     kind: str
     node: str
@@ -74,7 +74,7 @@ class AdversarySpec:
     victim: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WorkloadSpec:
     tx_interval: int = 0  # 0 disables the payment generator
     tx_amount: int = 5
@@ -82,7 +82,7 @@ class WorkloadSpec:
     submit_via: str = ""  # node name; empty picks a random funded node
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SimConfig:
     seed: int
     duration: int
@@ -147,7 +147,7 @@ def one_of(choices):
 class Key:
     """One scenario key: its type, the bounds its value must meet (checked in
     order, the first failure reported), whether the file must give it, and a
-    default where the scenario's differs from the config dataclass field's."""
+    default where the scenario's differs from the config record field's."""
 
     __slots__ = ("kind", "bounds", "required", "default")
 

@@ -10,7 +10,7 @@ full validate_and_apply on a fresh instance gives.
 """
 
 from contextlib import contextmanager
-from dataclasses import replace
+from chainsim._record import replace
 from pathlib import Path
 
 import pytest

@@ -1,6 +1,6 @@
 import subprocess
 import sys
-from dataclasses import replace
+from chainsim._record import replace
 from pathlib import Path
 
 import pytest

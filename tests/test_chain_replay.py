@@ -18,7 +18,7 @@ import os
 import random
 import struct
 import tempfile
-from dataclasses import replace
+from chainsim._record import replace
 from types import SimpleNamespace
 
 import pytest

@@ -274,6 +274,24 @@ def test_chain_init_tip_verify_inspect(capsys, tmp_path, data_dir):
     assert lines[0].startswith("height=0 hash=")
 
 
+def test_a_command_loads_neither_dataclasses_nor_inspect(capsys, tmp_path, data_dir):
+    """Each operator command is a fresh process, which pays for every module
+    it imports: chain tip, run in one, loads no dataclasses module and no
+    inspect, as the package builds its records with chainsim._record."""
+    init_funded_chain(capsys, tmp_path, data_dir)
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(chain.__file__).parent.parent)!r})",
+        "from chainsim import cli",
+        f"code = cli.main(['--data-dir', {str(data_dir)!r}, 'chain', 'tip'])",
+        "print(code, sorted(name for name in ('dataclasses', 'inspect') if name in sys.modules))",
+    ])
+    run = subprocess.run([sys.executable, "-"], input=script, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []"
+
+
 def test_chain_commands_require_chain_file(capsys, data_dir):
     code, _, err = run_cli(capsys, "--data-dir", data_dir, "chain", "tip")
     assert code == 3

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from chainsim._record import replace
 
 import pytest
 

@@ -1,19 +1,21 @@
 """Gossip that skips no-op deliveries against the flood it replaced.
 
 `Simulation._gossip_block` and `_deliver_tx_to` push no delivery that is
-certain to do nothing on arrival, and `peers_of` answers from a list built
-once when the scenario has no partitions.  The reference below is the flood
-as it was before: one push per (item, reachable peer), and `peers_of` asking
-`reachable` for every pair.  Over generated scenarios (online windows,
-partitions with nodes left out, lightweight submitters, jitter 0 to 3,
-withholding and majority-reorg adversaries, soft and hard forks) the two must
-write the same event log and end in the same state, while the change pushes
-fewer events.  The reference hashes every latency draw and the simulator only
-those whose value it reads, so ending at the same gossip-stream position pins
-the positions each flood takes.
+certain to do nothing on arrival, and take their targets from
+`Simulation._flood_targets`, which keeps one list per partition in force,
+node and kind (block or transaction).  The reference below is the flood as
+it was before: one push per (item, reachable peer), its targets from
+`peers_of`, which builds a new list on every call by asking `reachable` for
+every pair.  Over generated scenarios (online windows, partitions with nodes
+left out, lightweight submitters, jitter 0 to 3, withholding and
+majority-reorg adversaries, soft and hard forks) the two must write the same
+event log and end in the same state, while the change pushes fewer events.
+The reference hashes every latency draw and the simulator only those whose
+value it reads, so ending at the same gossip-stream position pins the
+positions each flood takes.
 """
 
-from dataclasses import fields, replace
+from chainsim._record import fields, replace
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -245,7 +247,7 @@ HEADERS = st.builds(
 @given(HEADERS, st.sampled_from([f.name for f in fields(BlockHeader) if f.init]), st.data())
 def test_cached_header_hash_follows_replace(header, name, data):
     """header_hash keeps the hash on the instance; a header made from it by
-    dataclasses.replace is hashed from its own bytes."""
+    replace is hashed from its own bytes."""
     assert header_hash(header) == sha256(header.serialize())
     value = data.draw(st.binary(min_size=32, max_size=32) if name.endswith("hash")
                       else st.binary(max_size=8) if name == "consensus_tag"

@@ -3,7 +3,7 @@ convergence, partitions, adversaries, lightweight clients, and the metric
 bookkeeping the experiment scripts rely on."""
 
 from collections import Counter
-from dataclasses import replace
+from chainsim._record import replace
 from pathlib import Path
 
 from chainsim import consensus as cons

@@ -576,13 +576,16 @@ def test_every_accepted_scenario_runs(raw):
 def test_library_use_loads_neither_yaml_nor_multiprocessing():
     """Parsing a scenario mapping and running it imports no YAML reader, no
     process pool and no key serialization: each is loaded only by the code
-    that needs it (a scenario or params file, a puzzle past its first chunk)."""
+    that needs it (a scenario or params file, a puzzle past its first chunk).
+    Nor does it import dataclasses, or the inspect module that loads: the
+    package builds its records with chainsim._record."""
     script = "\n".join([
         "import sys",
         f"sys.path.insert(0, {str(Path(scenario.__file__).parent.parent)!r})",
         "from chainsim import netsim, scenario",
         f"netsim.run_scenario(scenario.parse_scenario({minimal(duration=40)!r}))",
-        "names = ('yaml', 'multiprocessing', 'cryptography.hazmat.primitives.serialization')",
+        "names = ('yaml', 'multiprocessing', 'cryptography.hazmat.primitives.serialization',"
+        " 'dataclasses', 'inspect')",
         "print(sorted(name for name in names if name in sys.modules))",
     ])
     run = subprocess.run([sys.executable, "-"], input=script, capture_output=True,

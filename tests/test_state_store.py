@@ -13,7 +13,7 @@ fresh instance of each block (full_validate_and_apply), so it never applies a
 verdict and delta that a store it is compared with kept on the block.
 """
 
-from dataclasses import replace
+from chainsim._record import replace
 from pathlib import Path
 
 import pytest

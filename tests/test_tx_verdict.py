@@ -14,7 +14,7 @@ fresh transaction instances.
 
 import random
 from contextlib import contextmanager
-from dataclasses import replace
+from chainsim._record import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
