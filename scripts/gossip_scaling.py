@@ -23,7 +23,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 from bench.workloads import grid_scenario  # noqa: E402
-from chainsim.netsim import Simulation, prepare_config  # noqa: E402
+from chainsim.netsim import Simulation  # noqa: E402
 from chainsim.scenario import parse_scenario  # noqa: E402
 
 DURATION = 600
@@ -33,7 +33,7 @@ TX_INTERVAL = 13
 def run_point(nodes: int, seed: int) -> tuple[float, int, str]:
     """(wall seconds of the run, events pushed, event-log digest)."""
     raw = grid_scenario(nodes, DURATION, TX_INTERVAL, seed)
-    sim = Simulation(prepare_config(parse_scenario(raw)))
+    sim = Simulation(parse_scenario(raw))
     start = time.perf_counter()
     result = sim.run()
     wall = time.perf_counter() - start

@@ -41,7 +41,7 @@ from typing import Callable, Iterable
 
 from . import contracts
 from ._record import field, record, replace
-from .crypto import Address, atomic_write, derive_address, sha256
+from .crypto import Address, KeyPair, atomic_write, derive_address, sha256
 from .ledger import (
     MAX_SUPPLY,
     Mempool,
@@ -53,6 +53,7 @@ from .ledger import (
     Validity,
     VALID,
     _invalid,
+    build_transaction,
     deserialize_transaction,
     make_coinbase,
     validate_transaction,
@@ -188,17 +189,24 @@ class ChainParams:
             raise ValueError("block data limit must be at least 1")
 
 
-def make_genesis(params: ChainParams, extra_txs: tuple[Transaction, ...] = ()) -> Block:
+def make_genesis(params: ChainParams, stakes: Iterable[tuple[int, KeyPair, int]] = ()) -> Block:
     """Height-0 block carrying the initial allocation in its coinbase.
 
-    extra_txs lets a scenario pre-configure state (for instance initial STAKE
-    transactions spending the allocation) as part of the fixed genesis.
+    Each (allocation index, keypair, amount) of stakes locks that amount to
+    the keypair's address by a signed STAKE transaction in the block, which
+    spends the indexed allocation output and returns the rest as change.
     """
     total = sum(amount for _, amount in params.genesis_allocation)
     if total > MAX_SUPPLY:
         raise ValueError("genesis allocation exceeds maximum supply")
     coinbase = make_coinbase(list(params.genesis_allocation), 0)
-    txs = (coinbase,) + tuple(extra_txs)
+    view = UtxoSet()
+    view.apply(coinbase, 0)
+    txs = (coinbase,) + tuple(
+        build_transaction([(coinbase.tx_id, i)], [(derive_address(key.public_key), amount)], 0,
+                          [key], view, kind=TxKind.STAKE)
+        for i, key, amount in stakes
+    )
     data = block_data_bytes(txs)
     header = BlockHeader(
         height=0,

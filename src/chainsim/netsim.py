@@ -44,17 +44,14 @@ from .chain import (
     is_stake_model,
     make_genesis,
 )
-from .crypto import Address, HashStream, KeyPair, derive_address
+from .crypto import HashStream, KeyPair, derive_address
 from .ledger import (
     Mempool,
     Transaction,
     TxBuildError,
-    TxKind,
-    UtxoSet,
     VALID,
     Validity,
     build_transaction,
-    make_coinbase,
     spendable_outpoint,
 )
 from .merkle import merkle_proof, verify_proof
@@ -164,8 +161,6 @@ class SimNode:
         self.mining_parent: bytes | None = None
         self.draw_index = 0
         self.hash_rate = 0.0
-        self.attempts = 0.0
-        self._last_accrual = 0
         # adversary state
         self.attack_active = False
         self.secret_tip: bytes | None = None
@@ -227,7 +222,7 @@ class SimNode:
 
 class Simulation:
     def __init__(self, config: SimConfig):
-        self.config = config
+        self.config = config = prepare_config(config)
         self.params = config.chain
         self.model = config.chain.consensus
         self.now = 0
@@ -425,10 +420,6 @@ class Simulation:
             return node.secret_tip
         return node.store.tip_hash
 
-    def _accrue_attempts(self, node: SimNode) -> None:
-        node.attempts += node.hash_rate * online_overlap(node.spec, node._last_accrual, self.now)
-        node._last_accrual = self.now
-
     def _schedule_find(self, node: SimNode, tick: int) -> None:
         if node.hash_rate <= 0:
             return
@@ -445,7 +436,6 @@ class Simulation:
 
     def _on_find(self, name: str, gen: int) -> None:
         node = self.nodes[name]
-        self._accrue_attempts(node)
         if gen != node.mine_gen:
             return
         if not self.production_allowed(self.now) or not node.online(self.now):
@@ -897,8 +887,7 @@ class Simulation:
         self.now = self.config.duration
         for name in self.publishers:
             node = self.nodes[name]
-            self._accrue_attempts(node)
-            self.metrics.hash_attempts[name] = node.attempts
+            self.metrics.hash_attempts[name] = node.hash_rate * online_overlap(node.spec, 0, self.now)
         for name in self.full_nodes:
             self._check_confirmations(self.nodes[name])
         adopted_union: set[bytes] = set()
@@ -913,53 +902,33 @@ class Simulation:
         self._emit(f"t={self.config.duration} end tips={tips}")
 
 
-def _genesis_funds(config: SimConfig) -> list[tuple[NodeSpec, Address, int]]:
-    """Each node holding a balance or stake, in config order, with its address
-    and genesis allocation (balance plus stake)."""
-    return [
-        (spec, derive_address(node_keypair(config.seed, spec.name).public_key),
-         spec.balance + spec.stake)
-        for spec in config.nodes
-        if spec.balance + spec.stake > 0
-    ]
-
-
-def build_genesis(config: SimConfig) -> Block:
-    """Genesis carrying each node's allocation, with stake locked through
-    signed STAKE transactions that spend the allocation inside the block."""
-    params = effective_params(config)
-    coinbase = make_coinbase(params.genesis_allocation, 0)
-    view = UtxoSet()
-    view.apply(coinbase, 0)
-    stake_txs = []
-    for i, (spec, addr, _) in enumerate(_genesis_funds(config)):
-        if spec.stake <= 0:
-            continue
-        tx = build_transaction(
-            [(coinbase.tx_id, i)],
-            [(addr, spec.stake)],
-            0,
-            [node_keypair(config.seed, spec.name)],
-            view,
-            kind=TxKind.STAKE,
-        )
-        stake_txs.append(tx)
-    return make_genesis(params, tuple(stake_txs))
-
-
-def effective_params(config: SimConfig) -> ChainParams:
-    """Chain params with the genesis allocation implied by the node specs."""
-    allocation = tuple((addr, total) for _, addr, total in _genesis_funds(config))
-    return replace(config.chain, genesis_allocation=allocation)
-
-
-def run_scenario(config: SimConfig) -> SimResult:
-    sim = Simulation(prepare_config(config))
-    return sim.run()
+def _funded(config: SimConfig) -> list[NodeSpec]:
+    """Each node holding a balance or stake, in config order: the order of
+    the genesis allocation."""
+    return [spec for spec in config.nodes if spec.balance + spec.stake > 0]
 
 
 def prepare_config(config: SimConfig) -> SimConfig:
-    return replace(config, chain=effective_params(config))
+    """The config with the genesis allocation implied by the node specs, each
+    node's balance plus stake; idempotent."""
+    allocation = tuple(
+        (derive_address(node_keypair(config.seed, spec.name).public_key), spec.balance + spec.stake)
+        for spec in _funded(config)
+    )
+    return replace(config, chain=replace(config.chain, genesis_allocation=allocation))
+
+
+def build_genesis(config: SimConfig) -> Block:
+    """Genesis of a prepared config, with each node's stake locked through a
+    signed STAKE transaction that spends its allocation inside the block."""
+    return make_genesis(config.chain, [
+        (i, node_keypair(config.seed, spec.name), spec.stake)
+        for i, spec in enumerate(_funded(config)) if spec.stake > 0
+    ])
+
+
+def run_scenario(config: SimConfig) -> SimResult:
+    return Simulation(config).run()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ Tolerances are part of the contract and are stated inline.
 """
 
 import math
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -29,7 +30,12 @@ from chainsim.ledger import Mempool, TxKind, Validity, build_transaction
 from chainsim.netsim import run_scenario, summary_row
 from chainsim.scenario import load_scenario, parse_scenario
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from scripts.attack_share_sweep import sweep_config  # noqa: E402
+
+SCENARIO_DIR = ROOT / "scenarios"
 
 ALICE = keypair_generate(bytes(range(32)))
 BOB = keypair_generate(bytes(range(1, 33)))
@@ -273,30 +279,12 @@ def test_criterion_08_value_is_conserved_in_every_scenario(capsys, bundled_runs)
 # -- 9: attack share scaling ------------------------------------------------------------
 
 
-def _attack_run(seed: int, share: float):
-    honest_share = (1.0 - share) / 4
-    nodes = [{"name": "adv", "role": "publishing", "hash_share": share}]
-    nodes += [
-        {"name": f"h{i}", "role": "publishing", "hash_share": honest_share}
-        for i in range(4)
-    ]
-    raw = {
-        "seed": seed,
-        "duration": 1200,
-        "consensus": {"model": "pow", "target_bits": 240, "target_spacing": 10},
-        "topology": {"latency": 1, "jitter": 1},
-        "adversary": {"kind": "majority_reorg", "node": "adv", "secret_depth": 3},
-        "nodes": nodes,
-    }
-    return run_scenario(parse_scenario(raw))
-
-
 def test_criterion_09_attack_success_scales_with_hash_share(capsys):
     with criterion(capsys, 9, "attack impact vs hash share"):
         counts = {0.1: 0, 0.6: 0}
         for share in counts:
             for seed in range(1, 11):
-                result = _attack_run(seed, share)
+                result = run_scenario(parse_scenario(sweep_config(seed, share, 3)))
                 honest = [
                     depth
                     for _, node, depth in result.metrics.reorg_events

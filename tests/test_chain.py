@@ -40,6 +40,7 @@ from chainsim.ledger import (
     TxInput,
     TxKind,
     TxOutput,
+    UtxoSet,
     Validity,
     balance,
     build_transaction,
@@ -122,6 +123,31 @@ def test_genesis_is_deterministic_and_pinned():
     )
 
 
+def test_genesis_locks_each_stake_by_a_signed_spend_of_its_allocation():
+    """make_genesis(params, stakes) is the coinbase of the allocation, then one
+    STAKE spend per (allocation index, keypair, amount), under a header over
+    their Merkle root."""
+    params = ChainParams(genesis_allocation=((A_ADDR, 10), (B_ADDR, 30), (A_ADDR, 5)))
+    coinbase = make_coinbase(list(params.genesis_allocation), 0)
+    view = UtxoSet()
+    view.apply(coinbase, 0)
+    txs = (
+        coinbase,
+        build_transaction([(coinbase.tx_id, 1)], [(B_ADDR, 20)], 0, [BOB], view,
+                          kind=TxKind.STAKE),
+        build_transaction([(coinbase.tx_id, 2)], [(A_ADDR, 5)], 0, [ALICE], view,
+                          kind=TxKind.STAKE),
+    )
+    header = BlockHeader(0, b"\x00" * 32, transactions_merkle_root(txs), 0,
+                         len(block_data_bytes(txs)), 0, 0)
+    genesis = make_genesis(params, [(1, BOB, 20), (2, ALICE, 5)])
+    assert genesis == Block(header, txs)
+    assert genesis.transactions[1].outputs == (TxOutput(20, B_ADDR), TxOutput(10, B_ADDR))
+    assert make_genesis(params, ()) == make_genesis(params)
+    store = ChainStore(params, genesis)
+    assert balance(B_ADDR, store.tip_state().utxo) == Balance(10, 20)
+
+
 def test_genesis_allocation_is_spendable_balance():
     store = fresh_store([(A_ADDR, 100)])
     assert balance(A_ADDR, store.tip_state().utxo) == Balance(100, 0)
@@ -184,7 +210,7 @@ def test_data_hash_mismatch_rejected():
 
 def test_each_block_instance_is_judged_on_its_own_data():
     """Two stores each reject the one block with a wrong Merkle root as
-    DataHash; its dataclasses.replace copy with the right root is judged
+    DataHash; its replace copy with the right root is judged
     afresh and accepted by both, and a copy of that header over other
     transactions is still rejected."""
     stores = [fresh_store(), fresh_store()]

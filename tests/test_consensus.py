@@ -39,7 +39,7 @@ from chainsim.consensus import (
     verify_header_proof,
 )
 from chainsim.crypto import Address, HashStream, derive_address, keypair_generate
-from chainsim.ledger import Mempool, TxKind, UtxoSet, build_transaction, make_coinbase
+from chainsim.ledger import Mempool
 
 KEY_A = keypair_generate(bytes(range(32)))
 KEY_B = keypair_generate(bytes(range(1, 33)))
@@ -179,17 +179,9 @@ def test_coin_age_threshold_and_reset_flow():
     assert pos_select_coin_age(stakes((ADDR_A, 10), age=30), params, 0.5) == ADDR_A
 
     allocation = ((ADDR_A, 10), (ADDR_B, 10))
-    coinbase = make_coinbase(list(allocation), 0)
-    view = UtxoSet()
-    view.apply(coinbase, 0)
-    locks = tuple(
-        build_transaction([(coinbase.tx_id, i)], [(address, 10)], 0, [key], view,
-                          kind=TxKind.STAKE)
-        for i, (address, key) in enumerate(((ADDR_A, KEY_A), (ADDR_B, KEY_B)))
-    )
     chain_params = ChainParams(genesis_allocation=allocation,
                                consensus=PosCoinAgeParams(age_threshold=1, weight_cap=10**9))
-    store = ChainStore(chain_params, make_genesis(chain_params, locks))
+    store = ChainStore(chain_params, make_genesis(chain_params, [(0, KEY_A, 10), (1, KEY_B, 10)]))
     ripe = stake_view(store.tip_state().utxo, 1)
     assert [entry.age for entry in ripe] == [1, 1]
     winner = expected_publisher(chain_params.consensus, store.genesis_hash, 1, ripe)

@@ -4,7 +4,8 @@ The bundled scenarios all have ten nodes or fewer, so a fault in gossip that
 shows only with many peers (fan-out, duplicate deliveries, partition groups,
 nodes going offline mid-flight) would pass `test_golden_scenarios.py`.
 `golden_grid.json` pins the event-log digest and `summary_row` of the node
-count grid (PoW, equal publishers, latency 1, jitter 1) at N=20 and N=40, and
+count grid of `bench/workloads.py::grid_scenario` (PoW, equal publishers,
+latency 1, jitter 1) at N=20 and N=40, and
 of two N=20 variants: one with a partition, a node left out of every group
 and a lightweight wallet, and one whose publishers go offline for part of the
 run. A change meant to leave behaviour alone leaves every row as it is; one
@@ -21,24 +22,12 @@ from pathlib import Path
 
 import pytest
 
-GOLDEN = Path(__file__).resolve().parent / "golden_grid.json"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
 
+from bench.workloads import grid_scenario  # noqa: E402
 
-def grid_scenario(nodes: int, duration: int, tx_interval: int, seed: int) -> dict:
-    """PoW, equal publishers with balance 100, latency 1, jitter 1,
-    production stopping 40 ticks before the end (the ROADMAP grid point)."""
-    return {
-        "seed": seed,
-        "duration": duration,
-        "production_stop": duration - 40,
-        "consensus": {"model": "pow", "target_bits": 250, "target_spacing": 10},
-        "topology": {"latency": 1, "jitter": 1},
-        "workload": {"tx_interval": tx_interval, "tx_amount": 3, "tx_fee": 1},
-        "nodes": [
-            {"name": f"n{i}", "role": "publishing", "hash_share": 1.0 / nodes, "balance": 100}
-            for i in range(nodes)
-        ],
-    }
+GOLDEN = ROOT / "tests" / "golden_grid.json"
 
 
 def partitioned_with_wallet(seed: int) -> dict:
@@ -102,6 +91,6 @@ def test_grid_point_matches_golden(name):
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    sys.path.insert(0, str(ROOT / "src"))
     pins = {name: pin(name) for name in sorted(POINTS)}
     GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

@@ -26,7 +26,6 @@ from chainsim.netsim import (
     _RANK_BLOCK,
     _RANK_TX,
     Simulation,
-    prepare_config,
     summary_row,
 )
 from chainsim.scenario import LIGHTWEIGHT, parse_scenario
@@ -216,7 +215,7 @@ def _end_state(sim) -> dict:
 @example(HARD_FORK_SPLIT)
 @example(ORPHANS_NO_FORK)
 def test_gossip_matches_flood_reference(raw):
-    config = prepare_config(parse_scenario(raw))
+    config = parse_scenario(raw)
     new, ref = Simulation(config), ReferenceSimulation(config)
     new_result, ref_result = new.run(), ref.run()
     assert new_result.event_log == ref_result.event_log

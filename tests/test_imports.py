@@ -1,14 +1,18 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package, a test file or a script imports is
+used in that file."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chainsim"
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted((ROOT / "src" / "chainsim").glob("*.py")) + sorted(
+    path for directory in ("tests", "scripts") for path in (ROOT / directory).glob("*.py")
+)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     imported = set()

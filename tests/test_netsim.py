@@ -7,12 +7,11 @@ from chainsim._record import replace
 from pathlib import Path
 
 from chainsim import consensus as cons
-from chainsim.chain import ChainStore
+from chainsim.chain import ChainStore, header_hash
 from chainsim.crypto import HashStream, derive_address, sha256
 from chainsim.netsim import (
     Simulation,
     build_genesis,
-    effective_params,
     is_online,
     online_overlap,
     prepare_config,
@@ -192,7 +191,7 @@ def test_nodes_left_out_of_every_group_are_isolated():
         topology={"latency": 1, "jitter": 0,
                   "partitions": [{"start": 10, "end": 50, "groups": [["n0"]]}]},
     )
-    sim = Simulation(prepare_config(parse_scenario(raw)))
+    sim = Simulation(parse_scenario(raw))
     for a, b in (("n1", "n2"), ("n0", "n1"), ("n0", "n2")):
         assert not sim.reachable(a, b, 20)
         assert sim.reachable(a, b, 50)
@@ -290,7 +289,7 @@ def test_the_block_that_starts_an_attack_is_still_gossiped():
     release, which a rival at its height, unseen by the attacker, holds
     back."""
     raw = two_miner_raw(adversary={"kind": "majority_reorg", "node": "a", "secret_depth": 1})
-    sim = Simulation(prepare_config(parse_scenario(raw)))
+    sim = Simulation(parse_scenario(raw))
     adv, honest = sim.nodes["a"], sim.nodes["b"]
     rival = sim._produce_block(honest, honest.store.tip_hash)
     honest.store.append_block(rival)
@@ -367,6 +366,25 @@ def test_hash_attempts_track_power_shares():
     assert abs(attempts["b"] / attempts["a"] - 3.0) < 1e-6
 
 
+def test_hash_attempts_are_rate_times_online_ticks():
+    """Each publisher's attempts are its hash rate times its ticks online in
+    the run, as one product. In this run, adding rate x online ticks find by
+    find rounds differently: 1164.7999999999997 for "a", 576.0 for "b"."""
+    raw = two_miner_raw(
+        nodes=[
+            {"name": "a", "role": "publishing", "hash_share": 0.7, "balance": 100,
+             "online": [[0, 90], [130, 300]]},
+            {"name": "b", "role": "publishing", "hash_share": 0.3, "balance": 100},
+        ]
+    )
+    result = run_scenario(parse_scenario(raw))
+    for name in ("a", "b"):
+        node = result.nodes[name]
+        expected = node.hash_rate * online_overlap(node.spec, 0, result.config.duration)
+        assert result.metrics.hash_attempts[name] == expected
+    assert result.metrics.hash_attempts["a"] == 1164.8
+
+
 # -- construction helpers ---------------------------------------------------------------
 
 
@@ -395,15 +413,21 @@ def test_build_genesis_allocates_and_locks_stake():
         assert stakes.get(addr, 0) == spec.stake
 
 
-def test_effective_params_matches_build_genesis():
+def test_simulation_prepares_its_own_config():
+    """A parsed config carries no genesis allocation; Simulation prepares it
+    as prepare_config does, and its nodes start from build_genesis of it."""
     config = scenario("pos_chain")
-    params = effective_params(config)
-    assert sum(a for _, a in params.genesis_allocation) == sum(
+    assert config.chain.genesis_allocation == ()
+    prepared = prepare_config(config)
+    assert sum(a for _, a in prepared.chain.genesis_allocation) == sum(
         spec.balance + spec.stake for spec in config.nodes
     )
-    sim = Simulation(prepare_config(config))
-    any_node = next(iter(sim.nodes.values()))
-    assert any_node.store.get_block(any_node.store.tip_hash).header.height == 0
+    assert prepare_config(prepared) == prepared
+    sim = Simulation(config)
+    assert sim.config.chain.genesis_allocation == prepared.chain.genesis_allocation
+    genesis = build_genesis(prepared)
+    for node in sim.nodes.values():
+        assert node.store.tip_hash == header_hash(genesis.header)
 
 
 def test_summary_row_and_reports(tmp_path):
@@ -440,7 +464,7 @@ def test_flood_hashes_only_the_draws_it_reads_and_pushes_no_duplicate_block(monk
     flight reaches it first) is not hashed.  Without a fork schedule no
     block copy is pushed that would arrive as a Duplicate.  The event-log
     digest is the one the flood without either saving writes."""
-    sim = Simulation(prepare_config(parse_scenario(grid_scenario(10, 400, 2, 1))))
+    sim = Simulation(parse_scenario(grid_scenario(10, 400, 2, 1)))
     hashed, reasons = [], []
     u64, append_block = HashStream.u64, ChainStore.append_block
 

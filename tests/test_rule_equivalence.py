@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from chainsim import consensus as cons
 from chainsim.chain import ChainParams
 from chainsim.ledger import Validity
-from chainsim.netsim import Simulation, fork_rule, prepare_config
+from chainsim.netsim import Simulation, fork_rule, online_overlap
 from chainsim.scenario import HARD, SOFT, ForkSchedule, load_scenario, parse_scenario
 from test_gossip_equivalence import HARD_FORK_SPLIT, scenarios
 
@@ -111,8 +111,7 @@ class ReferenceSimulation(Simulation):
         self.now = self.config.duration
         for name in self.publishers:
             node = self.nodes[name]
-            self._accrue_attempts(node)
-            self.metrics.hash_attempts[name] = node.attempts
+            self.metrics.hash_attempts[name] = node.hash_rate * online_overlap(node.spec, 0, self.now)
         for name in self.full_nodes:
             self._check_confirmations(self.nodes[name])
         adopted_union = set()
@@ -153,7 +152,7 @@ def _assert_same_run(config):
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.cfg")))
 def test_bundled_scenario_matches_reference(name):
-    _assert_same_run(prepare_config(load_scenario(str(SCENARIO_DIR / name))))
+    _assert_same_run(load_scenario(str(SCENARIO_DIR / name)))
 
 
 # A soft fork whose limit, halved, is below what the old nodes fill: blocks of
@@ -177,7 +176,7 @@ SOFT_FORK_OVERSIZE = {
 
 
 def test_soft_fork_example_rejects_oversize_blocks():
-    sim = _assert_same_run(prepare_config(parse_scenario(SOFT_FORK_OVERSIZE)))
+    sim = _assert_same_run(parse_scenario(SOFT_FORK_OVERSIZE))
     assert any(" reject " in line and line.endswith("r=Oversize") for line in sim.log)
 
 
@@ -186,7 +185,7 @@ def test_soft_fork_example_rejects_oversize_blocks():
 @given(scenarios())
 @example(HARD_FORK_SPLIT)
 def test_generated_scenario_matches_reference(raw):
-    _assert_same_run(prepare_config(parse_scenario(raw)))
+    _assert_same_run(parse_scenario(raw))
 
 
 # -- the rule itself ---------------------------------------------------------------

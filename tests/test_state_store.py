@@ -44,7 +44,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def full_validate_and_apply(block, parent_header, state, params, header_at):
-    """validate_and_apply with every rule run: on a dataclasses.replace copy
+    """validate_and_apply with every rule run: on a replace copy
     of block, which carries no kept verdict, and which the call leaves holding
     the verdict of its own first judgement."""
     fresh = replace(block)

@@ -28,11 +28,9 @@ from chainsim.ledger import (
     TxOutput,
     UtxoEntry,
     UtxoSet,
-    build_transaction,
-    make_coinbase,
     validate_transaction,
 )
-from chainsim.netsim import Simulation, prepare_config
+from chainsim.netsim import Simulation
 from chainsim.scenario import parse_scenario
 
 from test_chain import A_ADDR, ALICE, B_ADDR, BOB, bad_signature, signed
@@ -111,7 +109,7 @@ def test_pool_maintenance_walks_each_transaction_once_per_tip(monkeypatch):
     inside Mempool.add (intake and orphans) and drop_conflicting, and the
     distinct (tx_id, tip hash) pairs those calls ask about.  Without kept
     verdicts every one of the about ten intakes per transaction walks."""
-    sim = Simulation(prepare_config(parse_scenario(grid_scenario(10, 400, 2, 1))))
+    sim = Simulation(parse_scenario(grid_scenario(10, 400, 2, 1)))
     store_of = {id(node.store.mempool): node.store for node in sim.nodes.values() if node.store}
     pairs, intakes, walks, depth = set(), [], [], [0]
     add, drop_conflicting, rules = Mempool.add, Mempool.drop_conflicting, ledger._rules
@@ -162,16 +160,7 @@ STAKE_PARAMS = ChainParams(
 WORK_PARAMS = replace(STAKE_PARAMS, consensus=cons.PowParams(simulated=True))
 
 
-def _genesis():
-    coinbase = make_coinbase(list(STAKE_PARAMS.genesis_allocation), 0)
-    view = ledger.UtxoSet()
-    view.apply(coinbase, 0)
-    stake = build_transaction([(coinbase.tx_id, FUNDS)], [(A_ADDR, 20)], 0, [ALICE], view,
-                              kind=TxKind.STAKE)
-    return make_genesis(STAKE_PARAMS, (stake,))
-
-
-GENESIS = _genesis()
+GENESIS = make_genesis(STAKE_PARAMS, [(FUNDS, ALICE, 20)])
 FUND_TX, STAKE_TX = GENESIS.transactions
 
 
