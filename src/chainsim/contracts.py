@@ -1,13 +1,17 @@
 """Gas-metered stack virtual machine with per-contract key-value storage.
 
-Words are 8-byte unsigned integers with wrapping arithmetic.  Every opcode
-costs 1 gas except STORE and LOAD (3 each: state touches are pricier).
-Execution is a pure function of (code, input, storage, gas_limit); on OutOfGas
-or Trap the whole gas budget is consumed and no storage write survives.
+Words are 8-byte unsigned integers with wrapping arithmetic.  One table,
+`_OPS`, gives each opcode's mnemonic, operand width, gas (1, or 3 for STORE
+and LOAD: state touches are pricier) and the stack words it needs; finding
+fewer traps with StackUnderflow.  Execution is a pure function of (code,
+input, storage, gas_limit): a call reads storage through its own writes; on
+OutOfGas or Trap the whole gas budget is consumed and no storage write
+survives.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 
 from ._record import field, record
@@ -35,35 +39,41 @@ OP_LOAD = 0x10
 OP_EMIT = 0x11
 OP_HALT = 0x12
 
-MNEMONICS = {
-    OP_PUSH: "PUSH",
-    OP_POP: "POP",
-    OP_DUP: "DUP",
-    OP_SWAP: "SWAP",
-    OP_ADD: "ADD",
-    OP_SUB: "SUB",
-    OP_MUL: "MUL",
-    OP_DIV: "DIV",
-    OP_EQ: "EQ",
-    OP_LT: "LT",
-    OP_NOT: "NOT",
-    OP_JMP: "JMP",
-    OP_JMPIF: "JMPIF",
-    OP_INPUT: "INPUT",
-    OP_STORE: "STORE",
-    OP_LOAD: "LOAD",
-    OP_EMIT: "EMIT",
-    OP_HALT: "HALT",
+# opcode -> (mnemonic, operand bytes, gas, stack words needed); PUSH carries
+# an 8-byte word, JMP, JMPIF and INPUT a 4-byte instruction or input index
+_OPS = {
+    OP_PUSH: ("PUSH", 8, 1, 0),
+    OP_POP: ("POP", 0, 1, 1),
+    OP_DUP: ("DUP", 0, 1, 1),
+    OP_SWAP: ("SWAP", 0, 1, 2),
+    OP_ADD: ("ADD", 0, 1, 2),
+    OP_SUB: ("SUB", 0, 1, 2),
+    OP_MUL: ("MUL", 0, 1, 2),
+    OP_DIV: ("DIV", 0, 1, 2),
+    OP_EQ: ("EQ", 0, 1, 2),
+    OP_LT: ("LT", 0, 1, 2),
+    OP_NOT: ("NOT", 0, 1, 1),
+    OP_JMP: ("JMP", 4, 1, 0),
+    OP_JMPIF: ("JMPIF", 4, 1, 1),
+    OP_INPUT: ("INPUT", 4, 1, 0),
+    OP_STORE: ("STORE", 0, 3, 2),
+    OP_LOAD: ("LOAD", 0, 3, 1),
+    OP_EMIT: ("EMIT", 0, 1, 1),
+    OP_HALT: ("HALT", 0, 1, 0),
 }
-OPCODES = {name: op for op, name in MNEMONICS.items()}
+MNEMONICS = {op: mnemonic for op, (mnemonic, _, _, _) in _OPS.items()}
+OPCODES = {mnemonic: op for op, mnemonic in MNEMONICS.items()}
+GAS_COST = {op: gas for op, (_, _, gas, _) in _OPS.items()}
 
-# operand widths: PUSH carries an 8-byte word, jump/input carry 4-byte indices
-_WORD_OPERAND = {OP_PUSH}
-_INDEX_OPERAND = {OP_JMP, OP_JMPIF, OP_INPUT}
-
-GAS_COST = {op: 1 for op in MNEMONICS}
-GAS_COST[OP_STORE] = 3
-GAS_COST[OP_LOAD] = 3
+# the two-word operators: pop y, then x, push f(x, y) as a word
+_BINARY = {
+    OP_ADD: operator.add,
+    OP_SUB: operator.sub,
+    OP_MUL: operator.mul,
+    OP_DIV: operator.floordiv,
+    OP_EQ: operator.eq,
+    OP_LT: operator.lt,
+}
 
 OK = "Ok"
 OUT_OF_GAS = "OutOfGas"
@@ -77,6 +87,14 @@ class BytecodeError(ValueError):
 Instruction = tuple[int, int | None]
 
 
+def _bad_jump(instructions: list[Instruction]) -> int | None:
+    """The index of the first jump whose target is not an instruction."""
+    for index, (op, operand) in enumerate(instructions):
+        if op in (OP_JMP, OP_JMPIF) and operand >= len(instructions):
+            return index
+    return None
+
+
 def parse_bytecode(blob: bytes) -> list[Instruction]:
     """Decode a bytecode blob into (opcode, operand) pairs, checking that it
     parses completely and every jump target lands on an instruction."""
@@ -85,23 +103,20 @@ def parse_bytecode(blob: bytes) -> list[Instruction]:
     while offset < len(blob):
         op = blob[offset]
         offset += 1
-        if op not in MNEMONICS:
+        if op not in _OPS:
             raise BytecodeError(f"unknown opcode 0x{op:02x} at byte {offset - 1}")
+        width = _OPS[op][1]
         operand = None
-        if op in _WORD_OPERAND:
-            if offset + 8 > len(blob):
-                raise BytecodeError(f"truncated PUSH operand at byte {offset}")
-            operand = struct.unpack(">Q", blob[offset : offset + 8])[0]
-            offset += 8
-        elif op in _INDEX_OPERAND:
-            if offset + 4 > len(blob):
-                raise BytecodeError(f"truncated operand at byte {offset}")
-            operand = struct.unpack(">I", blob[offset : offset + 4])[0]
-            offset += 4
+        if width:
+            if offset + width > len(blob):
+                what = "PUSH operand" if op == OP_PUSH else "operand"
+                raise BytecodeError(f"truncated {what} at byte {offset}")
+            operand = int.from_bytes(blob[offset : offset + width], "big")
+            offset += width
         instructions.append((op, operand))
-    for op, operand in instructions:
-        if op in (OP_JMP, OP_JMPIF) and operand >= len(instructions):
-            raise BytecodeError(f"jump target {operand} out of bounds")
+    bad = _bad_jump(instructions)
+    if bad is not None:
+        raise BytecodeError(f"jump target {instructions[bad][1]} out of bounds")
     return instructions
 
 
@@ -109,10 +124,9 @@ def encode_bytecode(instructions: list[Instruction]) -> bytes:
     parts = []
     for op, operand in instructions:
         parts.append(bytes([op]))
-        if op in _WORD_OPERAND:
-            parts.append(struct.pack(">Q", operand))
-        elif op in _INDEX_OPERAND:
-            parts.append(struct.pack(">I", operand))
+        width = _OPS[op][1]
+        if width:
+            parts.append(operand.to_bytes(width, "big"))
     return b"".join(parts)
 
 
@@ -138,69 +152,47 @@ def execute(
     in storage_writes (empty unless status is Ok).  Falling off the end of the
     code halts normally.
     """
+
+    def trap(reason: str) -> ExecResult:
+        return ExecResult(TRAP, (), gas_limit, {}, reason)
+
     try:
         program = parse_bytecode(code)
     except BytecodeError as exc:
-        return ExecResult(TRAP, (), gas_limit, {}, f"BadBytecode: {exc}")
-    view = dict(storage)
+        return trap(f"BadBytecode: {exc}")
     writes: dict[int, int] = {}
     stack: list[int] = []
     output: list[int] = []
     gas = 0
     pc = 0
-
-    def trap(reason: str) -> ExecResult:
-        return ExecResult(TRAP, (), gas_limit, {}, reason)
-
     while pc < len(program):
         op, operand = program[pc]
-        cost = GAS_COST[op]
+        _, _, cost, needs = _OPS[op]
         if gas + cost > gas_limit:
             return ExecResult(OUT_OF_GAS, (), gas_limit, {})
         gas += cost
         pc += 1
-        if op == OP_PUSH:
-            stack.append(operand)
-        elif op == OP_POP:
-            if not stack:
-                return trap("StackUnderflow")
-            stack.pop()
-        elif op == OP_DUP:
-            if not stack:
-                return trap("StackUnderflow")
-            stack.append(stack[-1])
-        elif op == OP_SWAP:
-            if len(stack) < 2:
-                return trap("StackUnderflow")
-            stack[-1], stack[-2] = stack[-2], stack[-1]
-        elif op in (OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_EQ, OP_LT):
-            if len(stack) < 2:
-                return trap("StackUnderflow")
+        if len(stack) < needs:
+            return trap("StackUnderflow")
+        if op in _BINARY:
             y = stack.pop()
             x = stack.pop()
-            if op == OP_ADD:
-                stack.append((x + y) & WORD_MASK)
-            elif op == OP_SUB:
-                stack.append((x - y) & WORD_MASK)
-            elif op == OP_MUL:
-                stack.append((x * y) & WORD_MASK)
-            elif op == OP_DIV:
-                if y == 0:
-                    return trap("DivZero")
-                stack.append(x // y)
-            elif op == OP_EQ:
-                stack.append(1 if x == y else 0)
-            else:
-                stack.append(1 if x < y else 0)
+            if op == OP_DIV and y == 0:
+                return trap("DivZero")
+            stack.append(_BINARY[op](x, y) & WORD_MASK)
+        elif op == OP_PUSH:
+            stack.append(operand)
+        elif op == OP_POP:
+            stack.pop()
+        elif op == OP_DUP:
+            stack.append(stack[-1])
+        elif op == OP_SWAP:
+            stack[-1], stack[-2] = stack[-2], stack[-1]
         elif op == OP_NOT:
-            if not stack:
-                return trap("StackUnderflow")
             stack.append(0 if stack.pop() else 1)
         elif op == OP_JMP:
             pc = operand
         elif op == OP_JMPIF:
-            if not stack:
-                return trap("StackUnderflow")
             if stack.pop():
                 pc = operand
         elif op == OP_INPUT:
@@ -208,21 +200,14 @@ def execute(
                 return trap(f"BadInput: index {operand}")
             stack.append(input_words[operand])
         elif op == OP_STORE:
-            if len(stack) < 2:
-                return trap("StackUnderflow")
             key = stack.pop()
-            value = stack.pop()
-            view[key] = value
-            writes[key] = value
+            writes[key] = stack.pop()
         elif op == OP_LOAD:
-            if not stack:
-                return trap("StackUnderflow")
-            stack.append(view.get(stack.pop(), 0))
+            key = stack.pop()
+            stack.append(writes[key] if key in writes else storage.get(key, 0))
         elif op == OP_EMIT:
-            if not stack:
-                return trap("StackUnderflow")
             output.append(stack.pop())
-        elif op == OP_HALT:
+        else:  # HALT
             break
     return ExecResult(OK, tuple(output), gas, writes)
 
@@ -238,8 +223,10 @@ class AsmError(ValueError):
 
 def assemble(text: str) -> bytes:
     """One instruction per line; ';' and '#' start comments; operands are
-    decimal or 0x-hex."""
+    decimal or 0x-hex.  Each operand must fit its width and each jump must
+    land on an instruction; an error names its source line."""
     instructions: list[Instruction] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split(";")[0].split("#")[0].strip()
         if not line:
@@ -249,25 +236,25 @@ def assemble(text: str) -> bytes:
         op = OPCODES.get(mnemonic)
         if op is None:
             raise AsmError(f"line {lineno}: unknown mnemonic {parts[0]!r}")
-        needs_operand = op in _WORD_OPERAND or op in _INDEX_OPERAND
-        if needs_operand:
+        width = _OPS[op][1]
+        operand = None
+        if width:
             if len(parts) != 2:
                 raise AsmError(f"line {lineno}: {mnemonic} takes exactly one operand")
             try:
                 operand = int(parts[1], 0)
             except ValueError:
                 raise AsmError(f"line {lineno}: bad operand {parts[1]!r}") from None
-            limit = WORD_MASK if op in _WORD_OPERAND else 2**32 - 1
-            if not 0 <= operand <= limit:
+            if not 0 <= operand < 1 << 8 * width:
                 raise AsmError(f"line {lineno}: operand out of range")
-            instructions.append((op, operand))
-        else:
-            if len(parts) != 1:
-                raise AsmError(f"line {lineno}: {mnemonic} takes no operand")
-            instructions.append((op, None))
-    blob = encode_bytecode(instructions)
-    parse_bytecode(blob)  # bounds-check jumps
-    return blob
+        elif len(parts) != 1:
+            raise AsmError(f"line {lineno}: {mnemonic} takes no operand")
+        instructions.append((op, operand))
+        linenos.append(lineno)
+    bad = _bad_jump(instructions)
+    if bad is not None:
+        raise AsmError(f"line {linenos[bad]}: jump target {instructions[bad][1]} out of bounds")
+    return encode_bytecode(instructions)
 
 
 # ---------------------------------------------------------------------------

@@ -158,15 +158,18 @@ class SimNode:
         self.pending_txs: list[tuple[bytes, int]] = []  # (tx_id, submit tick)
         # producers
         self.mine_gen = 0
-        self.mining_parent: bytes | None = None
         self.draw_index = 0
         self.hash_rate = 0.0
         # adversary state
-        self.attack_active = False
         self.secret_tip: bytes | None = None
         self.secret_blocks: list[Block] = []
 
     # -- queries -------------------------------------------------------------
+
+    @property
+    def attack_active(self) -> bool:
+        """Whether a majority_reorg attack is building a secret chain."""
+        return self.secret_tip is not None
 
     def online(self, tick: int) -> bool:
         return is_online(self.spec, tick)
@@ -230,7 +233,7 @@ class Simulation:
         self._seq = 0
         self.log: list[str] = []
         self.metrics = Metrics(seed=config.seed)
-        self.produced: dict[bytes, str] = {}  # block hash -> producer name
+        self.produced: set[bytes] = set()  # hashes of the blocks nodes made
 
         genesis = build_genesis(config)
         self.nodes: dict[str, SimNode] = {}
@@ -425,23 +428,21 @@ class Simulation:
             return
         node.mine_gen += 1
         parent = self._mining_parent(node)
-        node.mining_parent = parent
         pow_params = node.store.undo[parent].pow_params
         target = pow_params.target if pow_params else self.model.target
         rate = node.hash_rate * (target / 2.0**256)
         if rate <= 0:
             return
         wait = max(1, round(self._mine_streams[node.name].expovariate(1.0 / rate)))
-        self._push(tick + wait, _RANK_PRODUCE, node.addr, "find", (node.name, node.mine_gen))
+        self._push(tick + wait, _RANK_PRODUCE, node.addr, "find", (node.name, node.mine_gen, parent))
 
-    def _on_find(self, name: str, gen: int) -> None:
+    def _on_find(self, name: str, gen: int, parent: bytes) -> None:
         node = self.nodes[name]
         if gen != node.mine_gen:
             return
         if not self.production_allowed(self.now) or not node.online(self.now):
             self._schedule_find(node, self.now)
             return
-        parent = node.mining_parent
         block = self._produce_block(node, parent)
         if block is not None:
             self._handle_own_block(node, block)
@@ -561,7 +562,7 @@ class Simulation:
 
     def _handle_own_block(self, node: SimNode, block: Block) -> None:
         h = header_hash(block.header)
-        self.produced[h] = node.name
+        self.produced.add(h)
         result = node.store.append_block(block)
         if result.status == REJECTED:
             self._emit(
@@ -604,7 +605,6 @@ class Simulation:
         fork_hash = node.store.ancestor_at(tip, tip_height - depth)
         if fork_hash is None:
             return
-        node.attack_active = True
         node.secret_tip = fork_hash
         node.secret_blocks = []
         self._schedule_find(node, self.now)
@@ -622,7 +622,6 @@ class Simulation:
             f" blocks={len(node.secret_blocks)} h={secret_height}"
         )
         released = node.secret_blocks
-        node.attack_active = False
         node.secret_tip = None
         node.secret_blocks = []
         for block in released:
@@ -742,11 +741,7 @@ class Simulation:
             self.metrics.reorg_events.append((self.now, node.name, depth))
             self._emit(f"t={self.now} reorg node={node.name} depth={depth}")
         if result.status != NEW_SIDE_BRANCH:
-            if (
-                isinstance(self.model, cons.PowParams)
-                and node.hash_rate > 0
-                and not node.attack_active
-            ):
+            if not node.attack_active:
                 self._schedule_find(node, self.now)
             self._check_confirmations(node)
         if (

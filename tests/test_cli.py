@@ -1160,7 +1160,8 @@ def operator_files(tmp_path_factory):
     contract in the default data directory, a copy under tampered/ whose
     deploy block no longer matches its data hash, one under torn/ with a
     record that fails its checksum and a truncated key store, contract
-    source and bytecode, a params file and a short scenario."""
+    source and bytecode, source whose jump lies past its end, a params file
+    and a short scenario."""
     root = tmp_path_factory.mktemp("operator")
     cwd = os.getcwd()
     os.chdir(root)
@@ -1169,6 +1170,7 @@ def operator_files(tmp_path_factory):
             assert main(["keygen", "--seed", SEED_HEX, "--label", "op"]) == 0
             (root / "params.yaml").write_text(f"allocation:\n  - [{OPERATOR}, 500]\n")
             (root / "counter.asm").write_text(COUNTER_ASM)
+            (root / "jump.asm").write_text("PUSH 1\nJMP 5\n")
             (root / "one.cfg").write_text(ONE_NODE.replace("duration: 200", "duration: 40"))
             assert main(["chain", "init", "--params", "params.yaml"]) == 0
             assert main(["asm", "counter.asm", "-o", "counter.bin"]) == 0
@@ -1192,7 +1194,7 @@ def operator_files(tmp_path_factory):
 
 
 NAMES = ("chainsim-data", "tampered", "torn", "params.yaml", "counter.asm", "counter.bin",
-         "one.cfg", "ghost", "chainsim-data/chain.dat", "out")
+         "jump.asm", "one.cfg", "ghost", "chainsim-data/chain.dat", "out")
 WORDS = st.sampled_from((
     "keygen", "balance", "chain", "init", "verify", "tip", "inspect", "sim", "asm", "deploy",
     "call", "--data-dir", "--seed", "--label", "--params", "--out", "--fee", "--key", "-o",
@@ -1281,6 +1283,7 @@ def _run_in_copy(root, argv) -> tuple[int, str]:
     (["asm", "chainsim-data/chain.dat"], 4),  # bytes that are not UTF-8
     (["sim", "chainsim-data/chain.dat", "--out", "r"], 4),
     (["chain", "init", "--params", "chainsim-data/chain.dat"], 4),
+    (["asm", "jump.asm"], 4),  # a jump past the program's end
 ])
 def test_operator_command_exit_code(operator_files, argv, expected):
     code, err = _run_in_copy(operator_files, argv)

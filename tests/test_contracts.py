@@ -212,6 +212,9 @@ def test_assembler_reports_line_numbers():
     with pytest.raises(AsmError) as err:
         assemble("PUSH")
     assert "line 1" in str(err.value)
+    with pytest.raises(AsmError) as err:  # a jump past the program's end
+        assemble("PUSH 1\nJMP 5")
+    assert str(err.value) == "line 2: jump target 5 out of bounds"
 
 
 # ---------------------------------------------------------------------------
